@@ -206,14 +206,23 @@ def cmd_distract_gen(args) -> int:
 def _load_pools(path: str) -> dict[str, list[tuple[str, str]]]:
     pools = {}
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            row = json.loads(line)
-            pools[row["id"]] = [
-                (c["text"], c.get("source_question_id", "")) for c in row["candidates"]
-            ]
+            try:
+                row = json.loads(line)
+                qid = row["id"]
+                candidates = [
+                    (c["text"], c.get("source_question_id", "")) for c in row["candidates"]
+                ]
+                if not isinstance(qid, str) or not all(
+                    isinstance(text, str) for text, _ in candidates
+                ):
+                    raise TypeError("id and candidate texts must be strings")
+            except (KeyError, TypeError, ValueError) as exc:
+                raise HopkitError(f"{path}:{lineno}: bad pools row: {exc!r}") from exc
+            pools[qid] = candidates
     return pools
 
 

@@ -8,6 +8,7 @@ concurrent searches without synchronization.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import math
 import re
 import struct
@@ -54,12 +55,6 @@ class InvertedIndex:
             return 0.0
         return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
 
-    def docs_with_any(self, terms) -> set[int]:
-        hit: set[int] = set()
-        for term in terms:
-            hit.update(doc_id for doc_id, _ in self.postings.get(term, ()))
-        return hit
-
 
 def build_index(corpus: Corpus) -> InvertedIndex:
     postings: dict[str, list[tuple[int, int]]] = {}
@@ -91,37 +86,72 @@ def search(
     one token from A and one from B (an empty side admits nothing).  Ties
     break by ascending sentence id.  Scores accumulate in sorted term
     order so reruns and the naive reference scan agree bit for bit.
+
+    A constrained search is evaluated candidate-first: it takes the
+    documents of whichever side has fewer postings, keeps those whose
+    token bag meets the other side, and scores only those survivors.  A
+    survivor's score adds the same per-term contributions, read from its
+    token bag, in the same sorted term order as the full posting scan, so
+    both evaluations give identical floats; load_snapshot rejects a
+    snapshot whose per-document posting counts disagree with the bags.
     """
     if top_n is not None and top_n <= 0:
         return []
     if index.n_docs == 0:
         return []
-    scores: dict[int, float] = {}
-    for term in sorted(set(query)):
-        plist = index.postings.get(term)
-        if not plist:
-            continue
-        idf = index.idf(term)
-        for doc_id, tf in plist:
-            contrib = bm25_term_score(tf, idf, index.doc_len[doc_id], index.avg_len)
-            scores[doc_id] = scores.get(doc_id, 0.0) + contrib
-    candidates = scores.keys()
+    terms = sorted(set(query))
     if must_contain_any is not None:
-        side_a, side_b = must_contain_any
-        allowed = index.docs_with_any(side_a) & index.docs_with_any(side_b)
-        candidates = [doc_id for doc_id in candidates if doc_id in allowed]
+        scores = _score_constrained(index, terms, *must_contain_any)
+    else:
+        scores = {}
+        for term in terms:
+            plist = index.postings.get(term)
+            if not plist:
+                continue
+            idf = index.idf(term)
+            for doc_id, tf in plist:
+                contrib = bm25_term_score(tf, idf, index.doc_len[doc_id], index.avg_len)
+                scores[doc_id] = scores.get(doc_id, 0.0) + contrib
+    keyed = [(-score, doc_id) for doc_id, score in scores.items()]
     if negation_filter:
-        candidates = [
-            doc_id
-            for doc_id in candidates
+        keyed = [
+            (neg_score, doc_id)
+            for neg_score, doc_id in keyed
             if not negation_filter.intersection(
                 _SURFACE_RE.findall(index.corpus[doc_id].text.lower())
             )
         ]
-    ranked = sorted(candidates, key=lambda doc_id: (-scores[doc_id], doc_id))
-    if top_n is not None:
-        ranked = ranked[:top_n]
-    return [SearchHit(doc_id, scores[doc_id]) for doc_id in ranked]
+    ranked = heapq.nsmallest(len(keyed) if top_n is None else top_n, keyed)
+    return [SearchHit(doc_id, -neg_score) for neg_score, doc_id in ranked]
+
+
+def _score_constrained(
+    index: InvertedIndex, terms: list[str], side_a: frozenset[str], side_b: frozenset[str]
+) -> dict[int, float]:
+    """Scores of the documents meeting both sides, found from the side with
+    fewer postings and accumulated from their token bags."""
+
+    def postings_total(side) -> int:
+        return sum(len(index.postings.get(term, ())) for term in side)
+
+    if postings_total(side_b) < postings_total(side_a):
+        side_a, side_b = side_b, side_a
+    weighted = [(term, index.idf(term)) for term in terms if index.postings.get(term)]
+    sentences, doc_len, avg_len = index.corpus.sentences, index.doc_len, index.avg_len
+    scores: dict[int, float] = {}
+    for doc_id in {doc_id for term in side_a for doc_id, _ in index.postings.get(term, ())}:
+        bag = sentences[doc_id].tokens
+        if side_b.isdisjoint(bag):
+            continue
+        score = None
+        for term, idf in weighted:
+            tf = bag.get(term)
+            if tf:
+                contrib = bm25_term_score(tf, idf, doc_len[doc_id], avg_len)
+                score = contrib if score is None else score + contrib
+        if score is not None:
+            scores[doc_id] = score
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +191,28 @@ def load_snapshot(path: str | Path) -> InvertedIndex:
     digest, body = raw[len(MAGIC) : len(MAGIC) + 32], raw[len(MAGIC) + 32 :]
     if hashlib.sha256(body).digest() != digest:
         raise SnapshotError(f"{path}: checksum mismatch, snapshot corrupt")
-    view = memoryview(body)
+    try:
+        source_digest, texts, postings = _parse_body(path, memoryview(body))
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise SnapshotError(f"{path}: malformed snapshot body: {exc}") from exc
+    n_docs = len(texts)
+    corpus = Corpus.from_texts(texts, source_digest)
+    if len(corpus) != n_docs:
+        raise SnapshotError(f"{path}: duplicate sentences in snapshot")
+    doc_len = [0] * n_docs
+    for plist in postings.values():
+        for doc_id, tf in plist:
+            if doc_id >= n_docs:
+                raise SnapshotError(f"{path}: posting id {doc_id} out of range")
+            doc_len[doc_id] += tf
+    # search reads term frequencies from the re-tokenized sentences, so the
+    # stored postings must agree with the tokenizer that loads them
+    if doc_len != [sum(sentence.tokens.values()) for sentence in corpus.sentences]:
+        raise SnapshotError(f"{path}: postings disagree with the tokenizer")
+    return InvertedIndex(corpus, postings, doc_len)
+
+
+def _parse_body(path, view: memoryview):
     offset = 0
 
     def take(fmt: str):
@@ -174,6 +225,8 @@ def load_snapshot(path: str | Path) -> InvertedIndex:
     def take_bytes(fmt: str = "<I") -> bytes:
         nonlocal offset
         length = take(fmt)
+        if offset + length > len(view):
+            raise SnapshotError(f"{path}: snapshot body truncated at byte {offset}")
         data = bytes(view[offset : offset + length])
         offset += length
         return data
@@ -181,20 +234,10 @@ def load_snapshot(path: str | Path) -> InvertedIndex:
     source_digest = take_bytes().decode("utf-8")
     n_docs = take("<I")
     texts = [take_bytes().decode("utf-8") for _ in range(n_docs)]
-    corpus = Corpus.from_texts(texts, source_digest)
-    if len(corpus) != n_docs:
-        raise SnapshotError(f"{path}: duplicate sentences in snapshot")
     postings: dict[str, list[tuple[int, int]]] = {}
     n_terms = take("<I")
     for _ in range(n_terms):
         term = take_bytes("<H").decode("utf-8")
         n_post = take("<I")
-        plist = [take("<II") for _ in range(n_post)]
-        postings[term] = plist
-    doc_len = [0] * n_docs
-    for plist in postings.values():
-        for doc_id, tf in plist:
-            if doc_id >= n_docs:
-                raise SnapshotError(f"{path}: posting id {doc_id} out of range")
-            doc_len[doc_id] += tf
-    return InvertedIndex(corpus, postings, doc_len)
+        postings[term] = [take("<II") for _ in range(n_post)]
+    return source_digest, texts, postings

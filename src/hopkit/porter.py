@@ -6,11 +6,20 @@ Deliberately excludes the later revisions found in most library versions
 no minimum-length guard).  Behaviour is pinned by the frozen vectors in
 tests/data/porter_vectors.tsv; do not "fix" rules without regenerating
 that file.
+
+``stem`` is memoised: it is pure in its argument, and corpora repeat a
+small vocabulary many times over (loading, snapshot re-stemming and every
+``stem_set`` call see the same words again).  The memo is an LRU bounded
+by STEM_CACHE_SIZE entries, so its memory stays bounded on any input.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 _VOWELS = "aeiou"
+
+STEM_CACHE_SIZE = 1 << 16
 
 
 def _is_cons(word: str, i: int) -> bool:
@@ -179,8 +188,12 @@ def _step5(w: str) -> str:
     return w
 
 
+@lru_cache(maxsize=STEM_CACHE_SIZE)
 def stem(word: str) -> str:
-    """Stem a single lowercase token; non-letters are treated as consonants."""
+    """Stem a single lowercase token; non-letters are treated as consonants.
+
+    Memoised; the unmemoised function is ``stem.__wrapped__``.
+    """
     w = word.lower()
     if not w:
         return w

@@ -6,6 +6,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -94,6 +95,27 @@ def random_query(rng: random.Random, vocab: list[str]) -> tuple[str, str]:
     q = " ".join(rng.choices(vocab, k=rng.randint(2, 6)))
     a = " ".join(rng.choices(vocab, k=rng.randint(1, 3)))
     return q, a
+
+
+# Words that are their own normalized stem, so hypothesis-built texts and
+# queries speak the index vocabulary directly; "absent" is in no corpus.
+STEM_WORDS = ("wind", "heat", "air", "rain", "cloud", "rock", "sand", "tree", "soil")
+query_words = st.sampled_from(STEM_WORDS + ("absent",))
+
+
+@st.composite
+def small_corpora(draw, max_sentences: int = 30) -> Corpus:
+    """Corpus over STEM_WORDS with heavy term overlap (so many score ties);
+    sentences drawn with the flag set end in the negation word "not"."""
+    rows = draw(
+        st.lists(
+            st.tuples(st.lists(st.sampled_from(STEM_WORDS), min_size=1, max_size=8), st.booleans()),
+            max_size=max_sentences,
+        )
+    )
+    return Corpus.from_texts(
+        " ".join(words) + (" not." if negated else ".") for words, negated in rows
+    )
 
 
 def random_split_instance(rng: random.Random, n_facts: int):

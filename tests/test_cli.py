@@ -1,9 +1,11 @@
+import hashlib
 import json
 from importlib import resources
 
 import pytest
 
 from hopkit.cli import main
+from hopkit.index import MAGIC
 from hopkit.qa import load_questions, save_questions
 
 from conftest import FIG1_ANSWER, FIG1_FL, FIG1_FS, FIG1_QUESTION, make_question
@@ -347,6 +349,43 @@ class TestValidate:
         assert [(r["check"], r["pass"]) for r in rows] == [
             ("link", True), ("composition", True), ("question", True),
         ]
+
+
+class TestMalformedInputs:
+    def test_truncated_snapshot_is_domain_error(self, snapshot_dir, tmp_path, capsys):
+        raw = (snapshot_dir / "index.hopidx").read_bytes()
+        body = raw[len(MAGIC) + 32 :][:200]
+        trunc = tmp_path / "trunc.hopidx"
+        trunc.write_bytes(MAGIC + hashlib.sha256(body).digest() + body)
+        capsys.readouterr()
+        code = main(["retrieve", "--index", str(trunc), "--mode", "two",
+                     "--question", FIG1_QUESTION, "--answer", FIG1_ANSWER])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "SnapshotError"
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            {"id": "q000"},
+            {"id": "q000", "candidates": [{"source_question_id": "q001"}]},
+            {"id": "q000", "candidates": ["bare string"]},
+            {"id": "q000", "candidates": [{"text": 7}]},
+            {"id": ["q000"], "candidates": []},
+            ["q000"],
+        ],
+    )
+    def test_malformed_pools_row_is_domain_error(self, tmp_path, snapshot_dir, row, capsys):
+        dataset = fold_dataset(tmp_path)
+        pools = tmp_path / "pools.jsonl"
+        good = {"id": "q001", "candidates": [{"text": "answer002"}]}
+        pools.write_text(json.dumps(good) + "\n" + json.dumps(row) + "\n", "utf-8")
+        code = main(["distract", "rank", "--dataset", str(dataset), "--pools", str(pools),
+                     "--scorer", f"ir:{snapshot_dir}"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "HopkitError"
+        assert f"{pools}:2:" in err["message"]
 
 
 class TestUsageErrors:

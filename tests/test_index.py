@@ -1,12 +1,17 @@
+import hashlib
 import math
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hopkit.corpus
 from hopkit.corpus import Corpus
 from hopkit.errors import SnapshotError
 from hopkit.index import (
+    MAGIC,
     NEGATION_TOKENS,
     bm25_term_score,
     build_index,
@@ -15,7 +20,7 @@ from hopkit.index import (
     write_snapshot,
 )
 
-from conftest import random_corpus, random_query
+from conftest import query_words, random_corpus, random_query, small_corpora
 from oracles import naive_search
 
 
@@ -151,6 +156,29 @@ class TestSearch:
                 want = naive_search(corpus, query, 20, must_contain_any=constraint)
                 assert [(h.sentence_id, h.score) for h in got] == want
 
+    @given(
+        corpus=small_corpora(),
+        query=st.lists(query_words, min_size=1, max_size=6),
+        sides=st.none() | st.tuples(st.frozensets(query_words, max_size=4),
+                                    st.frozensets(query_words, max_size=4)),
+        top_n=st.none() | st.integers(1, 40),
+        negate=st.booleans(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_property_equals_naive_scan_exactly(self, corpus, query, sides, top_n, negate):
+        # sides range over empty, disjoint-from-query and overlapping sets;
+        # top_n over unbounded, 1, and more than the candidates
+        index = build_index(corpus)
+        got = search(index, Counter(query), top_n, must_contain_any=sides,
+                     negation_filter=NEGATION_TOKENS if negate else None)
+        want = naive_search(corpus, query, None, must_contain_any=sides)
+        if negate:
+            want = [(sid, score) for sid, score in want
+                    if not corpus[sid].text.endswith(" not.")]
+        if top_n is not None:
+            want = want[:top_n]
+        assert [(h.sentence_id, h.score) for h in got] == want
+
     def test_scores_are_pure_in_declared_statistics(self):
         # rebuilding over a superset corpus changes only (N, avg_len, df);
         # with those pinned, per-term contributions are identical
@@ -234,4 +262,31 @@ class TestSnapshot:
         blob[-1] ^= 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="checksum"):
+            load_snapshot(path)
+
+    def _rewrite_body(self, path, body: bytes) -> None:
+        path.write_bytes(MAGIC + hashlib.sha256(body).digest() + body)
+
+    def test_truncated_body_with_valid_checksum(self, tmp_path):
+        path = tmp_path / "index.hopidx"
+        write_snapshot(build_index(toy_corpus()), path)
+        body = path.read_bytes()[len(MAGIC) + 32 :]
+        for cut in range(len(body)):
+            self._rewrite_body(path, body[:cut])
+            with pytest.raises(SnapshotError):
+                load_snapshot(path)
+
+    def test_undecodable_text_with_valid_checksum(self, tmp_path):
+        path = tmp_path / "index.hopidx"
+        write_snapshot(build_index(toy_corpus()), path)
+        body = path.read_bytes()[len(MAGIC) + 32 :]
+        self._rewrite_body(path, body.replace(b"turbine", b"turb\xffne"))
+        with pytest.raises(SnapshotError, match="malformed"):
+            load_snapshot(path)
+
+    def test_tokenizer_mismatch_rejected(self, tmp_path, monkeypatch):
+        path = tmp_path / "index.hopidx"
+        write_snapshot(build_index(toy_corpus()), path)
+        monkeypatch.setattr(hopkit.corpus, "STOPWORDS", hopkit.corpus.STOPWORDS | {"wind"})
+        with pytest.raises(SnapshotError, match="tokenizer"):
             load_snapshot(path)

@@ -4,9 +4,12 @@ and stability of normalized keys over the frozen lexicon."""
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopkit.corpus import tokenize_normalize
 from hopkit.porter import (
+    STEM_CACHE_SIZE,
     _apply_rules,
     _STEP2_RULES,
     _STEP3_RULES,
@@ -143,3 +146,20 @@ def test_known_non_fixed_point_stems():
     assert stem("respons") == "respon"  # step 1a strips the bare s again
     assert stem("agreed") == "agre"
     assert stem("agre") == "agr"  # step 5a drops the now-final e again
+
+
+def test_memoised_stem_matches_unmemoised_reference():
+    lexicon = (DATA / "idempotence_lexicon.txt").read_text().split()
+    vectors = [line.split("\t")[0] for line in
+               (DATA / "porter_vectors.tsv").read_text().splitlines() if line]
+    for word in lexicon + vectors:
+        want = stem.__wrapped__(word)
+        assert stem(word) == want
+        assert stem(word) == want  # second call is served by the memo
+    assert stem.cache_info().maxsize == STEM_CACHE_SIZE
+
+
+@given(st.text(max_size=30))
+@settings(max_examples=300)
+def test_memoised_stem_matches_unmemoised_reference_on_any_text(word):
+    assert stem(word) == stem.__wrapped__(word)

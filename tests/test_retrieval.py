@@ -2,6 +2,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopkit.corpus import Corpus, Sentence, stem_set
 from hopkit.index import build_index
@@ -22,8 +24,10 @@ from conftest import (
     FIG1_QUESTION,
     make_question,
     planted_chain_dataset,
+    query_words,
     random_corpus,
     random_query,
+    small_corpora,
 )
 from oracles import brute_two_step
 
@@ -170,6 +174,21 @@ class TestTwoStep:
                 for got, want in zip(got_pairs, want_pairs):
                     assert got.score1 == pytest.approx(want.score1, abs=1e-9)
                     assert got.score2 == pytest.approx(want.score2, abs=1e-9)
+
+    @given(
+        corpus=small_corpora(),
+        q=st.lists(query_words, min_size=1, max_size=5).map(" ".join),
+        a=st.lists(query_words, min_size=1, max_size=3).map(" ".join),
+        k=st.integers(1, 10),
+        l=st.integers(1, 5),
+        m=st.integers(1, 10),
+        require_both=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_property_equals_brute_force_exactly(self, corpus, q, a, k, l, m, require_both):
+        params = RetrievalParams(k=k, l=l, m=m, step3_require_both=require_both)
+        got = two_step(build_index(corpus), q, a, params)
+        assert got == brute_two_step(corpus, q, a, params)
 
     def test_params_validated(self):
         with pytest.raises(ValueError):
