@@ -22,7 +22,7 @@ from .distractor import (
     multi_adversary_rank,
     prune_by_scorer,
 )
-from .errors import HopkitError
+from .errors import HopkitError, read_jsonl, require_type
 from .index import (
     NEGATION_TOKENS,
     InvertedIndex,
@@ -182,7 +182,6 @@ def cmd_distract_gen(args) -> int:
     dataset = load_questions(args.dataset)
     config = AdversarialConfig(
         pool_dissimilar_n=args.pool_n,
-        pool_keep_top=args.prune_top,
         token_slack=args.token_slack,
         char_ratio_slack=args.char_slack,
         target_ways=args.ways,
@@ -203,32 +202,24 @@ def cmd_distract_gen(args) -> int:
     return 0
 
 
-def _load_pools(path: str) -> dict[str, list[tuple[str, str]]]:
-    pools = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-                qid = row["id"]
-                candidates = [
-                    (c["text"], c.get("source_question_id", "")) for c in row["candidates"]
-                ]
-                if not isinstance(qid, str) or not all(
-                    isinstance(text, str) for text, _ in candidates
-                ):
-                    raise TypeError("id and candidate texts must be strings")
-            except (KeyError, TypeError, ValueError) as exc:
-                raise HopkitError(f"{path}:{lineno}: bad pools row: {exc!r}") from exc
-            pools[qid] = candidates
-    return pools
+def _pool_from_json(row: dict) -> tuple[str, list[tuple[str, str]]]:
+    candidates = [
+        (require_type(c["text"], str, "candidate text"),
+         require_type(c.get("source_question_id", ""), str, "source_question_id"))
+        for c in require_type(row["candidates"], list, "candidates")
+    ]
+    return require_type(row["id"], str, "id"), candidates
+
+
+def _ranked_from_json(row: dict) -> tuple[str, list[str]]:
+    texts = [require_type(c["text"], str, "ranked text")
+             for c in require_type(row["ranked"], list, "ranked")]
+    return require_type(row["id"], str, "id"), texts
 
 
 def cmd_distract_rank(args) -> int:
     dataset = {q.id: q for q in load_questions(args.dataset)}
-    pools = _load_pools(args.pools)
+    pools = dict(read_jsonl(args.pools, _pool_from_json))
     scorers = [_make_scorer(spec, args) for spec in args.scorer]
     lines = []
     for qid in sorted(pools):
@@ -264,14 +255,7 @@ def cmd_distract_rank(args) -> int:
 
 def cmd_distract_assemble(args) -> int:
     dataset = load_questions(args.dataset)
-    ranked_by_id = {}
-    with open(args.ranked, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            ranked_by_id[row["id"]] = [c["text"] for c in row["ranked"]]
+    ranked_by_id = dict(read_jsonl(args.ranked, _ranked_from_json))
     assembled = []
     for question in sorted(dataset, key=lambda q: q.id):
         ranked = ranked_by_id.get(question.id, [])
@@ -408,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = distract_sub.add_parser("gen", help="generate candidate pools")
     _add_dataset(p_gen)
     p_gen.add_argument("--pool-n", type=int, default=300)
-    p_gen.add_argument("--prune-top", type=int, default=30)
     p_gen.add_argument("--token-slack", type=int, default=2)
     p_gen.add_argument("--char-slack", type=float, default=0.5)
     p_gen.add_argument("--ways", type=int, default=8)
@@ -461,10 +444,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except HopkitError as exc:
-        sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 1
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (HopkitError, OSError, ValueError) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 1
 

@@ -7,27 +7,23 @@ by how many scorer models prefer them over the correct answer.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
 from .corpus import stem_set
 from .errors import HopkitError, InsufficientCandidatesError
-from .qa import Choice, MCQuestion, Scorer
+from .qa import Choice, MCQuestion, Scorer, checked_score
 
 
 @dataclass(frozen=True)
 class AdversarialConfig:
     pool_dissimilar_n: int = 300
-    pool_keep_top: int = 30
     token_slack: int = 2
     char_ratio_slack: float = 0.5
-    k_models: int = 2
     target_ways: int = 8
 
     def __post_init__(self) -> None:
-        for name in ("pool_dissimilar_n", "pool_keep_top", "token_slack",
-                     "char_ratio_slack", "k_models", "target_ways"):
+        for name in ("pool_dissimilar_n", "token_slack", "char_ratio_slack", "target_ways"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -95,32 +91,17 @@ def candidate_pool_with_sources(
     return pool
 
 
-def candidate_pool(
-    question: MCQuestion, fold_questions, config: AdversarialConfig = AdversarialConfig()
-) -> list[str]:
-    return [text for text, _ in candidate_pool_with_sources(question, fold_questions, config)]
-
-
 def prune_by_scorer(
     scorer: Scorer, question: MCQuestion, candidates, keep_top: int = 30
 ) -> list[str]:
     """Keep the most distracting candidates: highest scorer score against
-    the question, ties by text."""
+    the question, ties by text.  Every candidate is scored, so a non-finite
+    score raises even for a candidate that would be pruned away."""
     texts = [c if isinstance(c, str) else c[0] for c in candidates]
     scored = sorted(
-        texts, key=lambda text: (-scorer.score(question, text), text)
+        texts, key=lambda text: (-checked_score(scorer, question, text), text)
     )
     return scored[:keep_top]
-
-
-def _checked_score(scorer: Scorer, question: MCQuestion, text: str) -> float:
-    value = scorer.score(question, text)
-    if not math.isfinite(value):
-        raise HopkitError(
-            f"scorer {getattr(scorer, 'name', scorer)!r} returned non-finite "
-            f"score for candidate {text!r} on question {question.id}"
-        )
-    return value
 
 
 def multi_adversary_rank(
@@ -136,11 +117,11 @@ def multi_adversary_rank(
     if not scorers:
         raise HopkitError("multi_adversary_rank needs at least one scorer")
     answer = question.answer_text
-    answer_scores = [_checked_score(s, question, answer) for s in scorers]
+    answer_scores = [checked_score(s, question, answer) for s in scorers]
     ranked: list[DistractorCandidate] = []
     for cand in candidates:
         text, source = (cand, "") if isinstance(cand, str) else (cand[0], cand[1])
-        per_model = [_checked_score(s, question, text) for s in scorers]
+        per_model = [checked_score(s, question, text) for s in scorers]
         fooled = sum(per > ans for per, ans in zip(per_model, answer_scores))
         margin = sum(per - ans for per, ans in zip(per_model, answer_scores))
         ranked.append(DistractorCandidate(text, source, per_model, fooled, margin))

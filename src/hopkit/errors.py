@@ -1,4 +1,10 @@
-"""Shared exception types."""
+"""Shared exception types and the one JSON-lines reader every input uses."""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import Callable
 
 
 class HopkitError(Exception):
@@ -15,3 +21,33 @@ class SnapshotError(HopkitError):
 
 class SplitSizeError(HopkitError):
     pass
+
+
+def read_jsonl(path: str | Path, parse: Callable[[dict], object]) -> list:
+    """``parse(row)`` for every row of a JSON-lines file, in file order.
+
+    Blank lines are skipped; every other line must be a JSON object.  Bad
+    JSON (nesting too deep to decode included), a row that is not an
+    object, and a KeyError, TypeError or ValueError raised by ``parse``
+    become a HopkitError naming path:line, so a parse function only has to
+    say what is wrong with the row.
+    """
+    parsed = []
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                parsed.append(parse(require_type(json.loads(line), dict, "row")))
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
+                raise HopkitError(
+                    f"{path}:{lineno}: bad row: {type(exc).__name__}: {exc}"
+                ) from exc
+    return parsed
+
+
+def require_type(value, kind: type, what: str):
+    """``value`` if it is a ``kind``; TypeError naming ``what`` otherwise."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{what} must be {kind.__name__}, got {type(value).__name__}")
+    return value

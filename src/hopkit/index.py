@@ -92,8 +92,8 @@ def search(
     token bag meets the other side, and scores only those survivors.  A
     survivor's score adds the same per-term contributions, read from its
     token bag, in the same sorted term order as the full posting scan, so
-    both evaluations give identical floats; load_snapshot rejects a
-    snapshot whose per-document posting counts disagree with the bags.
+    both evaluations give identical floats: build_index derives every
+    index's postings from those same bags.
     """
     if top_n is not None and top_n <= 0:
         return []
@@ -155,89 +155,57 @@ def _score_constrained(
 
 
 # ---------------------------------------------------------------------------
-# On-disk snapshot: magic, sha256 of body, then length-prefixed fields
-# (little-endian).  The corpus text is stored alongside the postings so a
-# snapshot is self-contained.
+# On-disk snapshot: magic, sha256 of the body, then the body: n_docs (u32),
+# the source digest and the n_docs sentence texts, each a u32 length and
+# UTF-8 bytes (little-endian).  Only the texts are stored; load_snapshot
+# rebuilds the postings with build_index, so a loaded index always agrees
+# with the tokenizer that loads it.
 
-MAGIC = b"HOPIDX1\x00"
+MAGIC = b"HOPIDX2\x00"
 
 
 def write_snapshot(index: InvertedIndex, path: str | Path) -> None:
-    body = bytearray()
-
-    def put_bytes(data: bytes, fmt: str = "<I") -> None:
-        body.extend(struct.pack(fmt, len(data)))
-        body.extend(data)
-
-    put_bytes(index.corpus.source_digest.encode("utf-8"))
-    body.extend(struct.pack("<I", index.n_docs))
-    for sentence in index.corpus.sentences:
-        put_bytes(sentence.text.encode("utf-8"))
-    body.extend(struct.pack("<I", len(index.postings)))
-    for term in sorted(index.postings):
-        put_bytes(term.encode("utf-8"), "<H")
-        plist = index.postings[term]
-        body.extend(struct.pack("<I", len(plist)))
-        for doc_id, tf in plist:
-            body.extend(struct.pack("<II", doc_id, tf))
-    digest = hashlib.sha256(bytes(body)).digest()
+    body = bytearray(struct.pack("<I", index.n_docs))
+    for text in [index.corpus.source_digest, *(s.text for s in index.corpus.sentences)]:
+        data = text.encode("utf-8")
+        body += struct.pack("<I", len(data))
+        body += data
+    digest = hashlib.sha256(body).digest()
     Path(path).write_bytes(MAGIC + digest + bytes(body))
 
 
 def load_snapshot(path: str | Path) -> InvertedIndex:
     raw = Path(path).read_bytes()
     if raw[: len(MAGIC)] != MAGIC:
-        raise SnapshotError(f"{path}: not an index snapshot (bad magic)")
+        raise SnapshotError(
+            f"{path}: not a {MAGIC!r} index snapshot (bad magic {raw[: len(MAGIC)]!r}); "
+            f"rebuild it with `hopkit index build`"
+        )
     digest, body = raw[len(MAGIC) : len(MAGIC) + 32], raw[len(MAGIC) + 32 :]
     if hashlib.sha256(body).digest() != digest:
         raise SnapshotError(f"{path}: checksum mismatch, snapshot corrupt")
     try:
-        source_digest, texts, postings = _parse_body(path, memoryview(body))
+        source_digest, texts = _parse_body(path, body)
     except (struct.error, UnicodeDecodeError) as exc:
         raise SnapshotError(f"{path}: malformed snapshot body: {exc}") from exc
-    n_docs = len(texts)
     corpus = Corpus.from_texts(texts, source_digest)
-    if len(corpus) != n_docs:
+    if len(corpus) != len(texts):
         raise SnapshotError(f"{path}: duplicate sentences in snapshot")
-    doc_len = [0] * n_docs
-    for plist in postings.values():
-        for doc_id, tf in plist:
-            if doc_id >= n_docs:
-                raise SnapshotError(f"{path}: posting id {doc_id} out of range")
-            doc_len[doc_id] += tf
-    # search reads term frequencies from the re-tokenized sentences, so the
-    # stored postings must agree with the tokenizer that loads them
-    if doc_len != [sum(sentence.tokens.values()) for sentence in corpus.sentences]:
-        raise SnapshotError(f"{path}: postings disagree with the tokenizer")
-    return InvertedIndex(corpus, postings, doc_len)
+    return build_index(corpus)
 
 
-def _parse_body(path, view: memoryview):
-    offset = 0
-
-    def take(fmt: str):
-        nonlocal offset
-        size = struct.calcsize(fmt)
-        values = struct.unpack_from(fmt, view, offset)
-        offset += size
-        return values if len(values) > 1 else values[0]
-
-    def take_bytes(fmt: str = "<I") -> bytes:
-        nonlocal offset
-        length = take(fmt)
-        if offset + length > len(view):
+def _parse_body(path, body: bytes) -> tuple[str, list[str]]:
+    """(source digest, sentence texts); the body must hold exactly these."""
+    (n_docs,) = struct.unpack_from("<I", body)
+    offset = 4
+    strings = []
+    for _ in range(n_docs + 1):
+        (length,) = struct.unpack_from("<I", body, offset)
+        offset += 4
+        if offset + length > len(body):
             raise SnapshotError(f"{path}: snapshot body truncated at byte {offset}")
-        data = bytes(view[offset : offset + length])
+        strings.append(body[offset : offset + length].decode("utf-8"))
         offset += length
-        return data
-
-    source_digest = take_bytes().decode("utf-8")
-    n_docs = take("<I")
-    texts = [take_bytes().decode("utf-8") for _ in range(n_docs)]
-    postings: dict[str, list[tuple[int, int]]] = {}
-    n_terms = take("<I")
-    for _ in range(n_terms):
-        term = take_bytes("<H").decode("utf-8")
-        n_post = take("<I")
-        postings[term] = [take("<II") for _ in range(n_post)]
-    return source_digest, texts, postings
+    if offset != len(body):
+        raise SnapshotError(f"{path}: {len(body) - offset} trailing bytes after the last sentence")
+    return strings[0], strings[1:]

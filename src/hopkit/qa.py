@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Protocol
 
 from .corpus import TokenBag, stem_set, tokenize_normalize
-from .errors import HopkitError
+from .errors import HopkitError, read_jsonl, require_type
 from .index import InvertedIndex, search
 from .retrieval import query_tokens
 
@@ -116,20 +116,8 @@ class FileScorer:
         self.name = name or f"file:{path}"
         self.by_label: dict[tuple[str, str], float] = {}
         self.by_text: dict[tuple[str, str], float] = {}
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                row = json.loads(line)
-                if "score" not in row:
-                    raise HopkitError(f"{path}:{lineno}: row has no score")
-                if "label" in row:
-                    self.by_label[(row["id"], row["label"])] = float(row["score"])
-                elif "text" in row:
-                    self.by_text[(row["id"], row["text"])] = float(row["score"])
-                else:
-                    raise HopkitError(f"{path}:{lineno}: row needs 'label' or 'text'")
+        for field_name, key, score in read_jsonl(path, _parse_score_row):
+            (self.by_label if field_name == "label" else self.by_text)[key] = score
 
     def score(self, question: MCQuestion, choice_text: str) -> float:
         key = (question.id, choice_text)
@@ -143,18 +131,34 @@ class FileScorer:
         )
 
 
+def _parse_score_row(row: dict) -> tuple[str, tuple[str, str], float]:
+    """("label" or "text", (question id, that field), score)."""
+    score = float(row["score"])
+    field_name = "label" if "label" in row else "text"
+    if field_name not in row:
+        raise KeyError("row needs 'label' or 'text'")
+    key = (require_type(row["id"], str, "id"), require_type(row[field_name], str, field_name))
+    return field_name, key, score
+
+
+def checked_score(scorer: Scorer, question: MCQuestion, text: str) -> float:
+    """``scorer.score(question, text)``; HopkitError if it is not finite."""
+    value = scorer.score(question, text)
+    if not math.isfinite(value):
+        raise HopkitError(
+            f"scorer {getattr(scorer, 'name', scorer)!r} returned non-finite "
+            f"score {value!r} for {text!r} on question {question.id}"
+        )
+    return value
+
+
 def answer(scorer: Scorer, question: MCQuestion) -> ScorerVerdict:
     """Argmax choice; ties break to the earliest label."""
     per_choice: dict[str, float] = {}
     best_label = None
     best_score = -math.inf
     for choice in question.choices:
-        value = scorer.score(question, choice.text)
-        if not math.isfinite(value):
-            raise HopkitError(
-                f"scorer {getattr(scorer, 'name', scorer)!r} returned non-finite "
-                f"score {value!r} for question {question.id} choice {choice.label}"
-            )
+        value = checked_score(scorer, question, choice.text)
         per_choice[choice.label] = value
         if value > best_score:
             best_score = value
@@ -240,14 +244,21 @@ def overlap_stats(dataset, thresholds=(2, 3, 4), count_occurrences: bool = False
 def question_from_json(row: dict) -> MCQuestion:
     q = row["question"]
     return MCQuestion(
-        id=row["id"],
-        stem=q["stem"],
-        choices=[Choice(c["label"], c["text"]) for c in q["choices"]],
+        id=require_type(row["id"], str, "id"),
+        stem=require_type(q["stem"], str, "stem"),
+        choices=[
+            Choice(c["label"], require_type(c["text"], str, "choice text")) for c in q["choices"]
+        ],
         answer_key=row["answerKey"],
-        fact1=row.get("fact1"),
-        fact2=row.get("fact2"),
-        combined_fact=row.get("combinedfact"),
+        fact1=_optional_text(row, "fact1"),
+        fact2=_optional_text(row, "fact2"),
+        combined_fact=_optional_text(row, "combinedfact"),
     )
+
+
+def _optional_text(row: dict, key: str) -> str | None:
+    value = row.get(key)
+    return None if value is None else require_type(value, str, key)
 
 
 def question_to_json(question: MCQuestion) -> dict:
@@ -268,24 +279,8 @@ def question_to_json(question: MCQuestion) -> dict:
     return row
 
 
-def load_questions(path: str | Path, require_mcq_shape: bool = False) -> list[MCQuestion]:
-    questions = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                question = question_from_json(json.loads(line))
-            except (KeyError, ValueError) as exc:
-                raise HopkitError(f"{path}:{lineno}: bad question record: {exc}") from exc
-            if require_mcq_shape and not 4 <= len(question.choices) <= 8:
-                raise HopkitError(
-                    f"{path}:{lineno}: question {question.id} has "
-                    f"{len(question.choices)} choices, expected 4..8"
-                )
-            questions.append(question)
-    return questions
+def load_questions(path: str | Path) -> list[MCQuestion]:
+    return read_jsonl(path, question_from_json)
 
 
 def save_questions(questions, path: str | Path) -> None:

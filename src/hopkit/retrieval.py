@@ -24,9 +24,6 @@ class RetrievalParams:
     k: int = 20
     l: int = 4
     m: int = 10
-    # Step-3 reading: the emitted second-hop sentence must overlap the
-    # question or the answer.  Set require_both to demand overlap with each.
-    step3_require_both: bool = False
 
     def __post_init__(self) -> None:
         if self.k < 1 or self.l < 1 or self.m < 1:
@@ -118,11 +115,7 @@ def two_step(
 
     def survives(pair: RetrievedPair) -> bool:
         f2_keys = index.corpus[pair.f2].tokens.keys()
-        overlaps_q = not q_stems.isdisjoint(f2_keys)
-        overlaps_a = not a_stems.isdisjoint(f2_keys)
-        if params.step3_require_both:
-            return overlaps_q and overlaps_a
-        return overlaps_q or overlaps_a
+        return not q_stems.isdisjoint(f2_keys) or not a_stems.isdisjoint(f2_keys)
 
     kept = sorted(
         (p for p in pairs if survives(p)),

@@ -8,14 +8,13 @@ within a slack band.  Infeasibility is reported, never silently relaxed.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import TokenBag, tokenize_normalize
-from .errors import HopkitError, SplitSizeError
+from .errors import HopkitError, SplitSizeError, read_jsonl, require_type
 
 FOLDS = ("train", "dev", "test")
 EXACT_SIZE_CAP = 18
@@ -361,19 +360,13 @@ def solve_heuristic(
 
 def load_facts_jsonl(path: str | Path) -> list[SeedFact]:
     """Rows: {"id", "text", "questions"} (or "question_count")."""
-    facts = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            try:
-                count = int(row.get("questions", row.get("question_count", 1)))
-                facts.append(SeedFact(str(row["id"]), count, tokenize_normalize(row["text"])))
-            except (KeyError, ValueError) as exc:
-                raise HopkitError(f"{path}:{lineno}: bad fact record: {exc}") from exc
-    return facts
+    return read_jsonl(path, _fact_from_json)
+
+
+def _fact_from_json(row: dict) -> SeedFact:
+    count = require_type(row.get("questions", row.get("question_count", 1)), int, "questions")
+    text = require_type(row["text"], str, "text")
+    return SeedFact(str(row["id"]), count, tokenize_normalize(text))
 
 
 def problem_to_json(problem: SplitProblem) -> dict:

@@ -95,15 +95,6 @@ def check_question(record: CompositionRecord) -> CheckResult:
     return CheckResult("question", True, dropped)
 
 
-def check_distracts(scorers, question: MCQuestion, distractor_text: str) -> list[bool]:
-    """Per scorer: does it strictly prefer the distractor over the answer?"""
-    answer = question.answer_text
-    return [
-        scorer.score(question, distractor_text) > scorer.score(question, answer)
-        for scorer in scorers
-    ]
-
-
 def run_checks(record: CompositionRecord) -> list[CheckResult]:
     """Run link -> composition -> question, stopping at the first failure."""
     results = [check_link(record.seed_fact, record.linked_fact)]

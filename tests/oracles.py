@@ -82,11 +82,7 @@ class OracleSearcher:
             )
             for f2_id, score2 in second:
                 f2_keys = self.corpus[f2_id].tokens.keys()
-                if params.step3_require_both:
-                    keep = not q_stems.isdisjoint(f2_keys) and not a_stems.isdisjoint(f2_keys)
-                else:
-                    keep = not q_stems.isdisjoint(f2_keys) or not a_stems.isdisjoint(f2_keys)
-                if keep:
+                if not q_stems.isdisjoint(f2_keys) or not a_stems.isdisjoint(f2_keys):
                     pairs.append(RetrievedPair(f1_id, f2_id, score1, score2))
         pairs.sort(key=lambda p: (-p.pair_score, p.f1, p.f2))
         facts = []

@@ -1,8 +1,12 @@
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopkit.cli import main
 from hopkit.index import MAGIC
@@ -416,3 +420,244 @@ class TestEnvPathOverrides:
                      "--dataset", str(fig1_dataset), "--mode", "two"])
         assert code == 0
         capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# Input contract: every subcommand that reads a file exits 1 with exactly one
+# JSON object on stderr, never a traceback, whatever is wrong with the file.
+
+Q_ROW = {
+    "id": "qbad",
+    "question": {
+        "stem": "what is thing number 9 made of?",
+        "choices": [{"label": "A", "text": "answer009"}, {"label": "B", "text": "a decoy"}],
+    },
+    "answerKey": "A",
+    "fact1": "thing9 relates to matter9 strongly",
+    "fact2": "matter9 builds answer009 pieces",
+    "combinedfact": "thing9 builds answer009 pieces",
+}
+CHOICE_0 = ("question", "choices", 0)
+
+
+def _is_str(value):
+    return isinstance(value, str)
+
+
+def _floatable(value):
+    try:
+        float(value)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+# format -> (valid row, keys whose removal must fail, [(field, accepts)]):
+# setting a field to a JSON value that `accepts` rejects must fail.
+ROW_FORMATS = {
+    "dataset": (
+        Q_ROW,
+        [("id",), ("question",), ("question", "stem"), ("question", "choices"),
+         CHOICE_0 + ("label",), CHOICE_0 + ("text",), ("answerKey",)],
+        [(("id",), _is_str), (("question",), lambda v: isinstance(v, dict)),
+         (("question", "stem"), _is_str), (("question", "choices"), lambda v: isinstance(v, list)),
+         (CHOICE_0 + ("label",), _is_str), (CHOICE_0 + ("text",), _is_str),
+         (("answerKey",), _is_str)]
+        + [((key,), lambda v: v is None or isinstance(v, str))
+           for key in ("fact1", "fact2", "combinedfact")],
+    ),
+    "scores": (
+        {"id": "q000", "label": "A", "score": 0.5},
+        [("id",), ("label",), ("score",)],
+        [(("id",), _is_str), (("label",), _is_str), (("score",), _floatable)],
+    ),
+    "pools": (
+        {"id": "q000", "candidates": [{"text": "answer001", "source_question_id": "q001"}]},
+        [("id",), ("candidates",), ("candidates", 0, "text")],
+        [(("id",), _is_str), (("candidates",), lambda v: isinstance(v, list)),
+         (("candidates", 0, "text"), _is_str), (("candidates", 0, "source_question_id"), _is_str)],
+    ),
+    "ranked": (
+        {"id": "q000", "ranked": [{"text": "answer001"}]},
+        [("id",), ("ranked",), ("ranked", 0, "text")],
+        [(("id",), _is_str), (("ranked",), lambda v: isinstance(v, list)),
+         (("ranked", 0, "text"), _is_str)],
+    ),
+    "facts": (
+        {"id": "f9", "text": "wind energy turbine", "questions": 3},
+        [("id",), ("text",)],
+        [(("text",), _is_str), (("questions",), lambda v: isinstance(v, int))],
+    ),
+}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3)
+    ),
+    max_leaves=5,
+)
+
+FIG1_ARGS = ["--question", FIG1_QUESTION, "--answer", FIG1_ANSWER]
+COMMANDS = {
+    "retrieve": lambda f: ["retrieve", "--index", f["snapshot"], "--mode", "two", *FIG1_ARGS],
+    "eval recall": lambda f: ["eval", "recall", "--index", f["snapshot"],
+                              "--dataset", f["dataset"], "--mode", "two"],
+    "eval accuracy": lambda f: ["eval", "accuracy", "--dataset", f["dataset"],
+                                "--scorer", f"file:{f['scores']}"],
+    "stats overlap": lambda f: ["stats", "overlap", "--dataset", f["dataset"]],
+    "distract gen": lambda f: ["distract", "gen", "--dataset", f["dataset"], "--ways", "4"],
+    "distract rank": lambda f: ["distract", "rank", "--dataset", f["dataset"],
+                                "--pools", f["pools"], "--scorer", f"ir:{f['snapshot']}"],
+    "distract assemble": lambda f: ["distract", "assemble", "--dataset", f["dataset"],
+                                    "--ranked", f["ranked"], "--seed", "1", "--ways", "4"],
+    "split solve": lambda f: ["split", "solve", "--facts", f["facts"], "--heuristic",
+                              "--iterations", "50", "--restarts", "1", "--out", f["split"]],
+    "validate": lambda f: ["validate", "--dataset", f["dataset"]],
+}
+READS = [
+    ("retrieve", "snapshot"), ("eval recall", "snapshot"), ("eval recall", "dataset"),
+    ("eval accuracy", "dataset"), ("eval accuracy", "scores"), ("stats overlap", "dataset"),
+    ("distract gen", "dataset"), ("distract rank", "dataset"), ("distract rank", "pools"),
+    ("distract assemble", "dataset"), ("distract assemble", "ranked"),
+    ("split solve", "facts"), ("validate", "dataset"),
+]
+
+
+def run_quietly(argv) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([str(arg) for arg in argv])
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    corpus = root / "corpus.txt"
+    corpus.write_text(
+        resources.files("hopkit.data").joinpath("mini_corpus.txt").read_text("utf-8"), "utf-8"
+    )
+    files = {"dataset": fold_dataset(root, n=8), "snapshot": root / "idx" / "index.hopidx",
+             "pools": root / "pools.jsonl", "ranked": root / "ranked.jsonl",
+             "scores": root / "scores.jsonl", "facts": root / "facts.jsonl",
+             "split": root / "split" / "out"}
+    assert run_quietly(["index", "build", "--corpus", corpus, "--out", root / "idx"])[0] == 0
+    files["scores"].write_text("".join(
+        json.dumps({"id": q.id, "label": c.label, "score": float(i)}) + "\n"
+        for q in load_questions(files["dataset"]) for i, c in enumerate(q.choices)
+    ), "utf-8")
+    files["facts"].write_text("".join(
+        json.dumps({"id": f"f{i}", "text": f"wind energy item{i % 3}", "questions": 2}) + "\n"
+        for i in range(6)
+    ), "utf-8")
+    for command, out in (("distract gen", "pools"), ("distract rank", "ranked")):
+        assert run_quietly(COMMANDS[command](files) + ["--out", files[out]])[0] == 0
+    return files
+
+
+def _at(row, path):
+    for key in path:
+        row = row[key]
+    return row
+
+
+def _mutated(row, path, value=None, delete=False):
+    row = json.loads(json.dumps(row))
+    parent = _at(row, path[:-1])
+    if delete:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return row
+
+
+def bad_row_line(draw, fmt: str) -> str:
+    """One line of a JSON-lines file that its reader must reject."""
+    template, required, typed = ROW_FORMATS[fmt]
+    kind = draw(st.sampled_from(["bad json", "not an object", "missing key", "wrong type"]))
+    if kind == "bad json":
+        # every strict prefix of a serialized object is invalid JSON
+        text = json.dumps(template)
+        return text[: draw(st.integers(1, len(text) - 1))]
+    if kind == "not an object":
+        return json.dumps(draw(JSON_VALUES.filter(lambda v: not isinstance(v, dict))))
+    if kind == "missing key":
+        return json.dumps(_mutated(template, draw(st.sampled_from(required)), delete=True))
+    path, accepts = draw(st.sampled_from(typed))
+    value = draw(JSON_VALUES.filter(lambda v: not accepts(v)))
+    return json.dumps(_mutated(template, path, value))
+
+
+def bad_snapshot(draw, raw: bytes) -> bytes:
+    """Snapshot bytes load_snapshot must reject."""
+    body = raw[len(MAGIC) + 32 :]
+
+    def sealed(new_body: bytes) -> bytes:
+        return MAGIC + hashlib.sha256(new_body).digest() + new_body
+
+    kind = draw(st.sampled_from(["truncated", "trailing", "flipped", "version 1", "junk"]))
+    if kind == "truncated":
+        return sealed(body[: draw(st.integers(0, len(body) - 1))])
+    if kind == "trailing":
+        return sealed(body + draw(st.binary(min_size=1, max_size=8)))
+    if kind == "flipped":
+        at = draw(st.integers(0, len(raw) - 1))
+        return raw[:at] + bytes([raw[at] ^ draw(st.integers(1, 255))]) + raw[at + 1 :]
+    if kind == "version 1":
+        return b"HOPIDX1\x00" + raw[len(MAGIC) :]
+    return draw(st.binary(max_size=64))
+
+
+def assert_domain_error(code: int, err: str) -> dict:
+    assert code == 1
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert isinstance(payload, dict) and set(payload) == {"error", "message"}
+    return payload
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_valid_inputs_exit_0(self, contract_files, command):
+        assert run_quietly(COMMANDS[command](contract_files)) == (0, "")
+
+    @pytest.mark.parametrize("command, target", READS)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_malformed_input_exits_1_with_json_error(self, contract_files, command, target, data):
+        good = contract_files[target]
+        bad = good.with_name(f"bad-{good.name}")
+        if target == "snapshot":
+            bad.write_bytes(bad_snapshot(data.draw, good.read_bytes()))
+        else:
+            lines = good.read_text("utf-8").splitlines()
+            at = data.draw(st.integers(0, len(lines)))
+            lines.insert(at, bad_row_line(data.draw, target))
+            bad.write_text("\n".join(lines) + "\n", "utf-8")
+        code, err = run_quietly(COMMANDS[command](dict(contract_files, **{target: bad})))
+        assert_domain_error(code, err)
+
+    @pytest.mark.parametrize(
+        "command, target, line",
+        [
+            ("distract assemble", "ranked", {"id": "q000"}),
+            ("split solve", "facts", [1, 2]),
+            ("split solve", "facts", {"id": "f9", "text": 5}),
+            ("eval accuracy", "scores", {"label": "A", "score": 1.0}),
+            ("eval accuracy", "dataset", {"id": "q9", "question": "x", "answerKey": "A"}),
+            ("validate", "dataset", "[" * 100_000),
+        ],
+        ids=["ranked row without ranked", "facts row not an object", "facts text not a string",
+             "scores row without id", "question not an object", "nesting too deep"],
+    )
+    def test_reproduced_crashes(self, contract_files, tmp_path, command, target, line):
+        bad = tmp_path / contract_files[target].name
+        text = line if isinstance(line, str) else json.dumps(line)
+        bad.write_text(contract_files[target].read_text("utf-8") + text + "\n", "utf-8")
+        code, err = run_quietly(COMMANDS[command](dict(contract_files, **{target: bad})))
+        payload = assert_domain_error(code, err)
+        assert payload["error"] == "HopkitError"
+        assert f"{bad}:" in payload["message"]

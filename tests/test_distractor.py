@@ -7,7 +7,6 @@ from hopkit.distractor import (
     AdversarialConfig,
     DistractorCandidate,
     assemble_8way,
-    candidate_pool,
     candidate_pool_with_sources,
     multi_adversary_rank,
     prune_by_scorer,
@@ -79,6 +78,10 @@ class TestQuestionSimilarity:
         assert [q.id for q in ranked] == ["q-far-a", "q-far-b", "q-near"]
 
 
+def pool_texts(question, fold, config):
+    return [text for text, _ in candidate_pool_with_sources(question, fold, config)]
+
+
 def build_fold(n=40, seed=1):
     """Fold of questions with disjoint fact vocabularies and 1-token answers."""
     rng = random.Random(seed)
@@ -105,7 +108,7 @@ class TestCandidatePool:
             question_with_facts("q3", "hay", "gg hh", "ii"),
         ]
         config = AdversarialConfig(pool_dissimilar_n=300, target_ways=2)
-        pool = candidate_pool(question, [question] + others, config)
+        pool = pool_texts(question, [question] + others, config)
         assert "manure" in pool  # 6 chars >= 10 * 0.5, token count within slack
         assert "a very long answer phrase here" not in pool  # token slack
         assert "hay" not in pool  # 3 chars < 5, char-ratio slack
@@ -114,7 +117,7 @@ class TestCandidatePool:
         fold = build_fold()
         question = fold[0]
         clone = question_with_facts("clone", question.answer_text.upper(), "zz yy", "xx")
-        pool = candidate_pool(question, fold + [clone], AdversarialConfig(target_ways=4))
+        pool = pool_texts(question, fold + [clone], AdversarialConfig(target_ways=4))
         lowered = {text.casefold() for text in pool}
         for choice in question.choices:
             assert choice.text.casefold() not in lowered
@@ -126,18 +129,18 @@ class TestCandidatePool:
             question_with_facts("q2", "manure", "dd", "ff"),
             question_with_facts("q3", "grain", "gg", "ii"),
         ]
-        pool = candidate_pool(question, others, AdversarialConfig(target_ways=2))
+        pool = pool_texts(question, others, AdversarialConfig(target_ways=2))
         assert sorted(pool) == ["Manure", "grain"]
 
     def test_all_candidates_equal_answer_errors(self):
         question = question_with_facts("base", "pesticides", "zoka", "binda")
         others = [question_with_facts(f"q{i}", "Pesticides", f"a{i}", f"b{i}") for i in range(5)]
         with pytest.raises(InsufficientCandidatesError, match="relax"):
-            candidate_pool(question, others, AdversarialConfig(target_ways=2))
+            candidate_pool_with_sources(question, others, AdversarialConfig(target_ways=2))
 
     def test_pool_n_larger_than_fold_uses_all(self):
         fold = build_fold(n=10)
-        pool = candidate_pool(
+        pool = pool_texts(
             fold[0], fold, AdversarialConfig(pool_dissimilar_n=5000, target_ways=8)
         )
         assert len(pool) == 9
@@ -171,6 +174,16 @@ class TestPruneByScorer:
         question = make_question("q", "stem", "answer", ["x"])
         kept = prune_by_scorer(TableScorer({}), question, ["pear", "apple", "fig"], 2)
         assert kept == ["apple", "fig"]
+
+    @pytest.mark.parametrize("order", ["abcd", "dcba", "bdac", "cadb"])
+    def test_nan_score_raises_in_any_order(self, order):
+        # a NaN sort key made the kept set depend on the input order, and a
+        # NaN candidate pruned away raised nothing
+        question = make_question("q", "stem", "answer", ["x"])
+        scorer = TableScorer({"a": 3.0, "b": math.nan, "c": 2.0, "d": 1.0})
+        scorer.name = "nan-model"
+        with pytest.raises(HopkitError, match="nan-model.*'b'"):
+            prune_by_scorer(scorer, question, list(order), 2)
 
 
 class TestMultiAdversaryRank:
@@ -292,6 +305,22 @@ class TestMultiAdversaryRank:
         assert {c.text: c.fooled_count for c in reranked} == {
             c.text: c.fooled_count for c in ranked
         }
+
+    @pytest.mark.parametrize(
+        "tables, fooled",
+        [
+            ([{"answer": 1.0}, {"answer": 0.5}], 0),
+            ([{"answer": 0.7, "d": 0.7}], 0),
+            ([{"answer": 0.7, "d": 0.71}, {"answer": 0.7, "d": 0.69}], 1),
+        ],
+        ids=["all_false_when_answer_dominates", "equal_scores_do_not_distract",
+             "strictly_higher_distracts"],
+    )
+    def test_fooled_means_strictly_above_the_answer(self, tables, fooled):
+        question = make_question("q", "stem", "answer", ["x"])
+        scorers = [TableScorer(table) for table in tables]
+        [ranked] = multi_adversary_rank(scorers, question, ["d"])
+        assert ranked.fooled_count == fooled
 
     def test_non_finite_score_names_scorer_and_candidate(self):
         question = make_question("q", "stem", "answer", ["x"])

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import struct
 from collections import Counter
 
 import pytest
@@ -284,9 +285,39 @@ class TestSnapshot:
         with pytest.raises(SnapshotError, match="malformed"):
             load_snapshot(path)
 
-    def test_tokenizer_mismatch_rejected(self, tmp_path, monkeypatch):
+    def test_load_rebuilds_with_the_loading_tokenizer(self, tmp_path, monkeypatch):
         path = tmp_path / "index.hopidx"
         write_snapshot(build_index(toy_corpus()), path)
         monkeypatch.setattr(hopkit.corpus, "STOPWORDS", hopkit.corpus.STOPWORDS | {"wind"})
-        with pytest.raises(SnapshotError, match="tokenizer"):
+        loaded = load_snapshot(path)
+        rebuilt = build_index(toy_corpus())
+        assert "wind" not in loaded.postings
+        assert [(s.text, s.tokens) for s in loaded.corpus.sentences] == [
+            (s.text, s.tokens) for s in rebuilt.corpus.sentences
+        ]
+        assert loaded.postings == rebuilt.postings
+        assert (loaded.doc_len, loaded.avg_len) == (rebuilt.doc_len, rebuilt.avg_len)
+
+    def test_version_1_snapshot_asks_for_a_rebuild(self, tmp_path):
+        path = tmp_path / "index.hopidx"
+        write_snapshot(build_index(toy_corpus()), path)
+        path.write_bytes(b"HOPIDX1\x00" + path.read_bytes()[len(MAGIC) :])
+        with pytest.raises(SnapshotError, match="magic.*rebuild.*hopkit index build"):
             load_snapshot(path)
+
+    def test_duplicate_sentences_with_valid_checksum(self, tmp_path):
+        path = tmp_path / "index.hopidx"
+        text = "wind turbine spins fast.".encode("utf-8")
+        entry = struct.pack("<I", len(text)) + text
+        self._rewrite_body(path, struct.pack("<II", 2, 0) + entry + entry)
+        with pytest.raises(SnapshotError, match="duplicate"):
+            load_snapshot(path)
+
+    def test_trailing_bytes_with_valid_checksum(self, tmp_path):
+        path = tmp_path / "index.hopidx"
+        write_snapshot(build_index(toy_corpus()), path)
+        body = path.read_bytes()[len(MAGIC) + 32 :]
+        for tail in (b"\x00", b"\x00\x00\x00\x00", b"\x05\x00\x00\x00extra"):
+            self._rewrite_body(path, body + tail)
+            with pytest.raises(SnapshotError, match="trailing"):
+                load_snapshot(path)

@@ -227,14 +227,6 @@ class TestJsonl:
         assert set(row) == {"id", "question", "answerKey", "fact1", "fact2", "combinedfact"}
         assert row["question"]["choices"][0] == {"label": "A", "text": FIG1_ANSWER}
 
-    def test_mcq_shape_enforcement(self, tmp_path):
-        question = make_question("q1", "stem", "answer", ["x"])
-        path = tmp_path / "d.jsonl"
-        save_questions([question], path)
-        assert load_questions(path)  # lenient by default
-        with pytest.raises(HopkitError, match="choices"):
-            load_questions(path, require_mcq_shape=True)
-
     def test_bad_record_reports_line(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"id": "q1"}\n')

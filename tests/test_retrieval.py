@@ -182,11 +182,10 @@ class TestTwoStep:
         k=st.integers(1, 10),
         l=st.integers(1, 5),
         m=st.integers(1, 10),
-        require_both=st.booleans(),
     )
     @settings(max_examples=300, deadline=None)
-    def test_property_equals_brute_force_exactly(self, corpus, q, a, k, l, m, require_both):
-        params = RetrievalParams(k=k, l=l, m=m, step3_require_both=require_both)
+    def test_property_equals_brute_force_exactly(self, corpus, q, a, k, l, m):
+        params = RetrievalParams(k=k, l=l, m=m)
         got = two_step(build_index(corpus), q, a, params)
         assert got == brute_two_step(corpus, q, a, params)
 

@@ -3,7 +3,6 @@ import json
 from hopkit.validator import (
     CompositionRecord,
     check_composition,
-    check_distracts,
     check_link,
     check_question,
     run_checks,
@@ -94,32 +93,6 @@ class TestCheckQuestion:
             answer="electricity production",
         )
         assert check_question(record).passed
-
-
-class TestCheckDistracts:
-    class Table:
-        name = "t"
-
-        def __init__(self, table):
-            self.table = table
-
-        def score(self, question, text):
-            return self.table.get(text, 0.0)
-
-    def test_all_false_when_answer_dominates(self):
-        question = make_question("q", "stem", "answer", ["d"])
-        scorers = [self.Table({"answer": 1.0}), self.Table({"answer": 0.5})]
-        assert check_distracts(scorers, question, "d") == [False, False]
-
-    def test_equal_scores_do_not_distract(self):
-        question = make_question("q", "stem", "answer", ["d"])
-        scorers = [self.Table({"answer": 0.7, "d": 0.7})]
-        assert check_distracts(scorers, question, "d") == [False]
-
-    def test_strictly_higher_distracts(self):
-        question = make_question("q", "stem", "answer", ["d"])
-        scorers = [self.Table({"answer": 0.7, "d": 0.71}), self.Table({"answer": 0.7, "d": 0.69})]
-        assert check_distracts(scorers, question, "d") == [True, False]
 
 
 class TestPipeline:
