@@ -274,6 +274,8 @@ def cmd_distract_assemble(args) -> int:
 
 def cmd_split_solve(args) -> int:
     facts = load_facts_jsonl(args.facts)
+    if not facts:
+        raise HopkitError(f"{args.facts}: no seed facts to split")
     targets = tuple(float(t) for t in args.targets.split(","))
     if len(targets) != 3:
         raise HopkitError(f"--targets needs three comma-separated fractions, got {args.targets!r}")

@@ -75,13 +75,25 @@ def build_problem(
     slack: float = 0.01,
     prune_threshold: float = 10.0,
 ) -> SplitProblem:
-    """Compute all pairwise similarities, keep those at or above the prune
+    """Keep the fact pairs whose similarity is at or above the prune
     threshold as graph edges.
+
+    A pair that shares no term of positive idf (df < n) has similarity
+    exactly 0.0, so with a positive threshold only pairs found through
+    such a term's postings are scored; with a threshold <= 0 every pair is
+    an edge.  Edges are inserted in ascending (i, k) order, as an all-pairs
+    scan would insert them, since the solvers' float sums follow that order.
 
     Accepts SeedFact objects or (id, question_count, text-or-bag) tuples.
     """
+    if not all(math.isfinite(t) and 0.0 <= t <= 1.0 for t in targets):
+        raise HopkitError(f"fold targets must be finite fractions in [0, 1], got {targets}")
     if abs(sum(targets) - 1.0) > 1e-9:
         raise HopkitError(f"fold targets must sum to 1, got {targets}")
+    if not (math.isfinite(slack) and slack >= 0.0):
+        raise HopkitError(f"slack must be finite and >= 0, got {slack}")
+    if not math.isfinite(prune_threshold):
+        raise HopkitError(f"prune threshold must be finite, got {prune_threshold}")
     seed_facts: list[SeedFact] = []
     for fact in facts:
         if isinstance(fact, SeedFact):
@@ -92,10 +104,22 @@ def build_problem(
                 tokens = tokenize_normalize(tokens)
             seed_facts.append(SeedFact(str(fid), int(count), tokens))
     idf = idf_table(seed_facts)
+    n = len(seed_facts)
+    postings: dict[str, list[int]] = {}
+    for i, fact in enumerate(seed_facts):
+        for term in fact.tokens:
+            if idf[term] > 0.0:
+                postings.setdefault(term, []).append(i)
     sim: dict[tuple[int, int], float] = {}
-    for i in range(len(seed_facts)):
-        for k in range(i + 1, len(seed_facts)):
-            value = seed_fact_similarity(seed_facts[i].tokens, seed_facts[k].tokens, idf)
+    for i, fact in enumerate(seed_facts):
+        if prune_threshold <= 0.0:
+            candidates = range(i + 1, n)
+        else:
+            candidates = sorted(
+                {k for term in fact.tokens for k in postings.get(term, ()) if k > i}
+            )
+        for k in candidates:
+            value = seed_fact_similarity(fact.tokens, seed_facts[k].tokens, idf)
             if value >= prune_threshold:
                 sim[(i, k)] = value
     return SplitProblem(seed_facts, sim, tuple(targets), slack, prune_threshold)

@@ -12,8 +12,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from hopkit.corpus import Corpus, stem_set
+from hopkit.corpus import Corpus, stem_set, tokenize_normalize
+from hopkit.errors import HopkitError
 from hopkit.retrieval import RetrievalParams, RetrievedPair, query_tokens
+from hopkit.splitter import SeedFact, SplitProblem, idf_table, seed_fact_similarity
 
 K1 = 1.2
 B = 0.75
@@ -107,6 +109,17 @@ def brute_two_step(corpus: Corpus, q: str, a: str, params: RetrievalParams):
     return OracleSearcher(corpus).two_step(q, a, params)
 
 
+def brute_rank_by_dissimilarity(question, fold_questions):
+    """Reference dissimilarity order: both fact pairs re-tokenized for every
+    comparison, shared distinct stems ascending, ties by id."""
+
+    def stems(q):
+        return stem_set(q.fact1) | stem_set(q.fact2)
+
+    others = [q for q in fold_questions if q.id != question.id]
+    return sorted(others, key=lambda q: (len(stems(question) & stems(q)), q.id))
+
+
 def brute_adversary_sort(candidates):
     """Reference ranking: (fooled desc, margin desc, text asc) computed from
     raw (text, per_model, answer_scores) triples."""
@@ -117,6 +130,35 @@ def brute_adversary_sort(candidates):
         rows.append((text, fooled, margin))
     rows.sort(key=lambda r: (-r[1], -r[2], r[0]))
     return rows
+
+
+def brute_build_problem(
+    facts,
+    targets: tuple[float, float, float] = (0.78, 0.11, 0.11),
+    slack: float = 0.01,
+    prune_threshold: float = 10.0,
+) -> SplitProblem:
+    """Reference split problem: scores all n(n-1)/2 fact pairs in (i, k)
+    order and keeps those at or above the threshold."""
+    if abs(sum(targets) - 1.0) > 1e-9:
+        raise HopkitError(f"fold targets must sum to 1, got {targets}")
+    seed_facts: list[SeedFact] = []
+    for fact in facts:
+        if isinstance(fact, SeedFact):
+            seed_facts.append(fact)
+        else:
+            fid, count, tokens = fact
+            if isinstance(tokens, str):
+                tokens = tokenize_normalize(tokens)
+            seed_facts.append(SeedFact(str(fid), int(count), tokens))
+    idf = idf_table(seed_facts)
+    sim: dict[tuple[int, int], float] = {}
+    for i in range(len(seed_facts)):
+        for k in range(i + 1, len(seed_facts)):
+            value = seed_fact_similarity(seed_facts[i].tokens, seed_facts[k].tokens, idf)
+            if value >= prune_threshold:
+                sim[(i, k)] = value
+    return SplitProblem(seed_facts, sim, tuple(targets), slack, prune_threshold)
 
 
 def enumerate_split(problem):

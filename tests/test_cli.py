@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import random
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 from hopkit.cli import main
 from hopkit.index import MAGIC
 from hopkit.qa import load_questions, save_questions
+from hopkit.splitter import load_facts_jsonl, problem_to_json, solve_heuristic
 
-from conftest import FIG1_ANSWER, FIG1_FL, FIG1_FS, FIG1_QUESTION, make_question
+from conftest import FIG1_ANSWER, FIG1_FL, FIG1_FS, FIG1_QUESTION, make_question, synth_vocab
+from oracles import brute_build_problem
 
 
 @pytest.fixture()
@@ -333,6 +336,65 @@ class TestSplitSolve:
         capsys.readouterr()
         assert (tmp_path / "h1.json").read_bytes() == (tmp_path / "h2.json").read_bytes()
         assert (tmp_path / "h1.tsv").read_bytes() == (tmp_path / "h2.tsv").read_bytes()
+
+    @pytest.mark.parametrize("solver", ["--heuristic", "--exact"])
+    def test_empty_facts_file_is_domain_error(self, tmp_path, capsys, solver):
+        facts = tmp_path / "empty.jsonl"
+        facts.write_text("", "utf-8")
+        code = main(["split", "solve", "--facts", str(facts), solver,
+                     "--out", str(tmp_path / "s")])
+        payload = assert_domain_error(code, capsys.readouterr().err)
+        assert str(facts) in payload["message"]
+        assert not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--targets", "nan,0.5,0.5"), ("--targets", "1.5,-0.25,-0.25"),
+         ("--slack", "nan"), ("--slack", "-1"),
+         ("--slack", "inf"), ("--prune-threshold", "nan"), ("--prune-threshold", "inf")],
+    )
+    @pytest.mark.parametrize("solver", ["--heuristic", "--exact"])
+    def test_bad_numeric_option_is_domain_error(self, tmp_path, capsys, option, value, solver):
+        facts = self.write_facts(tmp_path)
+        code = main(["split", "solve", "--facts", str(facts), solver, option, value,
+                     "--iterations", "50", "--out", str(tmp_path / "s")])
+        payload = assert_domain_error(code, capsys.readouterr().err)
+        assert payload["error"] == "HopkitError"
+        assert not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize("threshold", ["0", "-1"])
+    def test_nonpositive_threshold_makes_every_pair_an_edge(self, tmp_path, capsys, threshold):
+        facts = self.write_facts(tmp_path)
+        dumped = tmp_path / "problem.json"
+        code = main(["split", "solve", "--facts", str(facts), "--exact",
+                     "--prune-threshold", threshold, "--dump-problem", str(dumped),
+                     "--out", str(tmp_path / "s")])
+        assert code == 0
+        capsys.readouterr()
+        assert len(json.loads(dumped.read_text())["edges"]) == 6 * 5 // 2
+
+    def test_outputs_match_all_pairs_oracle(self, tmp_path, capsys):
+        rng = random.Random(4)
+        topics = [synth_vocab(rng, 8) for _ in range(4)]
+        rows = [
+            {"id": f"f{i:02d}", "questions": rng.randint(1, 6),
+             "text": " ".join(rng.sample(rng.choice(topics), rng.randint(3, 6)))}
+            for i in range(60)
+        ]
+        facts = tmp_path / "facts.jsonl"
+        facts.write_text("".join(json.dumps(r) + "\n" for r in rows), "utf-8")
+        dumped = tmp_path / "problem.json"
+        code = main(["split", "solve", "--facts", str(facts), "--heuristic", "--seed", "3",
+                     "--iterations", "3000", "--restarts", "2", "--prune-threshold", "3",
+                     "--dump-problem", str(dumped), "--out", str(tmp_path / "split")])
+        assert code == 0
+        capsys.readouterr()
+        oracle = brute_build_problem(load_facts_jsonl(facts), prune_threshold=3.0)
+        assert oracle.sim
+        assert dumped.read_text("utf-8") == json.dumps(problem_to_json(oracle), indent=2) + "\n"
+        expected = solve_heuristic(oracle, seed=3, iterations=3000, restarts=2)
+        assert ((tmp_path / "split.json").read_text("utf-8")
+                == json.dumps(expected.to_json(), indent=2) + "\n")
 
 
 class TestValidate:

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopkit.distractor import (
     AdversarialConfig,
@@ -16,7 +18,7 @@ from hopkit.distractor import (
 from hopkit.errors import HopkitError, InsufficientCandidatesError
 
 from conftest import make_question
-from oracles import brute_adversary_sort
+from oracles import brute_adversary_sort, brute_rank_by_dissimilarity
 
 
 class TableScorer:
@@ -76,6 +78,25 @@ class TestQuestionSimilarity:
         far_a = question_with_facts("q-far-a", "d", "vask", "mulo")
         ranked = rank_by_dissimilarity(base, [base, near, far_b, far_a])
         assert [q.id for q in ranked] == ["q-far-a", "q-far-b", "q-near"]
+
+    @given(facts=st.lists(
+        st.tuples(*[st.lists(st.sampled_from("zoka flerb binda drant mulo vask".split()),
+                             min_size=1, max_size=4).map(" ".join)] * 2),
+        min_size=1, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_rank_equals_retokenizing_reference(self, facts):
+        fold = [question_with_facts(f"q{i:02d}", "a", f1, f2) for i, (f1, f2) in enumerate(facts)]
+        for question in fold:
+            assert rank_by_dissimilarity(question, fold) == brute_rank_by_dissimilarity(
+                question, fold)
+
+    def test_rank_names_question_missing_facts_after_others_were_seen(self):
+        base = question_with_facts("base", "a", "zoka flerb", "binda")
+        near = question_with_facts("q-near", "b", "zoka flerb", "grinta")
+        rank_by_dissimilarity(base, [base, near])
+        broken = make_question("q-broken", "stem", "a", ["b"], fact1="zoka flerb")
+        with pytest.raises(HopkitError, match="q-broken"):
+            rank_by_dissimilarity(base, [base, near, broken])
 
 
 def pool_texts(question, fold, config):

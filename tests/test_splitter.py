@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hopkit.corpus import tokenize_normalize
 from hopkit.errors import HopkitError, SplitSizeError
@@ -19,7 +21,35 @@ from hopkit.splitter import (
 )
 
 from conftest import random_split_instance
-from oracles import enumerate_split
+from oracles import brute_build_problem, enumerate_split
+
+WORDS = "zoka flerb drant mulo vask grinta binda wopple tesk yorn quib lemmo".split()
+
+
+@st.composite
+def seed_fact_lists(draw):
+    """(id, question count, bag) rows over a small vocabulary: shared terms,
+    tf > 1, duplicate bags, and optionally a term in every fact (idf 0) or
+    in all but one or two (the smallest positive idf)."""
+    vocab = WORDS[: draw(st.integers(2, len(WORDS)))]
+    common = draw(st.booleans())
+    lacking_common = draw(st.sets(st.integers(0, 23), max_size=2))
+    bags: list[Counter] = []
+    for i in range(draw(st.integers(0, 24))):
+        if bags and draw(st.integers(0, 4)) == 0:
+            bag = Counter(draw(st.sampled_from(bags)))
+        else:
+            bag = Counter(draw(st.lists(st.sampled_from(vocab), min_size=0, max_size=6)))
+        if common and i not in lacking_common:
+            bag["everywhere"] = draw(st.integers(1, 2))
+        bags.append(bag)
+    return [(f"f{i:02d}", draw(st.integers(1, 5)), bag) for i, bag in enumerate(bags)]
+
+
+THRESHOLDS = st.one_of(
+    st.sampled_from([-1.0, 0.0, 1e-12, 1e9]),
+    st.floats(0.05, 4.0),
+)
 
 
 def toy_facts():
@@ -99,14 +129,25 @@ class TestBuildProblem:
         ]
         threshold = 0.8
         problem = build_problem(texts, prune_threshold=threshold)
-        idf = idf_table(problem.facts)
-        for i in range(12):
-            for k in range(i + 1, 12):
-                value = seed_fact_similarity(problem.facts[i].tokens, problem.facts[k].tokens, idf)
-                if value >= threshold:
-                    assert problem.sim[(i, k)] == pytest.approx(value)
-                else:
-                    assert (i, k) not in problem.sim
+        assert problem.sim
+        assert all(value >= threshold for value in problem.sim.values())
+        expected = brute_build_problem(texts, prune_threshold=threshold)
+        assert list(problem.sim.items()) == list(expected.sim.items())
+
+    @given(facts=seed_fact_lists(), threshold=THRESHOLDS)
+    @example(facts=[], threshold=0.0)
+    @example(facts=[("f0", 1, Counter({"zoka": 2}))], threshold=-1.0)
+    @example(facts=[("f0", 1, Counter({"zoka": 1})), ("f1", 2, Counter({"zoka": 2}))],
+             threshold=0.0)
+    @settings(max_examples=200, deadline=None)
+    def test_postings_build_equals_all_pairs(self, facts, threshold):
+        problem = build_problem(facts, prune_threshold=threshold)
+        expected = brute_build_problem(facts, prune_threshold=threshold)
+        # same keys, same floats, same insertion order: the solvers' sums follow it
+        assert list(problem.sim.items()) == list(expected.sim.items())
+        assert problem.facts == expected.facts
+        assert (solve_heuristic(problem, seed=1, iterations=300, restarts=2).to_json()
+                == solve_heuristic(expected, seed=1, iterations=300, restarts=2).to_json())
 
     def test_targets_must_sum_to_one(self):
         with pytest.raises(HopkitError, match="sum to 1"):
