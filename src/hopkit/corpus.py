@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .porter import stem
+from .porter import STEM_CACHE_SIZE, stem
 
 # A token bag maps stem -> occurrence count.  The key view is the set view;
 # dict key views support the set algebra used for the retrieval differences.
@@ -33,21 +33,43 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _WS_RE = re.compile(r"\s+")
 
 
+class _NormalForms(dict):
+    """Raw lowercase token -> its normalized stem, or "" for a token that
+    normalizes to nothing, filled on demand under one stopword set and one
+    stemmer.  Cleared when it reaches STEM_CACHE_SIZE entries, so its
+    memory stays bounded on any input."""
+
+    def __init__(self, stopwords: frozenset[str], stemmer) -> None:
+        super().__init__()
+        self.stopwords = stopwords
+        self.stemmer = stemmer
+
+    def __missing__(self, token: str) -> str:
+        form = "" if token in self.stopwords else self.stemmer(token)
+        if form in self.stopwords:
+            form = ""
+        if len(self) >= STEM_CACHE_SIZE:
+            self.clear()
+        self[token] = form
+        return form
+
+
+_normal_forms = _NormalForms(STOPWORDS, stem)
+
+
 def tokenize_normalize(text: str) -> TokenBag:
     """Lowercase, split, drop stopwords, Porter-stem; counts preserved.
 
     Stems that collapse onto a stopword (e.g. "doing" -> "do") are dropped
-    too, so no stopword ever appears as a key.
+    too, so no stopword ever appears as a key.  Each distinct token is
+    normalized once through a memo, which is rebuilt whenever STOPWORDS or
+    the stemmer is rebound.
     """
-    bag: TokenBag = Counter()
-    for token in _TOKEN_RE.findall(text.lower()):
-        if token in STOPWORDS:
-            continue
-        stemmed = stem(token)
-        if not stemmed or stemmed in STOPWORDS:
-            continue
-        bag[stemmed] += 1
-    return bag
+    global _normal_forms
+    forms = _normal_forms
+    if forms.stopwords is not STOPWORDS or forms.stemmer is not stem:
+        forms = _normal_forms = _NormalForms(STOPWORDS, stem)
+    return Counter(filter(None, map(forms.__getitem__, _TOKEN_RE.findall(text.lower()))))
 
 
 def stem_set(text: str) -> frozenset[str]:
@@ -73,6 +95,7 @@ _MARKUP_RE = re.compile(r"[<>{}][A-Za-z/]|[A-Za-z/][<>{}]")
 _EMAIL_RE = re.compile(r"[\w.+-]+@[\w-]+\.[\w.-]+")
 _URL_RE = re.compile(r"https?://\S+|www\.\S+", re.IGNORECASE)
 _NUMERIC_TOKEN_RE = re.compile(r"[\d.,:/%-]*\d[\d.,:/%-]*")
+_DIGIT_RE = re.compile(r"\d")
 
 MIN_TOKENS = 3
 MAX_TOKENS = 60
@@ -83,25 +106,30 @@ NUMBER_RUN_LEN = 4
 def clean_filter(candidate: str) -> CleanResult:
     """Accept or reject a candidate sentence; the reason names the first
     failed rule (markup, number_run, email, url, alpha_ratio, token_count).
+
+    Each regex rule runs only on text holding what every match of it needs:
+    one of <>{} for markup, a digit for a number run, @ for an email, and
+    :// or (any case) www. for a URL.
     """
     text = candidate.strip()
-    if _MARKUP_RE.search(text):
+    if ("<" in text or ">" in text or "{" in text or "}" in text) and _MARKUP_RE.search(text):
         return CleanResult(False, "markup")
     tokens = text.split()
-    run = 0
-    for token in tokens:
-        if _NUMERIC_TOKEN_RE.fullmatch(token):
-            run += 1
-            if run >= NUMBER_RUN_LEN:
-                return CleanResult(False, "number_run")
-        else:
-            run = 0
-    if _EMAIL_RE.search(text):
+    if _DIGIT_RE.search(text):
+        run = 0
+        for token in tokens:
+            if _NUMERIC_TOKEN_RE.fullmatch(token):
+                run += 1
+                if run >= NUMBER_RUN_LEN:
+                    return CleanResult(False, "number_run")
+            else:
+                run = 0
+    if "@" in text and _EMAIL_RE.search(text):
         return CleanResult(False, "email")
-    if _URL_RE.search(text):
+    if ("://" in text or "www." in text.lower()) and _URL_RE.search(text):
         return CleanResult(False, "url")
-    non_space = sum(1 for ch in text if not ch.isspace())
-    alpha = sum(1 for ch in text if ch.isalpha())
+    non_space = len(text) - sum(map(str.isspace, text))
+    alpha = sum(map(str.isalpha, text))
     if non_space == 0 or alpha / non_space < MIN_ALPHA_RATIO:
         return CleanResult(False, "alpha_ratio")
     if not MIN_TOKENS <= len(tokens) <= MAX_TOKENS:
@@ -214,12 +242,12 @@ class Corpus:
         sentences: list[Sentence] = []
         seen: dict[str, int] = {}
         for raw in texts:
-            text = normalize_whitespace(_strip_controls(raw))
+            text = _normal_form(raw)
             if not text or text in seen:
                 continue
             seen[text] = len(sentences)
             sentences.append(Sentence.make(len(sentences), text))
-        return cls(sentences, source_digest)
+        return cls(sentences, source_digest, _by_text=seen)
 
 
 _CONTROL_RE = re.compile(r"[\x00-\x08\x0b-\x1f\x7f]")
@@ -227,6 +255,18 @@ _CONTROL_RE = re.compile(r"[\x00-\x08\x0b-\x1f\x7f]")
 
 def _strip_controls(text: str) -> str:
     return _CONTROL_RE.sub(" ", text)
+
+
+def _normal_form(text: str) -> str:
+    """normalize_whitespace(_strip_controls(text)).
+
+    Printable text holds no control character and no whitespace but " ",
+    so without a double, leading or trailing space it is its own normal
+    form and skips both regex passes.
+    """
+    if text.isprintable() and "  " not in text and text[:1] != " " and text[-1:] != " ":
+        return text
+    return normalize_whitespace(_strip_controls(text))
 
 
 def load_corpus(path: str | Path) -> Corpus:
@@ -242,13 +282,13 @@ def load_corpus(path: str | Path) -> Corpus:
     digest = hashlib.sha256(raw).hexdigest()
     sentences: list[Sentence] = []
     rejections: Counter = Counter()
-    seen: set[str] = set()
+    seen: dict[str, int] = {}
     for lineno, line in enumerate(raw.split(b"\n"), start=1):
         try:
             decoded = line.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: malformed UTF-8 on line {lineno}: {exc}") from exc
-        text = normalize_whitespace(_strip_controls(decoded))
+        text = _normal_form(decoded)
         if not text:
             continue
         verdict = clean_filter(text)
@@ -258,9 +298,9 @@ def load_corpus(path: str | Path) -> Corpus:
         if text in seen:
             rejections["duplicate"] += 1
             continue
-        seen.add(text)
+        seen[text] = len(sentences)
         sentences.append(Sentence.make(len(sentences), text))
-    return Corpus(sentences, digest, rejections)
+    return Corpus(sentences, digest, rejections, seen)
 
 
 def write_rejection_report(corpus: Corpus, path: str | Path) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
+import os
 import re
 import struct
 from dataclasses import dataclass
@@ -159,7 +160,9 @@ def _score_constrained(
 # the source digest and the n_docs sentence texts, each a u32 length and
 # UTF-8 bytes (little-endian).  Only the texts are stored; load_snapshot
 # rebuilds the postings with build_index, so a loaded index always agrees
-# with the tokenizer that loads it.
+# with the tokenizer that loads it.  A snapshot is written to a temporary
+# file beside its target and then renamed over it, so a failed write leaves
+# any earlier snapshot at that path whole.
 
 MAGIC = b"HOPIDX2\x00"
 
@@ -171,7 +174,16 @@ def write_snapshot(index: InvertedIndex, path: str | Path) -> None:
         body += struct.pack("<I", len(data))
         body += data
     digest = hashlib.sha256(body).digest()
-    Path(path).write_bytes(MAGIC + digest + bytes(body))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as handle:
+            handle.write(MAGIC + digest)
+            handle.write(body)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_snapshot(path: str | Path) -> InvertedIndex:

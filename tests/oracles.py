@@ -10,12 +10,26 @@ at full precision.
 from __future__ import annotations
 
 import math
+import random
+import re
 from collections import Counter
 
-from hopkit.corpus import Corpus, stem_set, tokenize_normalize
+from hopkit.corpus import STOPWORDS, CleanResult, Corpus, stem_set, tokenize_normalize
 from hopkit.errors import HopkitError
+from hopkit.porter import stem
 from hopkit.retrieval import RetrievalParams, RetrievedPair, query_tokens
-from hopkit.splitter import SeedFact, SplitProblem, idf_table, seed_fact_similarity
+from hopkit.splitter import (
+    FoldAssignment,
+    SeedFact,
+    SplitProblem,
+    _assignment,
+    _greedy_labels,
+    _masses,
+    _violation,
+    cross_fold_objective,
+    idf_table,
+    seed_fact_similarity,
+)
 
 K1 = 1.2
 B = 0.75
@@ -192,3 +206,167 @@ def enumerate_split(problem):
     best_viol = violation.min()
     at_min = violation == best_viol
     return float(best_viol), float(objective[at_min].min()), False
+
+
+# ---------------------------------------------------------------------------
+# Corpus ingest, one character or token at a time: the tokenizer, cleaning
+# filter and sentence normal form the memoised, prechecked versions in
+# hopkit.corpus must reproduce exactly.
+
+_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+_WS_RE = re.compile(r"\s+")
+_CONTROL_RE = re.compile(r"[\x00-\x08\x0b-\x1f\x7f]")
+_MARKUP_RE = re.compile(r"[<>{}][A-Za-z/]|[A-Za-z/][<>{}]")
+_EMAIL_RE = re.compile(r"[\w.+-]+@[\w-]+\.[\w.-]+")
+_URL_RE = re.compile(r"https?://\S+|www\.\S+", re.IGNORECASE)
+_NUMERIC_TOKEN_RE = re.compile(r"[\d.,:/%-]*\d[\d.,:/%-]*")
+
+MIN_TOKENS = 3
+MAX_TOKENS = 60
+MIN_ALPHA_RATIO = 0.6
+NUMBER_RUN_LEN = 4
+
+
+def reference_tokenize(text: str) -> Counter:
+    """Per-token loop: stopword check, Porter stem, post-stem stopword check."""
+    bag = Counter()
+    for token in _TOKEN_RE.findall(text.lower()):
+        if token in STOPWORDS:
+            continue
+        stemmed = stem(token)
+        if not stemmed or stemmed in STOPWORDS:
+            continue
+        bag[stemmed] += 1
+    return bag
+
+
+def reference_normal_form(text: str) -> str:
+    """normalize_whitespace(_strip_controls(text)), always through both regexes."""
+    return _WS_RE.sub(" ", _CONTROL_RE.sub(" ", text)).strip()
+
+
+def reference_clean_filter(candidate: str) -> CleanResult:
+    """Every rule's regex on every text; characters counted one at a time."""
+    text = candidate.strip()
+    if _MARKUP_RE.search(text):
+        return CleanResult(False, "markup")
+    tokens = text.split()
+    run = 0
+    for token in tokens:
+        if _NUMERIC_TOKEN_RE.fullmatch(token):
+            run += 1
+            if run >= NUMBER_RUN_LEN:
+                return CleanResult(False, "number_run")
+        else:
+            run = 0
+    if _EMAIL_RE.search(text):
+        return CleanResult(False, "email")
+    if _URL_RE.search(text):
+        return CleanResult(False, "url")
+    non_space = sum(1 for ch in text if not ch.isspace())
+    alpha = sum(1 for ch in text if ch.isalpha())
+    if non_space == 0 or alpha / non_space < MIN_ALPHA_RATIO:
+        return CleanResult(False, "alpha_ratio")
+    if not MIN_TOKENS <= len(tokens) <= MAX_TOKENS:
+        return CleanResult(False, "token_count")
+    return CleanResult(True)
+
+
+# ---------------------------------------------------------------------------
+# Split annealing without the early stop
+
+
+def annealing_solve_heuristic(
+    problem: SplitProblem,
+    seed: int = 0,
+    iterations: int = 20000,
+    restarts: int = 10,
+) -> FoldAssignment:
+    """solve_heuristic running every restart and iteration, edges or none."""
+    n = len(problem.facts)
+    bounds = problem.mass_bounds()
+    if n == 0:
+        return FoldAssignment({}, 0.0, _violation([0, 0, 0], bounds) == 0.0)
+    penalty = sum(problem.sim.values()) + 1.0
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for (i, k), value in problem.sim.items():
+        adj[i].append((k, value))
+        adj[k].append((i, value))
+    counts = [f.question_count for f in problem.facts]
+
+    best_key = (math.inf, math.inf)
+    best_labels: list[int] | None = None
+
+    def consider(labels, violation, objective) -> None:
+        nonlocal best_key, best_labels
+        key = (violation, objective)
+        if key < best_key:
+            best_key = key
+            best_labels = labels.copy()
+
+    for restart in range(max(1, restarts)):
+        rng = random.Random(f"{seed}:{restart}")
+        if restart == 0:
+            labels = _greedy_labels(problem)
+        else:
+            labels = [rng.randrange(3) for _ in range(n)]
+        masses = _masses(problem, labels)
+        objective = cross_fold_objective(problem, labels)
+        violation = _violation(masses, bounds)
+        consider(labels, violation, objective)
+        energy = objective + penalty * violation
+        t0 = max(penalty, 1.0)
+        t_end = 1e-3
+        cooling = (t_end / t0) ** (1.0 / max(1, iterations - 1))
+        temperature = t0
+
+        def move_delta(i: int, fold: int) -> float:
+            return sum(
+                value * ((labels[k] != fold) - (labels[k] != labels[i]))
+                for k, value in adj[i]
+            )
+
+        for _ in range(iterations):
+            if n >= 2 and rng.random() < 0.5:
+                i, j = rng.sample(range(n), 2)
+                if labels[i] == labels[j]:
+                    temperature *= cooling
+                    continue
+                fi, fj = labels[i], labels[j]
+                d1 = move_delta(i, fj)
+                labels[i] = fj
+                d2 = move_delta(j, fi)
+                labels[i] = fi
+                new_masses = list(masses)
+                new_masses[fi] += counts[j] - counts[i]
+                new_masses[fj] += counts[i] - counts[j]
+                new_objective = objective + d1 + d2
+                apply_change = (((i, fj), (j, fi)), new_masses, new_objective)
+            else:
+                i = rng.randrange(n)
+                fold = rng.randrange(3)
+                if fold == labels[i]:
+                    temperature *= cooling
+                    continue
+                new_masses = list(masses)
+                new_masses[labels[i]] -= counts[i]
+                new_masses[fold] += counts[i]
+                new_objective = objective + move_delta(i, fold)
+                apply_change = (((i, fold),), new_masses, new_objective)
+            changes, new_masses, new_objective = apply_change
+            new_violation = _violation(new_masses, bounds)
+            new_energy = new_objective + penalty * new_violation
+            delta = new_energy - energy
+            if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-12)):
+                for fact_index, fold in changes:
+                    labels[fact_index] = fold
+                masses = new_masses
+                objective = new_objective
+                violation = new_violation
+                energy = new_energy
+                consider(labels, violation, objective)
+            temperature *= cooling
+
+    assert best_labels is not None
+    objective = cross_fold_objective(problem, best_labels)
+    return _assignment(problem, best_labels, objective, best_key[0], bounds)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hopkit.corpus
 from hopkit.corpus import (
     STOPWORDS,
     Corpus,
@@ -13,6 +14,8 @@ from hopkit.corpus import (
     segment_sentences,
     tokenize_normalize,
 )
+
+from oracles import reference_clean_filter, reference_normal_form, reference_tokenize
 
 
 class TestTokenizeNormalize:
@@ -196,3 +199,108 @@ class TestLoadCorpus(object):
         out = tmp_path / "rejections.tsv"
         write_rejection_report(corpus, out)
         assert out.read_text() == "markup\t2\nnumber_run\t1\n"
+
+
+# Pieces that exercise every ingest shortcut: the markup, email and URL
+# trigger characters, www in both cases, ASCII and non-ASCII digits (and
+# "²", a digit that is not decimal), "ſ" (which matches "s" when case is
+# ignored), Unicode whitespace, control characters, stopwords and words
+# whose stems collide or fall onto a stopword.
+INGEST_PIECES = (
+    "<", ">", "{", "}", "@", ":", "/", ".", "://", "http://", "https://x.y", "www.",
+    "WWW.", "wWw.", "www", "WWW", "a@b.co", "<b>", "{x}", "x<", "12", "3.5", "2019",
+    "10%", "٣", "٤٥", "５", "²", "ſ", "httpſ://z", "İ", "K", "ß", "é", "e\u0301",
+    "_", "-", ",", "\x85", "\xa0", "\u1680", "\u2002", "\u2003", "\u2028",
+    "\u3000", "\x7f", "\x1c", "\x1f", "\t", "\n", "\r", " ", "  ", "the", "The",
+    "doing", "wind", "winds", "Wind", "heat", "heating", "running", "runs", "produces",
+    "differential", "air", "generalization",
+) + tuple(chr(c) for c in range(0x20))
+
+ingest_texts = st.lists(
+    st.sampled_from(INGEST_PIECES) | st.text(max_size=3), max_size=40
+).map("".join)
+
+
+class TestIngestMatchesOracles:
+    """The memoised tokenizer, prechecked filter and normal-form shortcut
+    give exactly what the per-token and per-character references give."""
+
+    @given(ingest_texts)
+    @settings(max_examples=400, deadline=None)
+    def test_tokenize_keys_counts_and_order(self, text):
+        assert list(tokenize_normalize(text).items()) == list(reference_tokenize(text).items())
+
+    @given(ingest_texts)
+    @settings(max_examples=400, deadline=None)
+    def test_clean_filter(self, text):
+        assert clean_filter(text) == reference_clean_filter(text)
+
+    @given(st.lists(st.sampled_from(INGEST_PIECES), min_size=3, max_size=12).map(" ".join))
+    @settings(max_examples=300, deadline=None)
+    def test_clean_filter_on_space_separated_pieces(self, text):
+        assert clean_filter(text) == reference_clean_filter(text)
+
+    @given(st.lists(st.sampled_from(
+        ("12", "3.5", "10%", "٣", "٤٥", "٣.٤", "５", "²", "-", "/", "wind", "heat")
+    ), min_size=3, max_size=10).map(" ".join))
+    @settings(max_examples=300, deadline=None)
+    def test_clean_filter_on_number_runs(self, text):
+        assert clean_filter(text) == reference_clean_filter(text)
+
+    @given(st.lists(ingest_texts, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_from_texts(self, texts):
+        corpus = Corpus.from_texts(texts)
+        expected = list(dict.fromkeys(t for t in map(reference_normal_form, texts) if t))
+        assert [s.text for s in corpus.sentences] == expected
+        assert [s.id for s in corpus.sentences] == list(range(len(expected)))
+        for sentence in corpus.sentences:
+            assert list(sentence.tokens.items()) == list(reference_tokenize(sentence.text).items())
+        # the text -> id map the corpus was handed is the one it would build
+        assert corpus._by_text == {
+            normalize_whitespace(s.text): s.id for s in corpus.sentences
+        }
+
+    @given(st.lists(ingest_texts | st.sampled_from((
+        "Wind turns the turbine blades.", "Wind  turns the turbine blades. ",
+        "The score was 12 34 56 78 today.", "Mail a@b.co for the details now.",
+    )), max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_load_corpus(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("ingest") / "c.txt"
+        path.write_text("\n".join(lines), "utf-8", newline="")
+        texts: list[str] = []
+        rejections: Counter = Counter()
+        for line in "\n".join(lines).split("\n"):
+            text = reference_normal_form(line)
+            if not text:
+                continue
+            verdict = reference_clean_filter(text)
+            if not verdict.accepted:
+                rejections[verdict.reason] += 1
+            elif text in texts:
+                rejections["duplicate"] += 1
+            else:
+                texts.append(text)
+        corpus = load_corpus(path)
+        assert [s.text for s in corpus.sentences] == texts
+        assert corpus.rejections == rejections
+        for sentence in corpus.sentences:
+            assert list(sentence.tokens.items()) == list(reference_tokenize(sentence.text).items())
+        assert corpus._by_text == {
+            normalize_whitespace(s.text): s.id for s in corpus.sentences
+        }
+
+    def test_rebinding_stopwords_takes_effect_after_memoising(self, monkeypatch):
+        assert tokenize_normalize("wind") == Counter({"wind": 1})
+        monkeypatch.setattr(hopkit.corpus, "STOPWORDS", STOPWORDS | {"wind"})
+        assert tokenize_normalize("wind heat") == Counter({"heat": 1})
+        monkeypatch.undo()
+        assert tokenize_normalize("wind heat") == Counter({"wind": 1, "heat": 1})
+
+    def test_memo_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(hopkit.corpus, "STEM_CACHE_SIZE", 8)
+        text = " ".join(f"zork{chr(97 + i)}{chr(97 + j)}" for i in range(5) for j in range(10))
+        text += " doing the running"
+        assert list(tokenize_normalize(text).items()) == list(reference_tokenize(text).items())
+        assert len(hopkit.corpus._normal_forms) <= 8

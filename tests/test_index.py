@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import math
 import random
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopkit.corpus
+import hopkit.index
 from hopkit.corpus import Corpus
 from hopkit.errors import SnapshotError
 from hopkit.index import (
@@ -264,6 +266,43 @@ class TestSnapshot:
         path.write_bytes(bytes(blob))
         with pytest.raises(SnapshotError, match="checksum"):
             load_snapshot(path)
+
+    def test_failed_write_keeps_the_old_snapshot(self, tmp_path, monkeypatch):
+        path = tmp_path / "index.hopidx"
+        write_snapshot(build_index(toy_corpus()), path)
+        old = path.read_bytes()
+        bigger = build_index(Corpus.from_texts([f"wind turbine {i} spins." for i in range(50)]))
+
+        real_open = open
+
+        def disk_fills_up(file, mode):
+            # part of the new snapshot reaches the disk, then the write fails
+            with real_open(file, mode) as handle:
+                handle.write(MAGIC)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(hopkit.index, "open", disk_fills_up, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            write_snapshot(bigger, path)
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["index.hopidx"]
+        assert [s.text for s in load_snapshot(path).corpus.sentences] == [
+            s.text for s in toy_corpus().sentences
+        ]
+
+    def test_failed_rename_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "index.hopidx"
+        write_snapshot(build_index(toy_corpus()), path)
+        old = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+        monkeypatch.setattr(hopkit.index.os, "replace", refuse)
+        with pytest.raises(OSError, match="cross-device"):
+            write_snapshot(build_index(Corpus.from_texts(["solar panel output rises."])), path)
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["index.hopidx"]
 
     def _rewrite_body(self, path, body: bytes) -> None:
         path.write_bytes(MAGIC + hashlib.sha256(body).digest() + body)

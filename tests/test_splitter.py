@@ -1,6 +1,11 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +26,7 @@ from hopkit.splitter import (
 )
 
 from conftest import random_split_instance
-from oracles import brute_build_problem, enumerate_split
+from oracles import annealing_solve_heuristic, brute_build_problem, enumerate_split
 
 WORDS = "zoka flerb drant mulo vask grinta binda wopple tesk yorn quib lemmo".split()
 
@@ -262,6 +267,37 @@ class TestSolveHeuristic:
             assignment = solve_heuristic(problem, seed=3, iterations=5000, restarts=5)
             assert assignment.feasible  # instances are feasible by construction
 
+    @given(
+        counts=st.lists(st.integers(1, 20), min_size=0, max_size=12),
+        slack=st.sampled_from([0.0, 0.01, 0.05, 0.2, 1.0]),
+        edge_seed=st.one_of(st.none(), st.integers(0, 2**16)),
+        seed=st.integers(0, 3),
+        iterations=st.integers(0, 300),
+        restarts=st.integers(0, 4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_full_annealing_run(
+        self, counts, slack, edge_seed, seed, iterations, restarts
+    ):
+        facts = [SeedFact(f"f{i:02d}", c, Counter()) for i, c in enumerate(counts)]
+        sim = {}
+        if edge_seed is not None:
+            rng = random.Random(edge_seed)
+            sim = {
+                (i, k): rng.uniform(10.0, 60.0)
+                for i in range(len(facts)) for k in range(i + 1, len(facts))
+                if rng.random() < 0.3
+            }
+        problem = SplitProblem(facts, sim, slack=slack)
+        got = solve_heuristic(problem, seed, iterations, restarts)
+        want = annealing_solve_heuristic(problem, seed, iterations, restarts)
+        assert (got.to_json(), got.objective) == (want.to_json(), want.objective)
+
+    def test_edgeless_default_run_matches_the_full_annealing_run(self):
+        problem = random_split_instance(random.Random(13), 14)
+        problem.sim.clear()
+        assert solve_heuristic(problem).to_json() == annealing_solve_heuristic(problem).to_json()
+
     def test_objective_self_audit(self):
         rng = random.Random(29)
         problem = random_split_instance(rng, 12)
@@ -293,3 +329,61 @@ def test_mass_bounds_inclusive_at_integer_boundaries():
     assignment = solve_exact(SplitProblem(facts, {}))
     assert assignment.feasible
     assert assignment.fold_of["a"] == "train"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+HASH_SEEDS = ("0", "1", "2", "3")
+
+
+def _facts_sharing_many_terms(path: Path) -> None:
+    """Facts over a small vocabulary with skewed frequencies, so most pairs
+    share several terms of different idf."""
+    rng = random.Random(5)
+    vocab = [w + suffix for w in WORDS for suffix in ("", "er", "ic")]
+    weights = [1.0 / (rank + 1) for rank in range(len(vocab))]
+    rows = [
+        {"id": f"f{i:02d}", "questions": rng.randint(1, 4),
+         "text": " ".join(rng.choices(vocab, weights, k=rng.randint(6, 12)))}
+        for i in range(40)
+    ]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), "utf-8")
+
+
+def _run_with_hash_seed(hash_seed: str, argv: list[str]) -> str:
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+class TestHashSeedIndependence:
+    def test_edge_weights_identical_at_full_precision(self, tmp_path):
+        facts = tmp_path / "facts.jsonl"
+        _facts_sharing_many_terms(facts)
+        script = (
+            "import sys\n"
+            "from hopkit.splitter import build_problem, load_facts_jsonl\n"
+            "problem = build_problem(load_facts_jsonl(sys.argv[1]), prune_threshold=0.0)\n"
+            "print(repr(list(problem.sim.items())))\n"
+        )
+        outputs = {_run_with_hash_seed(h, ["-c", script, str(facts)]) for h in HASH_SEEDS}
+        assert len(outputs) == 1
+
+    def test_split_solve_writes_identical_bytes(self, tmp_path):
+        facts = tmp_path / "facts.jsonl"
+        _facts_sharing_many_terms(facts)
+        written = set()
+        for hash_seed in HASH_SEEDS:
+            out = tmp_path / hash_seed
+            out.mkdir()
+            _run_with_hash_seed(hash_seed, [
+                "-m", "hopkit.cli", "split", "solve", "--facts", str(facts), "--heuristic",
+                "--prune-threshold", "1.0", "--iterations", "2000",
+                "--dump-problem", str(out / "problem.json"), "--out", str(out / "split"),
+            ])
+            written.add(tuple(
+                (out / name).read_bytes() for name in ("problem.json", "split.json", "split.tsv")
+            ))
+        assert len(written) == 1
