@@ -217,6 +217,22 @@ def _ranked_from_json(row: dict) -> tuple[str, list[str]]:
     return require_type(row["id"], str, "id"), texts
 
 
+class _ScoreMap:
+    """One scorer's scores on one question: each text is scored once, and
+    pruning and ranking both read the kept value.  The scorer's name carries
+    over, so checked_score reports a bad value as the scorer would."""
+
+    def __init__(self, scorer):
+        self.scorer = scorer
+        self.name = scorer.name
+        self.scores: dict[str, float] = {}
+
+    def score(self, question, text: str) -> float:
+        if text not in self.scores:
+            self.scores[text] = self.scorer.score(question, text)
+        return self.scores[text]
+
+
 def cmd_distract_rank(args) -> int:
     dataset = {q.id: q for q in load_questions(args.dataset)}
     pools = dict(read_jsonl(args.pools, _pool_from_json))
@@ -227,12 +243,13 @@ def cmd_distract_rank(args) -> int:
             raise HopkitError(f"pool references unknown question id {qid!r}")
         question = dataset[qid]
         candidates = pools[qid]
+        score_maps = [_ScoreMap(scorer) for scorer in scorers]
         if args.prune_top:
             kept = set(
-                prune_by_scorer(scorers[0], question, candidates, args.prune_top)
+                prune_by_scorer(score_maps[0], question, candidates, args.prune_top)
             )
             candidates = [c for c in candidates if c[0] in kept]
-        ranked = multi_adversary_rank(scorers, question, candidates)
+        ranked = multi_adversary_rank(score_maps, question, candidates)
         lines.append(
             {
                 "id": qid,
@@ -281,7 +298,9 @@ def cmd_split_solve(args) -> int:
         raise HopkitError(f"--targets needs three comma-separated fractions, got {args.targets!r}")
     problem = build_problem(facts, targets, args.slack, args.prune_threshold)
     if args.dump_problem:
-        Path(args.dump_problem).write_text(
+        dump = Path(args.dump_problem)
+        dump.parent.mkdir(parents=True, exist_ok=True)
+        dump.write_text(
             json.dumps(problem_to_json(problem), indent=2) + "\n", "utf-8"
         )
     if args.exact:

@@ -210,7 +210,8 @@ class Sentence:
 class Corpus:
     """Immutable-after-load ordered sentence collection.
 
-    Ids are dense 0..n-1; texts are unique after whitespace normalization.
+    Ids are dense 0..n-1; texts are unique in normal form (control
+    characters replaced, whitespace collapsed).
     Safe to share across concurrent readers.
     """
 
@@ -221,9 +222,7 @@ class Corpus:
 
     def __post_init__(self) -> None:
         if not self._by_text:
-            self._by_text = {
-                normalize_whitespace(s.text): s.id for s in self.sentences
-            }
+            self._by_text = {_normal_form(s.text): s.id for s in self.sentences}
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -232,8 +231,8 @@ class Corpus:
         return self.sentences[sid]
 
     def id_of_text(self, text: str) -> int | None:
-        """Resolve a sentence by exact normalized text, or None."""
-        return self._by_text.get(normalize_whitespace(text))
+        """Resolve a sentence by its text in the corpus's normal form, or None."""
+        return self._by_text.get(_normal_form(text))
 
     @classmethod
     def from_texts(cls, texts, source_digest: str = "") -> "Corpus":

@@ -49,12 +49,16 @@ class InvertedIndex:
         self.doc_len = doc_len
         self.n_docs = len(doc_len)
         self.avg_len = sum(doc_len) / self.n_docs if self.n_docs else 0.0
+        # Derived state, not in the snapshot: one log per distinct term.
+        self._idf = {
+            term: math.log(1.0 + (self.n_docs - len(plist) + 0.5) / (len(plist) + 0.5))
+            for term, plist in postings.items()
+            if plist
+        }
 
     def idf(self, term: str) -> float:
-        df = len(self.postings.get(term, ()))
-        if df == 0:
-            return 0.0
-        return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
+        """BM25 idf of a term; 0.0 for a term no document holds."""
+        return self._idf.get(term, 0.0)
 
 
 def build_index(corpus: Corpus) -> InvertedIndex:
@@ -63,7 +67,11 @@ def build_index(corpus: Corpus) -> InvertedIndex:
     for sentence in corpus.sentences:
         doc_len.append(sum(sentence.tokens.values()))
         for term, tf in sentence.tokens.items():
-            postings.setdefault(term, []).append((sentence.id, tf))
+            plist = postings.get(term)
+            if plist is None:
+                postings[term] = [(sentence.id, tf)]
+            else:
+                plist.append((sentence.id, tf))
     return InvertedIndex(corpus, postings, doc_len)
 
 

@@ -82,27 +82,48 @@ class Scorer(Protocol):
     def score(self, question: MCQuestion, choice_text: str) -> float: ...
 
 
-def ir_score(index: InvertedIndex, stem_text: str, choice_text: str) -> float:
+def ir_score(
+    index: InvertedIndex,
+    stem_text: str,
+    choice_text: str,
+    stem_stems: frozenset[str] | None = None,
+) -> float:
     """Highest score among sentences overlapping both the question stem and
-    the choice; 0.0 when nothing qualifies."""
+    the choice; 0.0 when nothing qualifies.
+
+    stem_stems, when given, must be stem_set(stem_text); IRScorer passes it
+    so that a question's candidates tokenize its stem once.  The query is the
+    union of the two stem sets: search reads only a query's distinct terms,
+    and no token spans the space query_tokens joins q and a with, so this is
+    set(query_tokens(stem_text, choice_text)).
+    """
+    if stem_stems is None:
+        stem_stems = stem_set(stem_text)
+    choice_stems = stem_set(choice_text)
     hits = search(
-        index,
-        query_tokens(stem_text, choice_text),
-        1,
-        must_contain_any=(stem_set(stem_text), stem_set(choice_text)),
+        index, stem_stems | choice_stems, 1, must_contain_any=(stem_stems, choice_stems)
     )
     return hits[0].score if hits else 0.0
 
 
 class IRScorer:
-    """Retrieval-score baseline: answer with the highest scoring sentence."""
+    """Retrieval-score baseline: answer with the highest scoring sentence.
+
+    Keeps the stems of the last question stem it scored, so a question's
+    candidates tokenize its stem once.  The (text, stems) pair is replaced
+    whole, so concurrent calls at worst tokenize a stem again.
+    """
 
     def __init__(self, index: InvertedIndex, name: str = "ir"):
         self.index = index
         self.name = name
+        self._last_stem: tuple[str, frozenset[str]] = ("", frozenset())
 
     def score(self, question: MCQuestion, choice_text: str) -> float:
-        return ir_score(self.index, question.stem, choice_text)
+        stem_text, stems = self._last_stem
+        if stem_text != question.stem:
+            stem_text, stems = self._last_stem = question.stem, stem_set(question.stem)
+        return ir_score(self.index, stem_text, choice_text, stems)
 
 
 class FileScorer:

@@ -16,6 +16,7 @@ from collections import Counter
 
 from hopkit.corpus import STOPWORDS, CleanResult, Corpus, stem_set, tokenize_normalize
 from hopkit.errors import HopkitError
+from hopkit.index import InvertedIndex, search
 from hopkit.porter import stem
 from hopkit.retrieval import RetrievalParams, RetrievedPair, query_tokens
 from hopkit.splitter import (
@@ -116,6 +117,20 @@ class OracleSearcher:
 def naive_search(corpus: Corpus, query_terms, top_n, must_contain_any=None):
     """(sentence id, score) list ranked like the engine's search."""
     return OracleSearcher(corpus).search(query_terms, top_n, must_contain_any)
+
+
+def reference_ir_score(index: InvertedIndex, stem_text: str, choice_text: str) -> float:
+    """The IR baseline score as first written: the query is the tokenized
+    "q a" string, and the stem and the choice are each tokenized again for
+    the constraint.  It runs the engine's search, so it pins the query
+    formulation; naive_search pins search itself."""
+    hits = search(
+        index,
+        query_tokens(stem_text, choice_text),
+        1,
+        must_contain_any=(stem_set(stem_text), stem_set(choice_text)),
+    )
+    return hits[0].score if hits else 0.0
 
 
 def brute_two_step(corpus: Corpus, q: str, a: str, params: RetrievalParams):

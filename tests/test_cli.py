@@ -2,6 +2,8 @@ import hashlib
 import io
 import json
 import random
+import shutil
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from hopkit.cli import main
 from hopkit.index import MAGIC
-from hopkit.qa import load_questions, save_questions
+from hopkit.qa import IRScorer, load_questions, save_questions
 from hopkit.splitter import load_facts_jsonl, problem_to_json, solve_heuristic
 
 from conftest import FIG1_ANSWER, FIG1_FL, FIG1_FS, FIG1_QUESTION, make_question, synth_vocab
@@ -284,6 +286,75 @@ class TestDistractPipeline:
         assert other_seed.read_bytes() != assembled.read_bytes()
 
 
+class TestDistractRankWork:
+    """distract rank scores each (scorer, question, text) once, with the
+    bytes of a run whose scorers share nothing."""
+
+    def test_each_text_is_scored_once_per_scorer(self, tmp_path, monkeypatch, capsys):
+        dataset = fold_dataset(tmp_path)
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(
+            "".join(
+                f"The thing made of answer{i:03d} rests on {'granite ' * (1 + i % 3)}slabs.\n"
+                for i in range(16)
+            ),
+            "utf-8",
+        )
+        idx, copy = tmp_path / "idx", tmp_path / "copy"
+        assert main(["index", "build", "--corpus", str(corpus), "--out", str(idx)]) == 0
+        copy.mkdir()
+        shutil.copyfile(idx / "index.hopidx", copy / "index.hopidx")
+        pools = tmp_path / "pools.jsonl"
+        assert main(["distract", "gen", "--dataset", str(dataset), "--out", str(pools)]) == 0
+
+        calls: Counter = Counter()
+        score = IRScorer.score
+
+        def counted_score(scorer, question, text):
+            calls[scorer.name, question.id, text] += 1
+            return score(scorer, question, text)
+
+        monkeypatch.setattr(IRScorer, "score", counted_score)
+
+        def rank(spec_a: str, spec_b: str, out):
+            assert main(["distract", "rank", "--dataset", str(dataset), "--pools", str(pools),
+                         "--prune-top", "5", "--scorer", spec_a, "--scorer", spec_b,
+                         "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        same_file = rank(f"ir:{idx}", f"ir:{idx}/index.hopidx", tmp_path / "same.jsonl")
+        assert set(calls.values()) == {1}
+        # per question the first scorer scores the answer and 15 candidates,
+        # keeping 5; the second scores the answer and those 5
+        assert sum(calls.values()) == 16 * ((1 + 15) + (1 + 5))
+        separate = rank(f"ir:{idx}", f"ir:{copy}", tmp_path / "separate.jsonl")
+        assert same_file == separate
+        rows = [json.loads(line) for line in same_file.decode().splitlines()]
+        assert any(v > 0 for row in rows for c in row["ranked"] for v in c["per_model"])
+
+    def test_non_finite_score_on_a_pruned_candidate_exits_1(self, tmp_path, capsys):
+        dataset = tmp_path / "d.jsonl"
+        save_questions([make_question("q1", "what melts ice?", "heat", ["cold"])], dataset)
+        pools = tmp_path / "pools.jsonl"
+        pools.write_text(json.dumps({"id": "q1", "candidates": [
+            {"text": text, "source_question_id": ""} for text in ("salt", "sand", "snow")
+        ]}) + "\n", "utf-8")
+        scores = tmp_path / "scores.jsonl"
+        rows = [("heat", 1.0), ("salt", 5.0), ("sand", 4.0), ("snow", float("nan"))]
+        scores.write_text(
+            "".join(json.dumps({"id": "q1", "text": t, "score": v}) + "\n" for t, v in rows),
+            "utf-8",
+        )
+        code = main(["distract", "rank", "--dataset", str(dataset), "--pools", str(pools),
+                     "--scorer", f"file:{scores}", "--prune-top", "1",
+                     "--out", str(tmp_path / "ranked.jsonl")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "HopkitError"
+        assert "non-finite" in err["message"] and "'snow'" in err["message"]
+        assert repr(f"file:{scores}") in err["message"]
+
+
 class TestSplitSolve:
     def write_facts(self, tmp_path):
         rows = [
@@ -325,6 +396,17 @@ class TestSplitSolve:
         assert {f["id"] for f in problem["facts"]} == {"f1", "f2", "f3", "f4", "f5", "f6"}
         assert problem["fold_targets"] == [0.78, 0.11, 0.11]
         assert any(e["sim"] > 0 for e in problem["edges"])
+
+    def test_dump_problem_creates_its_parent_directory(self, tmp_path, capsys):
+        facts = self.write_facts(tmp_path)
+        dumped = tmp_path / "missing" / "sub" / "problem.json"
+        code = main(["split", "solve", "--facts", str(facts), "--exact",
+                     "--dump-problem", str(dumped), "--out", str(tmp_path / "s")])
+        assert code == 0
+        capsys.readouterr()
+        assert {f["id"] for f in json.loads(dumped.read_text())["facts"]} == {
+            "f1", "f2", "f3", "f4", "f5", "f6"
+        }
 
     def test_heuristic_deterministic(self, tmp_path, capsys):
         facts = self.write_facts(tmp_path)

@@ -291,6 +291,24 @@ class TestIngestMatchesOracles:
             normalize_whitespace(s.text): s.id for s in corpus.sentences
         }
 
+    @given(st.lists(ingest_texts, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_every_accepted_text_resolves_to_its_own_id(self, texts):
+        corpus = Corpus.from_texts(texts)
+        for raw in texts:
+            alone = Corpus.from_texts([raw])
+            if not len(alone):
+                continue
+            assert alone.id_of_text(raw) == 0
+            sid = corpus.id_of_text(raw)
+            assert sid is not None and corpus[sid].text == alone[0].text
+
+    def test_text_with_a_control_character_resolves(self):
+        text = "Heat\x1bmelts the ice."
+        corpus = Corpus.from_texts(["Wind turns the blades.", text])
+        assert corpus.id_of_text(text) == 1
+        assert corpus.id_of_text("Heat melts the ice.") == 1
+
     def test_rebinding_stopwords_takes_effect_after_memoising(self, monkeypatch):
         assert tokenize_normalize("wind") == Counter({"wind": 1})
         monkeypatch.setattr(hopkit.corpus, "STOPWORDS", STOPWORDS | {"wind"})

@@ -76,6 +76,16 @@ class TestBuild:
         assert index.idf("wind") == pytest.approx(math.log(1 + 0.5 / 3.5), abs=1e-12)
         assert index.idf("wind") > 0
 
+    @given(small_corpora())
+    @settings(max_examples=100, deadline=None)
+    def test_idf_table_is_the_formula(self, corpus):
+        index = build_index(corpus)
+        n = index.n_docs
+        for term, plist in index.postings.items():
+            df = len(plist)
+            assert index.idf(term) == math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        assert index.idf("notaterm") == 0.0
+
     def test_empty_corpus(self):
         index = build_index(Corpus.from_texts([]))
         assert index.n_docs == 0

@@ -2,8 +2,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hopkit.corpus import Corpus
+from hopkit.corpus import Corpus, stem_set
 from hopkit.errors import HopkitError
 from hopkit.index import build_index
 from hopkit.qa import (
@@ -21,8 +23,10 @@ from hopkit.qa import (
     question_to_json,
     save_questions,
 )
+from hopkit.retrieval import query_tokens
 
 from conftest import FIG1_ANSWER, FIG1_FC, FIG1_QUESTION, make_question
+from oracles import reference_ir_score
 
 
 class FixedScorer:
@@ -72,6 +76,58 @@ class TestIRScore:
 
     def test_nonnegative(self, mini_index):
         assert ir_score(mini_index, "anything about plants", "sunlight energy") >= 0.0
+
+
+# Words the generated corpora share with the generated questions, and
+# pieces for the query-formulation properties: final and medial sigma, "_",
+# non-ASCII digits, apostrophes and control characters.
+IR_WORDS = (
+    "wind", "Wind", "winds", "heat", "heating", "air", "produces", "electricity",
+    "ΟΔΟΣ", "οδος", "don't", "٣",
+)
+IR_PIECES = IR_WORDS + (
+    "Σ", "ΟΔΟΣ'", "ς", "σ", "_", "_Σ", "٤٥", "５", "²", "'", "’", "\x00", "\x1b",
+    "\x1f", "\x7f", "\x85", "\t", "\n", " ", "-", "ſ", "İ", "the",
+)
+ir_texts = st.lists(
+    st.tuples(
+        st.sampled_from(IR_PIECES) | st.sampled_from(IR_WORDS) | st.text(max_size=3),
+        st.sampled_from(("", " ", "  ")),
+    ),
+    max_size=10,
+).map(lambda parts: "".join(piece + sep for piece, sep in parts))
+stem_texts = st.sampled_from(("", "wind heat", "Wind heat", "ΟΔΟΣ air")) | ir_texts
+ir_indexes = st.lists(
+    st.lists(st.sampled_from(IR_WORDS + ("the", "Σ")), min_size=1, max_size=8).map(" ".join),
+    min_size=1,
+    max_size=12,
+).map(lambda texts: build_index(Corpus.from_texts(texts)))
+
+
+class TestIRScoreQuery:
+    """ir_score queries with the union of the stem and choice stem sets;
+    the reference tokenizes the joined "q a" string."""
+
+    @given(ir_texts, ir_texts)
+    @settings(max_examples=400, deadline=None)
+    def test_stem_set_union_is_the_joined_query(self, q, a):
+        assert set(query_tokens(q, a)) == stem_set(q) | stem_set(a)
+
+    @given(ir_indexes, ir_texts, ir_texts)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_bit_for_bit(self, index, q, a):
+        want = reference_ir_score(index, q, a).hex()
+        assert ir_score(index, q, a).hex() == want
+        assert ir_score(index, q, a, stem_set(q)).hex() == want
+
+    @given(ir_indexes, st.lists(st.tuples(stem_texts, ir_texts), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_scorer_keeping_the_last_stem_matches_reference(self, index, calls):
+        scorer = IRScorer(index)
+        for stem_text, choice in calls:
+            question = make_question("q", stem_text, "answer")
+            got = scorer.score(question, choice)
+            assert got.hex() == reference_ir_score(index, stem_text, choice).hex()
 
 
 class TestAnswer:
