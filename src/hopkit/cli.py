@@ -208,6 +208,8 @@ def _pool_from_json(row: dict) -> tuple[str, list[tuple[str, str]]]:
          require_type(c.get("source_question_id", ""), str, "source_question_id"))
         for c in require_type(row["candidates"], list, "candidates")
     ]
+    if len({text for text, _ in candidates}) < len(candidates):
+        raise ValueError("candidate texts must be distinct")
     return require_type(row["id"], str, "id"), candidates
 
 
@@ -234,6 +236,8 @@ class _ScoreMap:
 
 
 def cmd_distract_rank(args) -> int:
+    if args.prune_top < 0:
+        raise HopkitError(f"--prune-top must be >= 0 (0 disables pruning), got {args.prune_top}")
     dataset = {q.id: q for q in load_questions(args.dataset)}
     pools = dict(read_jsonl(args.pools, _pool_from_json))
     scorers = [_make_scorer(spec, args) for spec in args.scorer]
@@ -245,10 +249,7 @@ def cmd_distract_rank(args) -> int:
         candidates = pools[qid]
         score_maps = [_ScoreMap(scorer) for scorer in scorers]
         if args.prune_top:
-            kept = set(
-                prune_by_scorer(score_maps[0], question, candidates, args.prune_top)
-            )
-            candidates = [c for c in candidates if c[0] in kept]
+            candidates = prune_by_scorer(score_maps[0], question, candidates, args.prune_top)
         ranked = multi_adversary_rank(score_maps, question, candidates)
         lines.append(
             {

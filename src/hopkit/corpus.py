@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .porter import STEM_CACHE_SIZE, stem
+from .porter import stem
 
 # A token bag maps stem -> occurrence count.  The key view is the set view;
 # dict key views support the set algebra used for the retrieval differences.
@@ -31,6 +31,11 @@ STOPWORDS: frozenset[str] = _load_stopwords()
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _WS_RE = re.compile(r"\s+")
+
+# Entries in the token memo, the only memo in front of the stemmer.  Stemming
+# is pure and corpora repeat a small vocabulary (loading, snapshot rebuilds
+# and every stem_set call), so each token is stemmed once while memoised.
+STEM_CACHE_SIZE = 1 << 16
 
 
 class _NormalForms(dict):

@@ -1,8 +1,9 @@
 """Adversarial distractor generation for 8-way question assembly.
 
-Candidates are correct answers drawn from the most dissimilar questions of
-the same fold, length-filtered, pruned by a baseline scorer, then ranked
-by how many scorer models prefer them over the correct answer.
+Candidates are (text, source question id) pairs: correct answers drawn
+from the most dissimilar questions of the same fold, length-filtered,
+pruned by a baseline scorer, then ranked by how many scorer models prefer
+them over the correct answer.
 """
 
 from __future__ import annotations
@@ -102,22 +103,22 @@ def candidate_pool_with_sources(
 
 
 def prune_by_scorer(
-    scorer: Scorer, question: MCQuestion, candidates, keep_top: int = 30
-) -> list[str]:
-    """Keep the most distracting candidates: highest scorer score against
-    the question, ties by text.  Every candidate is scored, so a non-finite
-    score raises even for a candidate that would be pruned away."""
-    texts = [c if isinstance(c, str) else c[0] for c in candidates]
+    scorer: Scorer, question: MCQuestion, candidates: list[tuple[str, str]], keep_top: int = 30
+) -> list[tuple[str, str]]:
+    """Keep the most distracting (text, source) pairs: highest scorer score
+    against the question, ties by text.  Every candidate is scored, so a
+    non-finite score raises even for a candidate that would be pruned away."""
     scored = sorted(
-        texts, key=lambda text: (-checked_score(scorer, question, text), text)
+        candidates, key=lambda pair: (-checked_score(scorer, question, pair[0]), pair[0])
     )
     return scored[:keep_top]
 
 
 def multi_adversary_rank(
-    scorers, question: MCQuestion, candidates
+    scorers, question: MCQuestion, candidates: list[tuple[str, str]]
 ) -> list[DistractorCandidate]:
-    """Sort candidates by (models fooled desc, score-margin sum desc, text).
+    """Sort (text, source) pairs by (models fooled desc, score-margin sum
+    desc, text).
 
     A model is fooled when it scores the distractor strictly above the
     correct answer.  Scores are used raw; any per-model normalization is
@@ -129,8 +130,7 @@ def multi_adversary_rank(
     answer = question.answer_text
     answer_scores = [checked_score(s, question, answer) for s in scorers]
     ranked: list[DistractorCandidate] = []
-    for cand in candidates:
-        text, source = (cand, "") if isinstance(cand, str) else (cand[0], cand[1])
+    for text, source in candidates:
         per_model = [checked_score(s, question, text) for s in scorers]
         fooled = sum(per > ans for per, ans in zip(per_model, answer_scores))
         margin = sum(per - ans for per, ans in zip(per_model, answer_scores))
@@ -141,14 +141,15 @@ def multi_adversary_rank(
 
 def assemble_8way(
     question: MCQuestion,
-    ranked_candidates,
+    ranked_texts: list[str],
     target_ways: int = 8,
     shuffle_seed: int | str = 0,
 ) -> MCQuestion:
     """Fill the question to target_ways choices and reshuffle.
 
     Existing choices (the correct answer plus any surviving human-authored
-    distractors) are kept verbatim; top-ranked candidates fill the gap.
+    distractors) are kept verbatim; ranked candidate texts, best first,
+    fill the gap.
     The shuffle is fully determined by shuffle_seed.
     """
     existing = list(question.choices)
@@ -159,10 +160,9 @@ def assemble_8way(
         )
     taken = {choice.text.casefold() for choice in existing}
     fill: list[str] = []
-    for cand in ranked_candidates:
+    for text in ranked_texts:
         if len(existing) + len(fill) == target_ways:
             break
-        text = cand.text if isinstance(cand, DistractorCandidate) else str(cand)
         if text.casefold() in taken:
             continue
         taken.add(text.casefold())

@@ -73,7 +73,7 @@ class SplitProblem:
 
 
 def build_problem(
-    facts,
+    facts: list[SeedFact],
     targets: tuple[float, float, float] = (0.78, 0.11, 0.11),
     slack: float = 0.01,
     prune_threshold: float = 10.0,
@@ -86,8 +86,6 @@ def build_problem(
     such a term's postings are scored; with a threshold <= 0 every pair is
     an edge.  Edges are inserted in ascending (i, k) order, as an all-pairs
     scan would insert them, since the solvers' float sums follow that order.
-
-    Accepts SeedFact objects or (id, question_count, text-or-bag) tuples.
     """
     if not all(math.isfinite(t) and 0.0 <= t <= 1.0 for t in targets):
         raise HopkitError(f"fold targets must be finite fractions in [0, 1], got {targets}")
@@ -97,24 +95,15 @@ def build_problem(
         raise HopkitError(f"slack must be finite and >= 0, got {slack}")
     if not math.isfinite(prune_threshold):
         raise HopkitError(f"prune threshold must be finite, got {prune_threshold}")
-    seed_facts: list[SeedFact] = []
-    for fact in facts:
-        if isinstance(fact, SeedFact):
-            seed_facts.append(fact)
-        else:
-            fid, count, tokens = fact
-            if isinstance(tokens, str):
-                tokens = tokenize_normalize(tokens)
-            seed_facts.append(SeedFact(str(fid), int(count), tokens))
-    idf = idf_table(seed_facts)
-    n = len(seed_facts)
+    idf = idf_table(facts)
+    n = len(facts)
     postings: dict[str, list[int]] = {}
-    for i, fact in enumerate(seed_facts):
+    for i, fact in enumerate(facts):
         for term in fact.tokens:
             if idf[term] > 0.0:
                 postings.setdefault(term, []).append(i)
     sim: dict[tuple[int, int], float] = {}
-    for i, fact in enumerate(seed_facts):
+    for i, fact in enumerate(facts):
         if prune_threshold <= 0.0:
             candidates = range(i + 1, n)
         else:
@@ -122,10 +111,10 @@ def build_problem(
                 {k for term in fact.tokens for k in postings.get(term, ()) if k > i}
             )
         for k in candidates:
-            value = seed_fact_similarity(fact.tokens, seed_facts[k].tokens, idf)
+            value = seed_fact_similarity(fact.tokens, facts[k].tokens, idf)
             if value >= prune_threshold:
                 sim[(i, k)] = value
-    return SplitProblem(seed_facts, sim, tuple(targets), slack, prune_threshold)
+    return SplitProblem(facts, sim, tuple(targets), slack, prune_threshold)
 
 
 @dataclass

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from hopkit.corpus import STOPWORDS, Corpus, load_corpus
+from hopkit.corpus import STOPWORDS, Corpus, load_corpus, tokenize_normalize
 from hopkit.index import build_index
 from hopkit.qa import Choice, MCQuestion
+from hopkit.splitter import SeedFact
 
 FIG1_QUESTION = "Differential heating of air can be harnessed for what?"
 FIG1_ANSWER = "electricity production"
@@ -54,6 +55,20 @@ def make_question(
         fact2=fact2,
         combined_fact=combined,
     )
+
+
+def unsourced(texts) -> list[tuple[str, str]]:
+    """(text, "") distractor candidate pairs, for candidates with no source question."""
+    return [(text, "") for text in texts]
+
+
+def seed_facts(rows) -> list[SeedFact]:
+    """SeedFacts from (id, question_count, text-or-bag) rows; a text is tokenized."""
+    return [
+        SeedFact(str(fid), int(count),
+                 tokenize_normalize(tokens) if isinstance(tokens, str) else tokens)
+        for fid, count, tokens in rows
+    ]
 
 
 _CONSONANTS = "bcdfgklmnprstvz"

@@ -14,14 +14,14 @@ import random
 import re
 from collections import Counter
 
-from hopkit.corpus import STOPWORDS, CleanResult, Corpus, stem_set, tokenize_normalize
+from hopkit.corpus import STOPWORDS, CleanResult, Corpus, stem_set
 from hopkit.errors import HopkitError
 from hopkit.index import InvertedIndex, search
 from hopkit.porter import stem
+from hopkit.qa import checked_score
 from hopkit.retrieval import RetrievalParams, RetrievedPair, query_tokens
 from hopkit.splitter import (
     FoldAssignment,
-    SeedFact,
     SplitProblem,
     _assignment,
     _greedy_labels,
@@ -161,6 +161,26 @@ def brute_adversary_sort(candidates):
     return rows
 
 
+def text_set_prune_then_rank(scorers, question, candidates, keep_top):
+    """Reference prune-then-rank over (text, source) pairs, as `distract
+    rank` once ran it: prune bare texts by the first scorer, keep the pool's
+    pairs whose text is in the kept set (in pool order), then rank those
+    with brute_adversary_sort.  Returns (text, source, fooled, margin) rows."""
+    texts = [c if isinstance(c, str) else c[0] for c in candidates]
+    scored = sorted(
+        texts, key=lambda text: (-checked_score(scorers[0], question, text), text)
+    )
+    kept = set(scored[:keep_top])
+    candidates = [c for c in candidates if c[0] in kept]
+    answer_scores = [s.score(question, question.answer_text) for s in scorers]
+    rows = brute_adversary_sort(
+        [(text, [s.score(question, text) for s in scorers], answer_scores)
+         for text, _ in candidates]
+    )
+    source_of = dict(candidates)
+    return [(text, source_of[text], fooled, margin) for text, fooled, margin in rows]
+
+
 def brute_build_problem(
     facts,
     targets: tuple[float, float, float] = (0.78, 0.11, 0.11),
@@ -171,15 +191,7 @@ def brute_build_problem(
     order and keeps those at or above the threshold."""
     if abs(sum(targets) - 1.0) > 1e-9:
         raise HopkitError(f"fold targets must sum to 1, got {targets}")
-    seed_facts: list[SeedFact] = []
-    for fact in facts:
-        if isinstance(fact, SeedFact):
-            seed_facts.append(fact)
-        else:
-            fid, count, tokens = fact
-            if isinstance(tokens, str):
-                tokens = tokenize_normalize(tokens)
-            seed_facts.append(SeedFact(str(fid), int(count), tokens))
+    seed_facts = list(facts)
     idf = idf_table(seed_facts)
     sim: dict[tuple[int, int], float] = {}
     for i in range(len(seed_facts)):

@@ -26,6 +26,7 @@ from conftest import (
     random_corpus,
     random_query,
     random_split_instance,
+    unsourced,
 )
 from oracles import OracleSearcher, brute_adversary_sort, enumerate_split
 
@@ -161,7 +162,7 @@ def test_criterion_4_multi_adversary_ranking():
             for _ in range(2)
         ]
         ranked = multi_adversary_rank(
-            [TableScorer(t) for t in tables], question, candidates
+            [TableScorer(t) for t in tables], question, unsourced(candidates)
         )
         answer_scores = [t["answer"] for t in tables]
         expected = brute_adversary_sort(
@@ -198,7 +199,9 @@ def test_criterion_4_multi_adversary_ranking():
     ]
     baseline = {
         c.text: c.fooled_count
-        for c in multi_adversary_rank([TableScorer(t) for t in base], question, candidates)
+        for c in multi_adversary_rank(
+            [TableScorer(t) for t in base], question, unsourced(candidates)
+        )
     }
     for _ in range(100):
         f0, f1 = sample_transform(), sample_transform()
@@ -206,7 +209,9 @@ def test_criterion_4_multi_adversary_ranking():
             {text: f0(v) for text, v in base[0].items()},
             {text: f1(v) for text, v in base[1].items()},
         ]
-        ranked = multi_adversary_rank([TableScorer(t) for t in warped], question, candidates)
+        ranked = multi_adversary_rank(
+            [TableScorer(t) for t in warped], question, unsourced(candidates)
+        )
         if {c.text: c.fooled_count for c in ranked} != baseline:
             transform_ok = False
             break

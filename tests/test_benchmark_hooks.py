@@ -1,10 +1,15 @@
 """The benchmark's traced run wraps hopkit functions by name; a renamed or
 deleted one must fail here, not only under ``perfbench/run.py --trace 1``."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from hopkit.qa import save_questions
+
+from conftest import make_question
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -35,3 +40,49 @@ def test_tracer_counts_tokenizing_and_stemming_a_new_word():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["(0,", "0)", "(1,", "1)", "['zorblegrind']"]
+
+
+_TRACED_CLI = """
+import json, tracing
+tracer = tracing.Tracer({})
+tracer.install()
+from hopkit.cli import main
+codes = [main(argv) for argv in json.loads(COMMANDS)]
+qids = {name: [span[4] for span in tracer.spans if span[0] == name]
+        for name in ("distractor.prune", "distractor.rank")}
+print(json.dumps({"codes": codes, "qids": qids}))
+"""
+
+
+def test_traced_cli_runs_distract_and_split_with_question_spans(tmp_path):
+    ids = [f"q{i:02d}" for i in range(10)]
+    dataset = tmp_path / "fold.jsonl"
+    save_questions([
+        make_question(qid, f"what is thing {i} made of?", f"answer{i:02d}", [f"other {i}"],
+                      fact1=f"thing{i} relates to matter{i}",
+                      fact2=f"matter{i} builds answer{i:02d}")
+        for i, qid in enumerate(ids)
+    ], dataset)
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("".join(f"The thing{i} is made of answer{i:02d} pieces.\n"
+                              for i in range(10)), "utf-8")
+    facts = tmp_path / "facts.jsonl"
+    facts.write_text("".join(f'{{"id": "f{i}", "text": "matter{i % 3} builds thing{i}", '
+                             f'"questions": 1}}\n' for i in range(10)), "utf-8")
+    idx, pools, ranked = tmp_path / "idx", tmp_path / "pools.jsonl", tmp_path / "ranked.jsonl"
+    commands = [
+        ["index", "build", "--corpus", str(corpus), "--out", str(idx)],
+        ["distract", "gen", "--dataset", str(dataset), "--out", str(pools)],
+        ["distract", "rank", "--dataset", str(dataset), "--pools", str(pools),
+         "--scorer", f"ir:{idx}", "--scorer", f"ir:{idx}", "--prune-top", "8",
+         "--out", str(ranked)],
+        ["distract", "assemble", "--dataset", str(dataset), "--ranked", str(ranked),
+         "--seed", "3", "--out", str(tmp_path / "assembled.jsonl")],
+        ["split", "solve", "--facts", str(facts), "--heuristic", "--iterations", "200",
+         "--restarts", "1", "--prune-threshold", "0.1", "--out", str(tmp_path / "split")],
+    ]
+    result = _run_traced(f"COMMANDS = {json.dumps(commands)!r}\n" + _TRACED_CLI)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report["codes"] == [0] * len(commands), result.stderr
+    assert report["qids"] == {"distractor.prune": ids, "distractor.rank": ids}

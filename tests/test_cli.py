@@ -332,7 +332,9 @@ class TestDistractRankWork:
         rows = [json.loads(line) for line in same_file.decode().splitlines()]
         assert any(v > 0 for row in rows for c in row["ranked"] for v in c["per_model"])
 
-    def test_non_finite_score_on_a_pruned_candidate_exits_1(self, tmp_path, capsys):
+    def _rank_salt_sand_snow(self, tmp_path, snow_score: float, prune_top: str) -> int:
+        """Run distract rank on one question with the pool salt, sand, snow.
+        A file: scorer gives them 5, 4 and snow_score, and the answer 1."""
         dataset = tmp_path / "d.jsonl"
         save_questions([make_question("q1", "what melts ice?", "heat", ["cold"])], dataset)
         pools = tmp_path / "pools.jsonl"
@@ -340,19 +342,36 @@ class TestDistractRankWork:
             {"text": text, "source_question_id": ""} for text in ("salt", "sand", "snow")
         ]}) + "\n", "utf-8")
         scores = tmp_path / "scores.jsonl"
-        rows = [("heat", 1.0), ("salt", 5.0), ("sand", 4.0), ("snow", float("nan"))]
+        rows = [("heat", 1.0), ("salt", 5.0), ("sand", 4.0), ("snow", snow_score)]
         scores.write_text(
             "".join(json.dumps({"id": "q1", "text": t, "score": v}) + "\n" for t, v in rows),
             "utf-8",
         )
-        code = main(["distract", "rank", "--dataset", str(dataset), "--pools", str(pools),
-                     "--scorer", f"file:{scores}", "--prune-top", "1",
+        return main(["distract", "rank", "--dataset", str(dataset), "--pools", str(pools),
+                     "--scorer", f"file:{scores}", "--prune-top", prune_top,
                      "--out", str(tmp_path / "ranked.jsonl")])
+
+    def test_non_finite_score_on_a_pruned_candidate_exits_1(self, tmp_path, capsys):
+        code = self._rank_salt_sand_snow(tmp_path, float("nan"), "1")
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "HopkitError"
         assert "non-finite" in err["message"] and "'snow'" in err["message"]
-        assert repr(f"file:{scores}") in err["message"]
+        assert repr(f"file:{tmp_path / 'scores.jsonl'}") in err["message"]
+
+    @pytest.mark.parametrize("prune_top", ["-1", "-2"])
+    def test_negative_prune_top_exits_1(self, tmp_path, prune_top, capsys):
+        # a negative slice bound used to drop the lowest-scored candidates
+        assert self._rank_salt_sand_snow(tmp_path, 3.0, prune_top) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "HopkitError"
+        assert "--prune-top" in err["message"]
+        assert not (tmp_path / "ranked.jsonl").exists()
+
+    def test_zero_prune_top_keeps_every_candidate(self, tmp_path):
+        assert self._rank_salt_sand_snow(tmp_path, 3.0, "0") == 0
+        [row] = [json.loads(line) for line in (tmp_path / "ranked.jsonl").read_text().splitlines()]
+        assert [c["text"] for c in row["ranked"]] == ["salt", "sand", "snow"]
 
 
 class TestSplitSolve:
@@ -519,6 +538,7 @@ class TestMalformedInputs:
             {"id": "q000", "candidates": [{"source_question_id": "q001"}]},
             {"id": "q000", "candidates": ["bare string"]},
             {"id": "q000", "candidates": [{"text": 7}]},
+            {"id": "q000", "candidates": [{"text": "rain"}, {"text": "rain"}]},
             {"id": ["q000"], "candidates": []},
             ["q000"],
         ],

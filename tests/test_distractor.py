@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from hopkit.distractor import (
     AdversarialConfig,
-    DistractorCandidate,
     assemble_8way,
     candidate_pool_with_sources,
     multi_adversary_rank,
@@ -17,8 +16,8 @@ from hopkit.distractor import (
 )
 from hopkit.errors import HopkitError, InsufficientCandidatesError
 
-from conftest import make_question
-from oracles import brute_adversary_sort, brute_rank_by_dissimilarity
+from conftest import make_question, unsourced
+from oracles import brute_adversary_sort, brute_rank_by_dissimilarity, text_set_prune_then_rank
 
 
 class TableScorer:
@@ -181,20 +180,21 @@ class TestPruneByScorer:
         question = make_question("q", "stem", "answer", ["x"])
         candidates = [f"cand{i:02d}" for i in range(40)]
         table = {text: float(i) for i, text in enumerate(candidates)}
-        kept = prune_by_scorer(TableScorer(table), question, candidates, 30)
+        kept = prune_by_scorer(TableScorer(table), question, unsourced(candidates), 30)
         assert len(kept) == 30
-        assert kept[0] == "cand39"
-        assert set(kept) == {f"cand{i:02d}" for i in range(10, 40)}
+        assert kept[0] == ("cand39", "")
+        assert set(kept) == set(unsourced(f"cand{i:02d}" for i in range(10, 40)))
 
     def test_fewer_than_keep_top(self):
         question = make_question("q", "stem", "answer", ["x"])
-        kept = prune_by_scorer(TableScorer({"b": 2.0, "a": 1.0}), question, ["a", "b"], 30)
-        assert kept == ["b", "a"]
+        scorer = TableScorer({"b": 2.0, "a": 1.0})
+        kept = prune_by_scorer(scorer, question, unsourced(["a", "b"]), 30)
+        assert kept == unsourced(["b", "a"])
 
     def test_equal_scores_lexicographic(self):
         question = make_question("q", "stem", "answer", ["x"])
-        kept = prune_by_scorer(TableScorer({}), question, ["pear", "apple", "fig"], 2)
-        assert kept == ["apple", "fig"]
+        kept = prune_by_scorer(TableScorer({}), question, unsourced(["pear", "apple", "fig"]), 2)
+        assert kept == unsourced(["apple", "fig"])
 
     @pytest.mark.parametrize("order", ["abcd", "dcba", "bdac", "cadb"])
     def test_nan_score_raises_in_any_order(self, order):
@@ -204,7 +204,31 @@ class TestPruneByScorer:
         scorer = TableScorer({"a": 3.0, "b": math.nan, "c": 2.0, "d": 1.0})
         scorer.name = "nan-model"
         with pytest.raises(HopkitError, match="nan-model.*'b'"):
-            prune_by_scorer(scorer, question, list(order), 2)
+            prune_by_scorer(scorer, question, unsourced(order), 2)
+
+
+# Scores drawn from a few values force ties at the prune cut and between the
+# answer and a candidate; the wide range gives random, mostly distinct scores.
+SCORES = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0]), st.floats(-3.0, 3.0))
+
+
+@given(
+    texts=st.lists(st.text("abc", min_size=1, max_size=3), unique=True, max_size=12),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_prune_then_rank_equals_text_set_reference(texts, data):
+    question = make_question("q", "stem", "answer", ["x"])
+    candidates = [(text, data.draw(st.sampled_from(["", "q1", "q2"]))) for text in texts]
+    scorers = [
+        TableScorer({text: data.draw(SCORES) for text in texts + ["answer"]})
+        for _ in range(data.draw(st.integers(1, 3)))
+    ]
+    keep_top = data.draw(st.integers(1, len(texts) + 2))
+    kept = prune_by_scorer(scorers[0], question, candidates, keep_top)
+    ranked = multi_adversary_rank(scorers, question, kept)
+    assert [(c.text, c.source_question_id, c.fooled_count, c.margin_sum) for c in ranked] == (
+        text_set_prune_then_rank(scorers, question, candidates, keep_top))
 
 
 class TestMultiAdversaryRank:
@@ -214,7 +238,7 @@ class TestMultiAdversaryRank:
             TableScorer({"answer": 0.6, "d1": 0.7, "d2": 0.65}),
             TableScorer({"answer": 0.5, "d1": 0.4, "d2": 0.55}),
         ]
-        ranked = multi_adversary_rank(scorers, question, ["d1", "d2"])
+        ranked = multi_adversary_rank(scorers, question, unsourced(["d1", "d2"]))
         assert [c.text for c in ranked] == ["d2", "d1"]
         d2, d1 = ranked
         assert d2.fooled_count == 2 and d2.margin_sum == pytest.approx(0.1)
@@ -226,14 +250,14 @@ class TestMultiAdversaryRank:
             TableScorer({"answer": 1.0, "weak": 0.1, "strong": 2.0}),
             TableScorer({"answer": 1.0, "weak": 0.2, "strong": 0.5}),
         ]
-        ranked = multi_adversary_rank(scorers, question, ["weak", "strong"])
+        ranked = multi_adversary_rank(scorers, question, unsourced(["weak", "strong"]))
         assert [c.text for c in ranked] == ["strong", "weak"]
         assert ranked[-1].fooled_count == 0
 
     def test_k1_degenerates_to_margin_sort_within_fooled(self):
         question = make_question("q", "stem", "answer", ["x"])
         scorer = TableScorer({"answer": 1.0, "a": 1.5, "b": 1.2, "c": 0.3})
-        ranked = multi_adversary_rank([scorer], question, ["a", "b", "c"])
+        ranked = multi_adversary_rank([scorer], question, unsourced(["a", "b", "c"]))
         assert [c.text for c in ranked] == ["a", "b", "c"]
         assert [c.fooled_count for c in ranked] == [1, 1, 0]
 
@@ -247,7 +271,7 @@ class TestMultiAdversaryRank:
                 for _ in range(2)
             ]
             scorers = [TableScorer(t) for t in tables]
-            ranked = multi_adversary_rank(scorers, question, candidates)
+            ranked = multi_adversary_rank(scorers, question, unsourced(candidates))
             answer_scores = [t["answer"] for t in tables]
             expected = brute_adversary_sort(
                 [(text, [t[text] for t in tables], answer_scores) for text in candidates]
@@ -268,7 +292,9 @@ class TestMultiAdversaryRank:
         ]
         baseline = {
             c.text: c.fooled_count
-            for c in multi_adversary_rank([TableScorer(t) for t in base], question, candidates)
+            for c in multi_adversary_rank(
+                [TableScorer(t) for t in base], question, unsourced(candidates)
+            )
         }
         transforms = [
             lambda x: 3.0 * x + 7.0,
@@ -283,7 +309,7 @@ class TestMultiAdversaryRank:
                     {text: k1(v) for text, v in base[1].items()},
                 ]
                 ranked = multi_adversary_rank(
-                    [TableScorer(t) for t in warped], question, candidates
+                    [TableScorer(t) for t in warped], question, unsourced(candidates)
                 )
                 assert {c.text: c.fooled_count for c in ranked} == baseline
 
@@ -295,14 +321,16 @@ class TestMultiAdversaryRank:
             {text: rng.uniform(-1, 1) for text in candidates + ["answer"]}
             for _ in range(2)
         ]
-        reference = multi_adversary_rank([TableScorer(t) for t in base], question, candidates)
+        reference = multi_adversary_rank(
+            [TableScorer(t) for t in base], question, unsourced(candidates)
+        )
         for _ in range(20):
             shifts = (rng.uniform(-10, 10), rng.uniform(-10, 10))
             shifted = [
                 {text: v + shifts[k] for text, v in base[k].items()} for k in range(2)
             ]
             ranked = multi_adversary_rank(
-                [TableScorer(t) for t in shifted], question, candidates
+                [TableScorer(t) for t in shifted], question, unsourced(candidates)
             )
             assert [c.text for c in ranked] == [c.text for c in reference]
             for got, ref in zip(ranked, reference):
@@ -316,11 +344,15 @@ class TestMultiAdversaryRank:
             {"answer": 0.0, "d1": 1.0, "d2": -0.5},
             {"answer": 0.0, "d1": -2.0, "d2": 0.3},
         ]
-        ranked = multi_adversary_rank([TableScorer(t) for t in base], question, ["d1", "d2"])
+        ranked = multi_adversary_rank(
+            [TableScorer(t) for t in base], question, unsourced(["d1", "d2"])
+        )
         assert [c.fooled_count for c in ranked] == [1, 1]
         assert [c.text for c in ranked] == ["d2", "d1"]  # margins -0.2 vs -1.0
         scaled = [base[0], {k: v * 0.01 for k, v in base[1].items()}]
-        reranked = multi_adversary_rank([TableScorer(t) for t in scaled], question, ["d1", "d2"])
+        reranked = multi_adversary_rank(
+            [TableScorer(t) for t in scaled], question, unsourced(["d1", "d2"])
+        )
         assert [c.text for c in reranked] == ["d1", "d2"]  # margins 0.98 vs -0.497
         # fooled counts still agree with the unscaled instance
         assert {c.text: c.fooled_count for c in reranked} == {
@@ -340,7 +372,7 @@ class TestMultiAdversaryRank:
     def test_fooled_means_strictly_above_the_answer(self, tables, fooled):
         question = make_question("q", "stem", "answer", ["x"])
         scorers = [TableScorer(table) for table in tables]
-        [ranked] = multi_adversary_rank(scorers, question, ["d"])
+        [ranked] = multi_adversary_rank(scorers, question, unsourced(["d"]))
         assert ranked.fooled_count == fooled
 
     def test_non_finite_score_names_scorer_and_candidate(self):
@@ -348,20 +380,17 @@ class TestMultiAdversaryRank:
         bad = TableScorer({"answer": 1.0, "evil": float("inf")})
         bad.name = "bad-model"
         with pytest.raises(HopkitError, match="bad-model.*evil"):
-            multi_adversary_rank([bad], question, ["evil"])
+            multi_adversary_rank([bad], question, unsourced(["evil"]))
 
     def test_requires_scorers(self):
         question = make_question("q", "stem", "answer", ["x"])
         with pytest.raises(HopkitError):
-            multi_adversary_rank([], question, ["a"])
+            multi_adversary_rank([], question, unsourced(["a"]))
 
 
 class TestAssemble8Way:
     def ranked(self, n=10):
-        return [
-            DistractorCandidate(f"distractor {i:02d}", f"src{i}", [0.0], 0, -float(i))
-            for i in range(n)
-        ]
+        return [f"distractor {i:02d}" for i in range(n)]
 
     def test_fills_to_eight_and_preserves_answer(self):
         question = make_question("q", "stem", "the right answer")

@@ -25,7 +25,7 @@ from hopkit.splitter import (
     solve_heuristic,
 )
 
-from conftest import random_split_instance
+from conftest import random_split_instance, seed_facts
 from oracles import annealing_solve_heuristic, brute_build_problem, enumerate_split
 
 WORDS = "zoka flerb drant mulo vask grinta binda wopple tesk yorn quib lemmo".split()
@@ -33,9 +33,9 @@ WORDS = "zoka flerb drant mulo vask grinta binda wopple tesk yorn quib lemmo".sp
 
 @st.composite
 def seed_fact_lists(draw):
-    """(id, question count, bag) rows over a small vocabulary: shared terms,
-    tf > 1, duplicate bags, and optionally a term in every fact (idf 0) or
-    in all but one or two (the smallest positive idf)."""
+    """SeedFacts over a small vocabulary: shared terms, tf > 1, duplicate
+    bags, and optionally a term in every fact (idf 0) or in all but one or
+    two (the smallest positive idf)."""
     vocab = WORDS[: draw(st.integers(2, len(WORDS)))]
     common = draw(st.booleans())
     lacking_common = draw(st.sets(st.integers(0, 23), max_size=2))
@@ -48,7 +48,7 @@ def seed_fact_lists(draw):
         if common and i not in lacking_common:
             bag["everywhere"] = draw(st.integers(1, 2))
         bags.append(bag)
-    return [(f"f{i:02d}", draw(st.integers(1, 5)), bag) for i, bag in enumerate(bags)]
+    return seed_facts((f"f{i:02d}", draw(st.integers(1, 5)), bag) for i, bag in enumerate(bags))
 
 
 THRESHOLDS = st.one_of(
@@ -111,15 +111,11 @@ class TestSeedFactSimilarity:
 
 class TestBuildProblem:
     def test_threshold_above_everything_gives_edgeless_graph(self):
-        problem = build_problem(
-            [(f.id, 1, f.tokens) for f in toy_facts()], prune_threshold=1e9
-        )
+        problem = build_problem(toy_facts(), prune_threshold=1e9)
         assert problem.sim == {}
 
     def test_threshold_zero_keeps_nonzero_pairs(self):
-        problem = build_problem(
-            [(f.id, 1, f.tokens) for f in toy_facts()], prune_threshold=1e-12
-        )
+        problem = build_problem(toy_facts(), prune_threshold=1e-12)
         # f4 shares nothing with anyone; all other pairs share at least "zoka"
         ids = {frozenset((i, k)) for i, k in problem.sim}
         assert frozenset((0, 3)) not in ids
@@ -128,10 +124,10 @@ class TestBuildProblem:
 
     def test_edges_respect_threshold(self):
         rng = random.Random(3)
-        texts = [
+        texts = seed_facts(
             (i, rng.randint(1, 5), " ".join(rng.choices("zoka flerb drant mulo vask".split(), k=4)))
             for i in range(12)
-        ]
+        )
         threshold = 0.8
         problem = build_problem(texts, prune_threshold=threshold)
         assert problem.sim
@@ -141,8 +137,8 @@ class TestBuildProblem:
 
     @given(facts=seed_fact_lists(), threshold=THRESHOLDS)
     @example(facts=[], threshold=0.0)
-    @example(facts=[("f0", 1, Counter({"zoka": 2}))], threshold=-1.0)
-    @example(facts=[("f0", 1, Counter({"zoka": 1})), ("f1", 2, Counter({"zoka": 2}))],
+    @example(facts=seed_facts([("f0", 1, Counter({"zoka": 2}))]), threshold=-1.0)
+    @example(facts=seed_facts([("f0", 1, Counter({"zoka": 1})), ("f1", 2, Counter({"zoka": 2}))]),
              threshold=0.0)
     @settings(max_examples=200, deadline=None)
     def test_postings_build_equals_all_pairs(self, facts, threshold):
@@ -156,11 +152,7 @@ class TestBuildProblem:
 
     def test_targets_must_sum_to_one(self):
         with pytest.raises(HopkitError, match="sum to 1"):
-            build_problem([("f", 1, Counter({"a": 1}))], targets=(0.5, 0.3, 0.3))
-
-    def test_accepts_raw_text(self):
-        problem = build_problem([("f", 2, "zoka flerb")])
-        assert problem.facts[0].tokens == Counter({"zoka": 1, "flerb": 1})
+            build_problem(seed_facts([("f", 1, Counter({"a": 1}))]), targets=(0.5, 0.3, 0.3))
 
     def test_question_count_validated(self):
         with pytest.raises(ValueError):
