@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
@@ -82,13 +83,17 @@ def _load_index(args) -> InvertedIndex:
 
 
 def _make_scorer(spec: str, args):
-    if spec == "ir":
+    """The scorer a --scorer spec names; a bare "ir" reads the command's own
+    --index or --corpus, so it is a spec only where the command takes them."""
+    takes_index = hasattr(args, "index")
+    if spec == "ir" and takes_index:
         return IRScorer(_load_index(args))
     if spec.startswith("ir:"):
         return IRScorer(load_snapshot(_resolve_snapshot(spec[3:])), name=spec)
     if spec.startswith("file:"):
         return FileScorer(spec[5:], name=spec)
-    raise HopkitError(f"unknown scorer spec {spec!r}; use ir, ir:SNAPSHOT, or file:PATH")
+    specs = "ir, ir:SNAPSHOT, or file:PATH" if takes_index else "ir:SNAPSHOT or file:PATH"
+    raise HopkitError(f"unknown scorer spec {spec!r} for this command; use {specs}")
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +224,20 @@ def _ranked_from_json(row: dict) -> tuple[str, list[str]]:
     return require_type(row["id"], str, "id"), texts
 
 
+def _rows_by_id(path, parse, dataset) -> dict:
+    """{question id: value} of a pools or ranked file, ``parse(row)`` giving
+    (id, value).  A row whose id is not in dataset or repeats an earlier
+    row's is a bad row, so no row is dropped or overwritten unseen."""
+
+    def parse_known(row: dict):
+        qid, value = parse(row)
+        if qid not in dataset:
+            raise ValueError(f"unknown question id {qid!r}")
+        return qid, value
+
+    return dict(read_jsonl(path, parse_known, key=itemgetter(0)))
+
+
 class _ScoreMap:
     """One scorer's scores on one question: each text is scored once, and
     pruning and ranking both read the kept value.  The scorer's name carries
@@ -239,12 +258,10 @@ def cmd_distract_rank(args) -> int:
     if args.prune_top < 0:
         raise HopkitError(f"--prune-top must be >= 0 (0 disables pruning), got {args.prune_top}")
     dataset = {q.id: q for q in load_questions(args.dataset)}
-    pools = dict(read_jsonl(args.pools, _pool_from_json))
+    pools = _rows_by_id(args.pools, _pool_from_json, dataset)
     scorers = [_make_scorer(spec, args) for spec in args.scorer]
     lines = []
     for qid in sorted(pools):
-        if qid not in dataset:
-            raise HopkitError(f"pool references unknown question id {qid!r}")
         question = dataset[qid]
         candidates = pools[qid]
         score_maps = [_ScoreMap(scorer) for scorer in scorers]
@@ -273,7 +290,7 @@ def cmd_distract_rank(args) -> int:
 
 def cmd_distract_assemble(args) -> int:
     dataset = load_questions(args.dataset)
-    ranked_by_id = dict(read_jsonl(args.ranked, _ranked_from_json))
+    ranked_by_id = _rows_by_id(args.ranked, _ranked_from_json, {q.id for q in dataset})
     assembled = []
     for question in sorted(dataset, key=lambda q: q.id):
         ranked = ranked_by_id.get(question.id, [])

@@ -32,22 +32,24 @@ STOPWORDS: frozenset[str] = _load_stopwords()
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _WS_RE = re.compile(r"\s+")
 
-# Entries in the token memo, the only memo in front of the stemmer.  Stemming
-# is pure and corpora repeat a small vocabulary (loading, snapshot rebuilds
-# and every stem_set call), so each token is stemmed once while memoised.
+# Entries in each memo of _NormalForms.  Stemming is pure and corpora repeat a
+# small vocabulary, so each token is stemmed once while memoised; the stages
+# ask stem_set about the same question, choice and fact texts again and again.
 STEM_CACHE_SIZE = 1 << 16
 
 
 class _NormalForms(dict):
     """Raw lowercase token -> its normalized stem, or "" for a token that
     normalizes to nothing, filled on demand under one stopword set and one
-    stemmer.  Cleared when it reaches STEM_CACHE_SIZE entries, so its
+    stemmer.  ``sets`` maps a text to its stem_set under the same two.
+    Each memo is cleared when it reaches STEM_CACHE_SIZE entries, so its
     memory stays bounded on any input."""
 
     def __init__(self, stopwords: frozenset[str], stemmer) -> None:
         super().__init__()
         self.stopwords = stopwords
         self.stemmer = stemmer
+        self.sets: dict[str, frozenset[str]] = {}
 
     def __missing__(self, token: str) -> str:
         form = "" if token in self.stopwords else self.stemmer(token)
@@ -62,6 +64,15 @@ class _NormalForms(dict):
 _normal_forms = _NormalForms(STOPWORDS, stem)
 
 
+def _current_forms() -> _NormalForms:
+    """The memos, rebuilt empty whenever STOPWORDS or the stemmer is rebound."""
+    global _normal_forms
+    forms = _normal_forms
+    if forms.stopwords is not STOPWORDS or forms.stemmer is not stem:
+        forms = _normal_forms = _NormalForms(STOPWORDS, stem)
+    return forms
+
+
 def tokenize_normalize(text: str) -> TokenBag:
     """Lowercase, split, drop stopwords, Porter-stem; counts preserved.
 
@@ -70,16 +81,23 @@ def tokenize_normalize(text: str) -> TokenBag:
     normalized once through a memo, which is rebuilt whenever STOPWORDS or
     the stemmer is rebound.
     """
-    global _normal_forms
-    forms = _normal_forms
-    if forms.stopwords is not STOPWORDS or forms.stemmer is not stem:
-        forms = _normal_forms = _NormalForms(STOPWORDS, stem)
+    forms = _current_forms()
     return Counter(filter(None, map(forms.__getitem__, _TOKEN_RE.findall(text.lower()))))
 
 
 def stem_set(text: str) -> frozenset[str]:
-    """Distinct normalized stems of a string."""
-    return frozenset(tokenize_normalize(text))
+    """Distinct normalized stems of a string, memoised per text beside the
+    token memo (same bound, rebuilt with it), so each stage can ask again
+    rather than keep its own copy.  A concurrent caller at worst tokenizes
+    a text again."""
+    sets = _current_forms().sets
+    stems = sets.get(text)
+    if stems is None:
+        stems = frozenset(tokenize_normalize(text))
+        if len(sets) >= STEM_CACHE_SIZE:
+            sets.clear()
+        sets[text] = stems
+    return stems
 
 
 def normalize_whitespace(text: str) -> str:

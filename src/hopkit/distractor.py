@@ -10,15 +10,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .corpus import stem_set
 from .errors import HopkitError, InsufficientCandidatesError
 from .qa import Choice, MCQuestion, Scorer, checked_score
-
-# Fact pairs whose stems are kept: enough for every question of a 10k fold,
-# so ranking a whole fold tokenizes each question's facts once.
-FACT_STEMS_CACHE_SIZE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -44,14 +39,11 @@ class DistractorCandidate:
 
 
 def _fact_stems(question: MCQuestion) -> frozenset[str]:
+    """Stems of both facts: no token spans the joining space, so this is
+    stem_set(fact1) | stem_set(fact2), memoised as one text."""
     if not question.fact1 or not question.fact2:
         raise HopkitError(f"question {question.id} is missing fact annotations")
-    return _pair_stems(question.fact1, question.fact2)
-
-
-@lru_cache(maxsize=FACT_STEMS_CACHE_SIZE)
-def _pair_stems(fact1: str, fact2: str) -> frozenset[str]:
-    return stem_set(fact1) | stem_set(fact2)
+    return stem_set(f"{question.fact1} {question.fact2}")
 
 
 def question_similarity(qa: MCQuestion, qb: MCQuestion) -> int:

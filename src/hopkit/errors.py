@@ -23,22 +23,32 @@ class SplitSizeError(HopkitError):
     pass
 
 
-def read_jsonl(path: str | Path, parse: Callable[[dict], object]) -> list:
+def read_jsonl(
+    path: str | Path, parse: Callable[[dict], object], key: Callable | None = None
+) -> list:
     """``parse(row)`` for every row of a JSON-lines file, in file order.
 
     Blank lines are skipped; every other line must be a JSON object.  Bad
     JSON (nesting too deep to decode included), a row that is not an
     object, and a KeyError, TypeError or ValueError raised by ``parse``
     become a HopkitError naming path:line, so a parse function only has to
-    say what is wrong with the row.
+    say what is wrong with the row.  With ``key``, a row whose
+    ``key(parse(row))`` repeats an earlier row's is a bad row too.
     """
     parsed = []
+    first_line: dict = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
-                parsed.append(parse(require_type(json.loads(line), dict, "row")))
+                value = parse(require_type(json.loads(line), dict, "row"))
+                if key is not None:
+                    row_key = key(value)
+                    if row_key in first_line:
+                        raise ValueError(f"id {row_key!r} repeats line {first_line[row_key]}")
+                    first_line[row_key] = lineno
+                parsed.append(value)
             except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise HopkitError(
                     f"{path}:{lineno}: bad row: {type(exc).__name__}: {exc}"

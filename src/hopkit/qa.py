@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
 
-from .corpus import TokenBag, stem_set, tokenize_normalize
+from .corpus import TokenBag, tokenize_normalize
 from .errors import HopkitError, read_jsonl, require_type
-from .index import InvertedIndex, search
-from .retrieval import query_tokens
+from .index import InvertedIndex
+from .retrieval import query_tokens, single_step
 
 
 @dataclass(frozen=True)
@@ -82,48 +82,27 @@ class Scorer(Protocol):
     def score(self, question: MCQuestion, choice_text: str) -> float: ...
 
 
-def ir_score(
-    index: InvertedIndex,
-    stem_text: str,
-    choice_text: str,
-    stem_stems: frozenset[str] | None = None,
-) -> float:
+def ir_score(index: InvertedIndex, stem_text: str, choice_text: str) -> float:
     """Highest score among sentences overlapping both the question stem and
-    the choice; 0.0 when nothing qualifies.
-
-    stem_stems, when given, must be stem_set(stem_text); IRScorer passes it
-    so that a question's candidates tokenize its stem once.  The query is the
-    union of the two stem sets: search reads only a query's distinct terms,
-    and no token spans the space query_tokens joins q and a with, so this is
-    set(query_tokens(stem_text, choice_text)).
-    """
-    if stem_stems is None:
-        stem_stems = stem_set(stem_text)
-    choice_stems = stem_set(choice_text)
-    hits = search(
-        index, stem_stems | choice_stems, 1, must_contain_any=(stem_stems, choice_stems)
-    )
+    the choice, the score of single_step's top hit; 0.0 when nothing
+    qualifies."""
+    hits = single_step(index, stem_text, choice_text, 1)
     return hits[0].score if hits else 0.0
 
 
 class IRScorer:
     """Retrieval-score baseline: answer with the highest scoring sentence.
 
-    Keeps the stems of the last question stem it scored, so a question's
-    candidates tokenize its stem once.  The (text, stems) pair is replaced
-    whole, so concurrent calls at worst tokenize a stem again.
+    Stateless over an immutable index, so safe for concurrent use; stem_set's
+    memo is what keeps a question's candidates from tokenizing its stem again.
     """
 
     def __init__(self, index: InvertedIndex, name: str = "ir"):
         self.index = index
         self.name = name
-        self._last_stem: tuple[str, frozenset[str]] = ("", frozenset())
 
     def score(self, question: MCQuestion, choice_text: str) -> float:
-        stem_text, stems = self._last_stem
-        if stem_text != question.stem:
-            stem_text, stems = self._last_stem = question.stem, stem_set(question.stem)
-        return ir_score(self.index, stem_text, choice_text, stems)
+        return ir_score(self.index, question.stem, choice_text)
 
 
 class FileScorer:

@@ -54,21 +54,22 @@ def single_step(
     m: int = 10,
     negation_filter: frozenset[str] | None = None,
 ) -> list[SearchHit]:
-    """Top-m hits for the combined query that overlap both q and a."""
-    return search(
-        index,
-        query_tokens(q, a),
-        m,
-        must_contain_any=(stem_set(q), stem_set(a)),
-        negation_filter=negation_filter,
-    )
+    """Top-m hits for the combined query that overlap both q and a.
+
+    The query is the union of the two stem sets: search reads only a
+    query's distinct terms, and no token spans the space query_tokens joins
+    q and a with, so this is set(query_tokens(q, a)).
+    """
+    q_stems, a_stems = stem_set(q), stem_set(a)
+    return search(index, q_stems | a_stems, m, must_contain_any=(q_stems, a_stems),
+                  negation_filter=negation_filter)
 
 
 def intermediate_diff(
-    query_bag: TokenBag, f1: Sentence
+    query: TokenBag | frozenset[str], f1: Sentence
 ) -> tuple[frozenset[str], frozenset[str]]:
     """Key-set differences (query minus sentence, sentence minus query)."""
-    q_keys = frozenset(query_bag)
+    q_keys = frozenset(query)
     f_keys = frozenset(f1.tokens)
     return q_keys - f_keys, f_keys - q_keys
 
@@ -91,13 +92,12 @@ def two_step(
     4. sort pairs by summed score (ties by ascending ids) and emit unique
        fact ids in pair order, first hop first, until m facts.
     """
-    query_bag = query_tokens(q, a)
-    first_hops = search(index, query_bag, params.k, negation_filter=negation_filter)
-    q_stems = stem_set(q)
-    a_stems = stem_set(a)
+    q_stems, a_stems = stem_set(q), stem_set(a)
+    query_stems = q_stems | a_stems
+    first_hops = search(index, query_stems, params.k, negation_filter=negation_filter)
     pairs: list[RetrievedPair] = []
     for hop in first_hops:
-        q_minus, f_minus = intermediate_diff(query_bag, index.corpus[hop.sentence_id])
+        q_minus, f_minus = intermediate_diff(query_stems, index.corpus[hop.sentence_id])
         if not q_minus or not f_minus:
             continue
         bridge_query: TokenBag = Counter(dict.fromkeys(q_minus | f_minus, 1))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 from .corpus import TokenBag, tokenize_normalize
@@ -382,8 +383,9 @@ def solve_heuristic(
 
 
 def load_facts_jsonl(path: str | Path) -> list[SeedFact]:
-    """Rows: {"id", "text", "questions"} (or "question_count")."""
-    return read_jsonl(path, _fact_from_json)
+    """Rows: {"id", "text", "questions"} (or "question_count").  Ids are
+    read as strings and must be distinct, so 7 and "7" are one id."""
+    return read_jsonl(path, _fact_from_json, key=attrgetter("id"))
 
 
 def _fact_from_json(row: dict) -> SeedFact:

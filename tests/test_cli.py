@@ -555,6 +555,17 @@ class TestMalformedInputs:
         assert err["error"] == "HopkitError"
         assert f"{pools}:2:" in err["message"]
 
+    @pytest.mark.parametrize("spec", ["ir", "bogus"])
+    def test_rank_names_the_scorer_specs_it_takes(self, tmp_path, spec, capsys):
+        dataset = fold_dataset(tmp_path)
+        pools = tmp_path / "pools.jsonl"
+        pools.write_text(json.dumps({"id": "q001", "candidates": []}) + "\n", "utf-8")
+        code = main(["distract", "rank", "--dataset", str(dataset), "--pools", str(pools),
+                     "--scorer", spec])
+        assert code == 1
+        message = json.loads(capsys.readouterr().err.strip())["message"]
+        assert f"{spec!r}" in message and message.endswith("use ir:SNAPSHOT or file:PATH")
+
 
 class TestUsageErrors:
     def test_unknown_subcommand_exits_2(self):
@@ -813,9 +824,18 @@ class TestInputContract:
             ("eval accuracy", "scores", {"label": "A", "score": 1.0}),
             ("eval accuracy", "dataset", {"id": "q9", "question": "x", "answerKey": "A"}),
             ("validate", "dataset", "[" * 100_000),
+            ("distract rank", "pools", {"id": "q000", "candidates": [{"text": "answer001"}]}),
+            ("distract assemble", "ranked", {"id": "q000", "ranked": []}),
+            ("distract assemble", "ranked", {"id": "qX", "ranked": []}),
+            ("split solve", "facts", {"id": "f0", "text": "wind energy", "questions": 1}),
+            ("split solve", "facts", '{"id": 7, "text": "wind", "questions": 1}\n'
+                                     '{"id": "7", "text": "heat", "questions": 1}'),
         ],
         ids=["ranked row without ranked", "facts row not an object", "facts text not a string",
-             "scores row without id", "question not an object", "nesting too deep"],
+             "scores row without id", "question not an object", "nesting too deep",
+             "pools row repeating an id", "ranked row repeating an id",
+             "ranked row with an unknown id", "facts row repeating an id",
+             "facts ids 7 and '7'"],
     )
     def test_reproduced_crashes(self, contract_files, tmp_path, command, target, line):
         bad = tmp_path / contract_files[target].name

@@ -1,4 +1,6 @@
+import ast
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hopkit.corpus import (
     load_corpus,
     normalize_whitespace,
     segment_sentences,
+    stem_set,
     tokenize_normalize,
 )
 
@@ -232,6 +235,13 @@ class TestIngestMatchesOracles:
 
     @given(ingest_texts)
     @settings(max_examples=400, deadline=None)
+    def test_memoised_stem_set(self, text):
+        want = frozenset(reference_tokenize(text))
+        assert stem_set(text) == want
+        assert stem_set(text) == want  # second call is served by the set memo
+
+    @given(ingest_texts)
+    @settings(max_examples=400, deadline=None)
     def test_clean_filter(self, text):
         assert clean_filter(text) == reference_clean_filter(text)
 
@@ -311,10 +321,13 @@ class TestIngestMatchesOracles:
 
     def test_rebinding_stopwords_takes_effect_after_memoising(self, monkeypatch):
         assert tokenize_normalize("wind") == Counter({"wind": 1})
+        assert stem_set("wind heat") == {"wind", "heat"}
         monkeypatch.setattr(hopkit.corpus, "STOPWORDS", STOPWORDS | {"wind"})
         assert tokenize_normalize("wind heat") == Counter({"heat": 1})
+        assert stem_set("wind heat") == {"heat"}
         monkeypatch.undo()
         assert tokenize_normalize("wind heat") == Counter({"wind": 1, "heat": 1})
+        assert stem_set("wind heat") == {"wind", "heat"}
 
     def test_memo_stays_bounded(self, monkeypatch):
         monkeypatch.setattr(hopkit.corpus, "STEM_CACHE_SIZE", 8)
@@ -322,3 +335,25 @@ class TestIngestMatchesOracles:
         text += " doing the running"
         assert list(tokenize_normalize(text).items()) == list(reference_tokenize(text).items())
         assert len(hopkit.corpus._normal_forms) <= 8
+        for word in text.split():
+            assert stem_set(word) == frozenset(reference_tokenize(word))
+            assert len(hopkit.corpus._normal_forms.sets) <= 8
+
+
+def test_corpus_owns_every_memo():
+    """No module but corpus memoises: stem_set and the token memo live on
+    one object that a rebound STOPWORDS or stemmer rebuilds, which a
+    functools cache elsewhere would outlive."""
+    src = Path(hopkit.corpus.__file__).parent
+    uses = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = {node.attr} if node.value.id == "functools" else set()
+            else:
+                continue
+            uses += [f"{path.name}:{node.lineno}: {name}"
+                     for name in sorted(names & {"lru_cache", "cache"})]
+    assert uses == []

@@ -118,11 +118,10 @@ class TestIRScoreQuery:
     def test_matches_reference_bit_for_bit(self, index, q, a):
         want = reference_ir_score(index, q, a).hex()
         assert ir_score(index, q, a).hex() == want
-        assert ir_score(index, q, a, stem_set(q)).hex() == want
 
     @given(ir_indexes, st.lists(st.tuples(stem_texts, ir_texts), max_size=12))
     @settings(max_examples=200, deadline=None)
-    def test_scorer_keeping_the_last_stem_matches_reference(self, index, calls):
+    def test_scorer_across_changing_stems_matches_reference(self, index, calls):
         scorer = IRScorer(index)
         for stem_text, choice in calls:
             question = make_question("q", stem_text, "answer")
