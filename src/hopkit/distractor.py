@@ -8,6 +8,7 @@ them over the correct answer.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -25,8 +26,9 @@ class AdversarialConfig:
 
     def __post_init__(self) -> None:
         for name in ("pool_dissimilar_n", "token_slack", "char_ratio_slack", "target_ways"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass

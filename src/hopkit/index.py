@@ -1,8 +1,10 @@
 """In-process inverted index with BM25 ranking.
 
 The index is rebuild-only: corpora are static per experiment, so there are
-no incremental updates.  After build it is immutable and safe for
-concurrent searches without synchronization.
+no incremental updates.  After build its postings and statistics never
+change.  The per-term max-impact memo that pruned searches read is derived
+state, filled on first use; a fill stores the value any search would
+compute, so concurrent searches stay safe without synchronization.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 import os
 import re
 import struct
+from collections.abc import ItemsView
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,12 +39,17 @@ class SearchHit:
 
 
 class InvertedIndex:
-    """Postings over a Corpus plus the statistics BM25 needs."""
+    """Postings over a Corpus plus the statistics BM25 needs.
+
+    ``postings[term]`` is the items view of a dict from doc id to tf, in
+    ascending id order: it iterates as (doc id, tf) pairs, and its dict's
+    key view intersects with sets in C.
+    """
 
     def __init__(
         self,
         corpus: Corpus,
-        postings: dict[str, list[tuple[int, int]]],
+        postings: dict[str, ItemsView[int, int]],
         doc_len: list[int],
     ):
         self.corpus = corpus
@@ -55,23 +63,39 @@ class InvertedIndex:
             for term, plist in postings.items()
             if plist
         }
+        # Derived state filled on first use: a term's largest contribution.
+        self._max_impact: dict[str, float] = {}
 
     def idf(self, term: str) -> float:
         """BM25 idf of a term; 0.0 for a term no document holds."""
         return self._idf.get(term, 0.0)
 
+    def max_impact(self, term: str) -> float:
+        """The largest bm25_term_score of an indexed term over its postings."""
+        impact = self._max_impact.get(term)
+        if impact is None:
+            idf, doc_len, avg_len = self.idf(term), self.doc_len, self.avg_len
+            impact = max(
+                bm25_term_score(tf, idf, doc_len[doc_id], avg_len)
+                for doc_id, tf in self.postings[term]
+            )
+            self._max_impact[term] = impact
+        return impact
+
 
 def build_index(corpus: Corpus) -> InvertedIndex:
-    postings: dict[str, list[tuple[int, int]]] = {}
+    postings: dict = {}
     doc_len = []
     for sentence in corpus.sentences:
         doc_len.append(sum(sentence.tokens.values()))
         for term, tf in sentence.tokens.items():
-            plist = postings.get(term)
-            if plist is None:
-                postings[term] = [(sentence.id, tf)]
+            docs = postings.get(term)
+            if docs is None:
+                postings[term] = {sentence.id: tf}
             else:
-                plist.append((sentence.id, tf))
+                docs[sentence.id] = tf
+    for term, docs in postings.items():
+        postings[term] = docs.items()
     return InvertedIndex(corpus, postings, doc_len)
 
 
@@ -96,13 +120,23 @@ def search(
     break by ascending sentence id.  Scores accumulate in sorted term
     order so reruns and the naive reference scan agree bit for bit.
 
-    A constrained search is evaluated candidate-first: it takes the
-    documents of whichever side has fewer postings, keeps those whose
-    token bag meets the other side, and scores only those survivors.  A
-    survivor's score adds the same per-term contributions, read from its
-    token bag, in the same sorted term order as the full posting scan, so
-    both evaluations give identical floats: build_index derives every
-    index's postings from those same bags.
+    A constrained search is evaluated candidate-first: it finds the
+    documents meeting both sides by set algebra over the postings, and
+    scores each from its token bag, adding the same per-term contributions
+    in the same sorted term order as the full posting scan, so both give
+    identical floats: build_index derives the postings from those bags.
+
+    With top_n, no negation_filter and more than top_n survivors per
+    query term, a constrained search scores only the survivors whose
+    bound, the sum of the max impacts of the query terms they hold,
+    reaches a floor that falls until the top_n-th best score theta found
+    so far satisfies theta * (1 - 1e-9) >= floor.  This is exact.  Every contribution is at most its term's max impact, and
+    float addition is monotone, so a score is at most its bound up to the
+    rounding of summing the same terms in another order: a relative error
+    far below 1e-9 for any real query.  An unscored survivor therefore
+    scores strictly below theta, and can neither enter the top_n nor tie
+    with a hit at theta; a survivor that does tie at theta has a bound
+    above the floor and is scored, so ties still break by id.
     """
     if top_n is not None and top_n <= 0:
         return []
@@ -110,7 +144,9 @@ def search(
         return []
     terms = sorted(set(query))
     if must_contain_any is not None:
-        scores = _score_constrained(index, terms, *must_contain_any)
+        scores = _score_constrained(
+            index, terms, *must_contain_any, None if negation_filter else top_n
+        )
     else:
         scores = {}
         for term in terms:
@@ -135,32 +171,92 @@ def search(
 
 
 def _score_constrained(
-    index: InvertedIndex, terms: list[str], side_a: frozenset[str], side_b: frozenset[str]
+    index: InvertedIndex,
+    terms: list[str],
+    side_a: frozenset[str],
+    side_b: frozenset[str],
+    top_n: int | None,
 ) -> dict[int, float]:
-    """Scores of the documents meeting both sides, found from the side with
-    fewer postings and accumulated from their token bags."""
+    """Scores of the documents meeting both sides; with top_n, of at least
+    those that can rank in the top_n (see search)."""
+    postings = index.postings
 
     def postings_total(side) -> int:
-        return sum(len(index.postings.get(term, ())) for term in side)
+        return sum(len(postings[term]) for term in side if term in postings)
 
     if postings_total(side_b) < postings_total(side_a):
         side_a, side_b = side_b, side_a
-    weighted = [(term, index.idf(term)) for term in terms if index.postings.get(term)]
-    sentences, doc_len, avg_len = index.corpus.sentences, index.doc_len, index.avg_len
+    pool = set().union(*(postings[term].mapping.keys() for term in side_a if term in postings))
+    sentences = index.corpus.sentences
+    if len(pool) <= len(side_b):
+        survivors = {doc_id for doc_id in pool if not side_b.isdisjoint(sentences[doc_id].tokens)}
+    else:
+        survivors = set().union(
+            *(postings[term].mapping.keys() & pool for term in side_b if term in postings)
+        )
+    if not survivors:
+        return {}
+    weighted = [(term, index.idf(term)) for term in terms if term in postings]
+    doc_len, avg_len = index.doc_len, index.avg_len
     scores: dict[int, float] = {}
-    for doc_id in {doc_id for term in side_a for doc_id, _ in index.postings.get(term, ())}:
-        bag = sentences[doc_id].tokens
-        if side_b.isdisjoint(bag):
+
+    def score(doc_ids) -> None:
+        for doc_id in doc_ids:
+            bag = sentences[doc_id].tokens
+            total = None
+            for term, idf in weighted:
+                tf = bag.get(term)
+                if tf:
+                    contrib = bm25_term_score(tf, idf, doc_len[doc_id], avg_len)
+                    total = contrib if total is None else total + contrib
+            if total is not None:
+                scores[doc_id] = total
+
+    # A pruning round makes at least one key-set intersection per query
+    # term, and scoring a survivor one bag lookup per term: with at most
+    # top_n survivors per term, scoring them all costs no more.
+    if top_n is None or not weighted or len(survivors) <= top_n * len(weighted):
+        score(survivors)
+        return scores
+    # Query terms by descending max impact, with the summed impact of each
+    # term and those after it.
+    ranked = sorted(((index.max_impact(term), term) for term, _ in weighted), reverse=True)
+    impacts = [impact for impact, _ in ranked]
+    term_docs = [postings[term].mapping.keys() for _, term in ranked]
+    tail = [0.0] * (len(ranked) + 1)
+    for i in range(len(ranked) - 1, -1, -1):
+        tail[i] = impacts[i] + tail[i + 1]
+
+    floor = tail[0]
+    while True:
+        # Survivors whose held terms' impacts sum to at least floor: each
+        # entry is (docs holding the terms taken so far, the next term to
+        # take or skip, the taken terms' summed impact).  That sum is below
+        # floor, so an entry past the last term stops at tail[-1] == 0.0.
+        reached: set[int] = set()
+        stack = [(survivors, 0, 0.0)]
+        while stack:
+            docs, i, bound = stack.pop()
+            if bound + tail[i] < floor:
+                continue
+            stack.append((docs, i + 1, bound))
+            held = term_docs[i] & docs
+            if not held:
+                continue
+            if bound + impacts[i] >= floor:
+                reached |= held
+            else:
+                stack.append((held, i + 1, bound + impacts[i]))
+        score(reached.difference(scores))
+        if floor <= impacts[-1]:
+            return scores  # every survivor holding a query term is scored
+        if len(scores) < top_n:
+            floor /= 2.0
             continue
-        score = None
-        for term, idf in weighted:
-            tf = bag.get(term)
-            if tf:
-                contrib = bm25_term_score(tf, idf, doc_len[doc_id], avg_len)
-                score = contrib if score is None else score + contrib
-        if score is not None:
-            scores[doc_id] = score
-    return scores
+        theta = heapq.nlargest(top_n, scores.values())[-1] * (1.0 - 1e-9)
+        if theta >= floor:
+            return scores
+        floor = theta
 
 
 # ---------------------------------------------------------------------------

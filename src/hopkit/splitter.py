@@ -284,6 +284,10 @@ def solve_heuristic(
     first feasible state visited is the one the full run would report, and
     the run stops there.
     """
+    if restarts < 1:
+        raise HopkitError(f"restarts must be >= 1, got {restarts}")
+    if iterations < 0:
+        raise HopkitError(f"iterations must be >= 0, got {iterations}")
     n = len(problem.facts)
     bounds = problem.mass_bounds()
     if n == 0:
@@ -306,7 +310,7 @@ def solve_heuristic(
             best_labels = labels.copy()
 
     edgeless = not problem.sim
-    for restart in range(max(1, restarts)):
+    for restart in range(restarts):
         if edgeless and best_key[0] == 0.0:
             break
         rng = random.Random(f"{seed}:{restart}")

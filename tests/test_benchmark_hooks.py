@@ -86,3 +86,54 @@ def test_traced_cli_runs_distract_and_split_with_question_spans(tmp_path):
     report = json.loads(result.stdout.splitlines()[-1])
     assert report["codes"] == [0] * len(commands), result.stderr
     assert report["qids"] == {"distractor.prune": ids, "distractor.rank": ids}
+
+
+_TRACED_RETRIEVAL = """
+import json, tracing
+tracer = tracing.Tracer({})
+tracer.install()
+from hopkit.cli import main
+codes = [main(argv) for argv in json.loads(COMMANDS)]
+searches = [(tracer.spans[span[3]][0] if span[3] >= 0 else "", span[5])
+            for span in tracer.spans if span[0] == "index.search"]
+metrics = tracing.aggregate(tracer)
+print(json.dumps({"codes": codes, "searches": searches,
+                  "bridges": metrics["index.search_calls.bridge"][0]}))
+"""
+
+
+def test_traced_cli_runs_index_retrieve_and_recall_with_search_spans(tmp_path):
+    # _keep_search reads index.postings of a real index built by the CLI
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(
+        "Differential heating of air produces wind.\n"
+        "Wind is used for producing electricity.\n"
+        "Solar panels convert light into electricity.\n"
+        "Heating water produces steam for turbines.\n"
+        "Wind turbines spin in moving air.\n", "utf-8")
+    dataset = tmp_path / "questions.jsonl"
+    save_questions([make_question(
+        "q0", "Differential heating of air can be harnessed for what?",
+        "electricity production", ["steam", "light"],
+        fact1="Differential heating of air produces wind.",
+        fact2="Wind is used for producing electricity.")], dataset)
+    idx = tmp_path / "idx"
+    commands = [
+        ["index", "build", "--corpus", str(corpus), "--out", str(idx)],
+        ["retrieve", "--index", str(idx), "--mode", "two",
+         "--question", "Differential heating of air can be harnessed for what?",
+         "--answer", "electricity production", "--out", str(tmp_path / "retrieved.jsonl")],
+        ["eval", "recall", "--index", str(idx), "--dataset", str(dataset), "--mode", "two",
+         "--out", str(tmp_path / "recall.tsv")],
+    ]
+    result = _run_traced(f"COMMANDS = {json.dumps(commands)!r}\n" + _TRACED_RETRIEVAL)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report["codes"] == [0] * len(commands), result.stderr
+    searches = report["searches"]
+    assert searches and report["bridges"] > 0
+    assert {parent for parent, _ in searches} == {"retrieval.two_step"}
+    for _, (constrained, hits, scanned, scored) in searches:
+        assert 0 <= hits <= scored <= scanned
+    assert any(constrained for _, (constrained, *_) in searches)
+    assert all(scanned > 0 for _, (_, _, scanned, _) in searches)

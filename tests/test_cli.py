@@ -845,3 +845,23 @@ class TestInputContract:
         payload = assert_domain_error(code, err)
         assert payload["error"] == "HopkitError"
         assert f"{bad}:" in payload["message"]
+
+    @pytest.mark.parametrize(
+        "command, option, value, named",
+        [
+            ("distract gen", "--char-slack", "nan", "char_ratio_slack"),
+            ("distract gen", "--char-slack", "inf", "char_ratio_slack"),
+            ("split solve", "--restarts", "0", "restarts"),
+            ("split solve", "--restarts", "-1", "restarts"),
+            ("split solve", "--iterations", "-1", "iterations"),
+        ],
+    )
+    def test_out_of_range_option_is_named(self, contract_files, tmp_path, command, option,
+                                          value, named):
+        # a value the option cannot take exits 1 naming the option; it is
+        # neither clamped nor blamed on the input files
+        files = dict(contract_files, split=tmp_path / "split" / "out")
+        code, err = run_quietly(COMMANDS[command](files) + [option, value])
+        payload = assert_domain_error(code, err)
+        assert payload["message"].startswith(f"{named} must be ")
+        assert not files["split"].parent.exists()

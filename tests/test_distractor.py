@@ -433,3 +433,9 @@ class TestAssemble8Way:
 def test_config_validates_positive():
     with pytest.raises(ValueError):
         AdversarialConfig(token_slack=0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_values_by_name(value):
+    with pytest.raises(ValueError, match="char_ratio_slack must be finite"):
+        AdversarialConfig(char_ratio_slack=value)

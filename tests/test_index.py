@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import itertools
 import math
 import random
 import struct
@@ -16,6 +17,7 @@ from hopkit.errors import SnapshotError
 from hopkit.index import (
     MAGIC,
     NEGATION_TOKENS,
+    _score_constrained,
     bm25_term_score,
     build_index,
     load_snapshot,
@@ -23,8 +25,21 @@ from hopkit.index import (
     write_snapshot,
 )
 
-from conftest import query_words, random_corpus, random_query, small_corpora
+from conftest import STEM_WORDS, query_words, random_corpus, random_query, small_corpora
 from oracles import naive_search
+
+
+@st.composite
+def tied_corpora(draw) -> Corpus:
+    """Sentences that are word-order permutations of a few word lists: each
+    permutation is its own sentence with the same bag, so whole groups of
+    sentences tie at every query's score."""
+    texts = []
+    for words in draw(st.lists(st.lists(st.sampled_from(STEM_WORDS), min_size=1, max_size=10),
+                               min_size=1, max_size=8)):
+        copies = draw(st.integers(1, 10))
+        texts += [" ".join(draw(st.permutations(words))) + "." for _ in range(copies)]
+    return Corpus.from_texts(texts)
 
 
 def toy_corpus():
@@ -41,9 +56,9 @@ class TestBuild:
     def test_toy_postings(self):
         index = build_index(toy_corpus())
         assert index.n_docs == 3
-        assert index.postings["wind"] == [(0, 1), (1, 1)]
-        assert index.postings["power"] == [(1, 2)]
-        assert index.postings["solar"] == [(1, 1), (2, 1)]
+        assert list(index.postings["wind"]) == [(0, 1), (1, 1)]
+        assert list(index.postings["power"]) == [(1, 2)]
+        assert list(index.postings["solar"]) == [(1, 1), (2, 1)]
         assert index.doc_len == [4, 5, 4]
         assert index.avg_len == pytest.approx(13 / 3)
 
@@ -191,6 +206,69 @@ class TestSearch:
         if top_n is not None:
             want = want[:top_n]
         assert [(h.sentence_id, h.score) for h in got] == want
+
+    @given(
+        corpus=tied_corpora(),
+        query=st.frozensets(st.sampled_from(STEM_WORDS), min_size=1, max_size=6),
+        inside=st.booleans(),
+        top_n=st.integers(1, 5),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_pruned_top_n_equals_naive_scan_with_ties(self, corpus, query, inside, top_n, data):
+        # sides inside the query are the two_step/single_step shape, where
+        # pruning engages; sides outside it leave no survivor a query term,
+        # so the floor must fall below every impact and stop
+        words = sorted(query) if inside else sorted(set(STEM_WORDS) - query)
+        side = st.frozensets(st.sampled_from(words), min_size=1)
+        sides = (data.draw(side), data.draw(side))
+        got = search(build_index(corpus), Counter(query), top_n, must_contain_any=sides)
+        want = naive_search(corpus, Counter(query), top_n, must_contain_any=sides)
+        assert [(h.sentence_id, h.score) for h in got] == want
+
+    def test_pruned_search_scores_only_what_can_rank(self):
+        # 40 permutations of one bag hold "wind" in longer sentences than
+        # the one sentence holding every query term, so only that one can
+        # reach the top-1 and the rest are never scored
+        others = [" ".join(p) + "." for p in
+                  itertools.islice(itertools.permutations(["wind", *STEM_WORDS[4:]]), 40)]
+        corpus = Corpus.from_texts(["wind heat air.", *others])
+        index = build_index(corpus)
+        terms, sides = ["air", "heat", "wind"], (frozenset({"wind"}), frozenset({"wind"}))
+        assert len(_score_constrained(index, terms, *sides, None)) == 41
+        assert list(_score_constrained(index, terms, *sides, 1)) == [0]
+        hits = search(index, Counter(terms), 1, must_contain_any=sides)
+        assert [(h.sentence_id, h.score) for h in hits] == naive_search(
+            corpus, terms, 1, must_contain_any=sides)
+
+    def test_pruning_scores_past_a_first_round_of_weak_hits(self):
+        # the long sentence holds both query terms, so its bound is the
+        # highest and the first round scores only it; each short sentence
+        # has a lower bound but a higher score, so stopping after that
+        # round would return the wrong top hit
+        long = "wind heat " + "rock sand soil tree cloud " * 2
+        corpus = Corpus.from_texts(["wind rock.", "heat sand.", long])
+        terms = ["heat", "wind"]
+        sides = (frozenset(terms), frozenset(terms))
+        want = naive_search(corpus, terms, 1, must_contain_any=sides)
+        assert want[0][0] == 0
+        hits = search(build_index(corpus), Counter(terms), 1, must_contain_any=sides)
+        assert [(h.sentence_id, h.score) for h in hits] == want
+
+    def test_negation_filter_with_top_n_takes_the_next_hit(self):
+        corpus = Corpus.from_texts(
+            ["wind heat not.", "wind heat rain.", "wind rock.", "heat sand."]
+        )
+        index = build_index(corpus)
+        sides = (frozenset({"wind"}), frozenset({"heat"}))
+        query = Counter({"wind": 1, "heat": 1})
+        plain = search(index, query, 1, must_contain_any=sides)
+        filtered = search(index, query, 1, must_contain_any=sides,
+                          negation_filter=NEGATION_TOKENS)
+        assert [h.sentence_id for h in plain] == [0]
+        assert [(h.sentence_id, h.score) for h in filtered] == naive_search(
+            corpus, query, None, must_contain_any=sides)[1:2]
+        assert [h.sentence_id for h in filtered] == [1]
 
     def test_scores_are_pure_in_declared_statistics(self):
         # rebuilding over a superset corpus changes only (N, avg_len, df);

@@ -265,7 +265,7 @@ class TestSolveHeuristic:
         edge_seed=st.one_of(st.none(), st.integers(0, 2**16)),
         seed=st.integers(0, 3),
         iterations=st.integers(0, 300),
-        restarts=st.integers(0, 4),
+        restarts=st.integers(1, 4),
     )
     @settings(max_examples=150, deadline=None)
     def test_matches_the_full_annealing_run(
@@ -284,6 +284,13 @@ class TestSolveHeuristic:
         got = solve_heuristic(problem, seed, iterations, restarts)
         want = annealing_solve_heuristic(problem, seed, iterations, restarts)
         assert (got.to_json(), got.objective) == (want.to_json(), want.objective)
+
+    @pytest.mark.parametrize("option, value", [("restarts", 0), ("restarts", -1),
+                                               ("iterations", -1)])
+    def test_rejects_out_of_range_runs_by_name(self, option, value):
+        problem = random_split_instance(random.Random(5), 6)
+        with pytest.raises(HopkitError, match=f"{option} must be >= "):
+            solve_heuristic(problem, **{option: value})
 
     def test_edgeless_default_run_matches_the_full_annealing_run(self):
         problem = random_split_instance(random.Random(13), 14)
