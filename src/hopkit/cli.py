@@ -43,6 +43,7 @@ from .qa import (
 from .retrieval import RetrievalParams, recall_report, single_step, two_step
 from .splitter import (
     build_problem,
+    check_annealing_runs,
     load_facts_jsonl,
     problem_to_json,
     solve_exact,
@@ -308,6 +309,7 @@ def cmd_distract_assemble(args) -> int:
 
 
 def cmd_split_solve(args) -> int:
+    check_annealing_runs(args.iterations, args.restarts)
     facts = load_facts_jsonl(args.facts)
     if not facts:
         raise HopkitError(f"{args.facts}: no seed facts to split")

@@ -57,7 +57,9 @@ def read_jsonl(
 
 
 def require_type(value, kind: type, what: str):
-    """``value`` if it is a ``kind``; TypeError naming ``what`` otherwise."""
-    if not isinstance(value, kind):
+    """``value`` if it is a ``kind``; TypeError naming ``what`` otherwise.
+    JSON true and false are bools, which Python counts as ints; they are
+    never taken for a number."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise TypeError(f"{what} must be {kind.__name__}, got {type(value).__name__}")
     return value

@@ -22,9 +22,9 @@ from hopkit.qa import checked_score
 from hopkit.retrieval import RetrievalParams, RetrievedPair, query_tokens
 from hopkit.splitter import (
     FoldAssignment,
+    SeedFact,
     SplitProblem,
     _assignment,
-    _greedy_labels,
     _masses,
     _violation,
     cross_fold_objective,
@@ -300,7 +300,72 @@ def reference_clean_filter(candidate: str) -> CleanResult:
 
 
 # ---------------------------------------------------------------------------
-# Split annealing without the early stop
+# Split packing and annealing
+
+
+def frozen_greedy_labels(problem: SplitProblem) -> list[int]:
+    """The fact-by-fact greedy start the annealing used before components:
+    largest fact first, each to the fold with the largest remaining deficit.
+    On an edgeless problem the component packing must equal it."""
+    q = problem.total_questions
+    deficits = [t * q for t in problem.fold_targets]
+    labels = [0] * len(problem.facts)
+    for i in sorted(range(len(problem.facts)),
+                    key=lambda i: (-problem.facts[i].question_count, i)):
+        fold = max(range(3), key=lambda j: deficits[j])
+        labels[i] = fold
+        deficits[fold] -= problem.facts[i].question_count
+    return labels
+
+
+def flood_fill_components(problem: SplitProblem) -> list[list[int]]:
+    """Components of the positive-weight edges by repeated flood fill, each
+    sorted, listed by smallest fact index."""
+    neighbours: dict[int, set[int]] = {i: set() for i in range(len(problem.facts))}
+    for (i, k), value in problem.sim.items():
+        if value > 0.0:
+            neighbours[i].add(k)
+            neighbours[k].add(i)
+    seen: set[int] = set()
+    components = []
+    for start in range(len(problem.facts)):
+        if start in seen:
+            continue
+        component, frontier = {start}, [start]
+        while frontier:
+            for other in neighbours[frontier.pop()] - component:
+                component.add(other)
+                frontier.append(other)
+        seen |= component
+        components.append(sorted(component))
+    return components
+
+
+def greedy_component_labels(problem: SplitProblem) -> list[int]:
+    """Whole components, heaviest first (ties by smallest fact index), each
+    to the fold with the largest remaining deficit."""
+    q = problem.total_questions
+    deficits = [t * q for t in problem.fold_targets]
+    labels = [0] * len(problem.facts)
+    weighed = [(sum(problem.facts[i].question_count for i in c), c)
+               for c in flood_fill_components(problem)]
+    for mass, component in sorted(weighed, key=lambda mc: (-mc[0], mc[1][0])):
+        fold = max(range(3), key=lambda j: deficits[j])
+        for i in component:
+            labels[i] = fold
+        deficits[fold] -= mass
+    return labels
+
+
+def zero_cut_packing_exists(problem: SplitProblem) -> bool:
+    """Whether some split keeps every positive-weight component whole and
+    every fold mass in bounds: each component becomes one edgeless fact and
+    ``enumerate_split`` scans all 3^components assignments."""
+    contracted = [
+        SeedFact(f"c{c[0]}", sum(problem.facts[i].question_count for i in c), Counter())
+        for c in flood_fill_components(problem)
+    ]
+    return enumerate_split(SplitProblem(contracted, {}, problem.fold_targets, problem.slack))[2]
 
 
 def annealing_solve_heuristic(
@@ -309,7 +374,9 @@ def annealing_solve_heuristic(
     iterations: int = 20000,
     restarts: int = 10,
 ) -> FoldAssignment:
-    """solve_heuristic running every restart and iteration, edges or none."""
+    """The annealing on its own: every restart and iteration runs, whether or
+    not a packing of whole components would cut nothing.  Restart 0 starts
+    from the greedy component packing."""
     n = len(problem.facts)
     bounds = problem.mass_bounds()
     if n == 0:
@@ -334,7 +401,7 @@ def annealing_solve_heuristic(
     for restart in range(max(1, restarts)):
         rng = random.Random(f"{seed}:{restart}")
         if restart == 0:
-            labels = _greedy_labels(problem)
+            labels = greedy_component_labels(problem)
         else:
             labels = [rng.randrange(3) for _ in range(n)]
         masses = _masses(problem, labels)

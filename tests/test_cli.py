@@ -661,7 +661,8 @@ ROW_FORMATS = {
     "facts": (
         {"id": "f9", "text": "wind energy turbine", "questions": 3},
         [("id",), ("text",)],
-        [(("text",), _is_str), (("questions",), lambda v: isinstance(v, int))],
+        [(("text",), _is_str),
+         (("questions",), lambda v: isinstance(v, int) and not isinstance(v, bool))],
     ),
 }
 
@@ -688,6 +689,8 @@ COMMANDS = {
                                     "--ranked", f["ranked"], "--seed", "1", "--ways", "4"],
     "split solve": lambda f: ["split", "solve", "--facts", f["facts"], "--heuristic",
                               "--iterations", "50", "--restarts", "1", "--out", f["split"]],
+    "split solve --exact": lambda f: ["split", "solve", "--facts", f["facts"], "--exact",
+                                      "--out", f["split"]],
     "validate": lambda f: ["validate", "--dataset", f["dataset"]],
 }
 READS = [
@@ -830,12 +833,13 @@ class TestInputContract:
             ("split solve", "facts", {"id": "f0", "text": "wind energy", "questions": 1}),
             ("split solve", "facts", '{"id": 7, "text": "wind", "questions": 1}\n'
                                      '{"id": "7", "text": "heat", "questions": 1}'),
+            ("split solve", "facts", {"id": "f9", "text": "wind", "questions": True}),
         ],
         ids=["ranked row without ranked", "facts row not an object", "facts text not a string",
              "scores row without id", "question not an object", "nesting too deep",
              "pools row repeating an id", "ranked row repeating an id",
              "ranked row with an unknown id", "facts row repeating an id",
-             "facts ids 7 and '7'"],
+             "facts ids 7 and '7'", "facts questions a bool"],
     )
     def test_reproduced_crashes(self, contract_files, tmp_path, command, target, line):
         bad = tmp_path / contract_files[target].name
@@ -854,6 +858,9 @@ class TestInputContract:
             ("split solve", "--restarts", "0", "restarts"),
             ("split solve", "--restarts", "-1", "restarts"),
             ("split solve", "--iterations", "-1", "iterations"),
+            ("split solve --exact", "--restarts", "0", "restarts"),
+            ("split solve --exact", "--restarts", "-1", "restarts"),
+            ("split solve --exact", "--iterations", "-1", "iterations"),
         ],
     )
     def test_out_of_range_option_is_named(self, contract_files, tmp_path, command, option,

@@ -21,12 +21,23 @@ from hopkit.splitter import (
     cross_fold_objective,
     idf_table,
     seed_fact_similarity,
+    _components,
+    _greedy_packing,
+    _masses,
+    _violation,
     solve_exact,
     solve_heuristic,
 )
 
 from conftest import random_split_instance, seed_facts
-from oracles import annealing_solve_heuristic, brute_build_problem, enumerate_split
+from oracles import (
+    annealing_solve_heuristic,
+    brute_build_problem,
+    enumerate_split,
+    frozen_greedy_labels,
+    greedy_component_labels,
+    zero_cut_packing_exists,
+)
 
 WORDS = "zoka flerb drant mulo vask grinta binda wopple tesk yorn quib lemmo".split()
 
@@ -280,10 +291,72 @@ class TestSolveHeuristic:
                 for i in range(len(facts)) for k in range(i + 1, len(facts))
                 if rng.random() < 0.3
             }
+        """Where some split keeps every component whole within the mass
+        bounds, the solver returns a feasible split with objective exactly
+        0.0; everywhere else it is the full annealing run, bit for bit."""
         problem = SplitProblem(facts, sim, slack=slack)
         got = solve_heuristic(problem, seed, iterations, restarts)
-        want = annealing_solve_heuristic(problem, seed, iterations, restarts)
+        zero_cut = zero_cut_packing_exists(problem)
+        if len(facts) <= 9:
+            _, objective, feasible = enumerate_split(problem)
+            assert zero_cut == (feasible and objective == 0.0)
+        if zero_cut:
+            labels = [FOLDS.index(got.fold_of[f.id]) for f in facts]
+            assert (got.feasible, got.objective, got.to_json()["objective"]) == (True, 0.0, 0.0)
+            assert cross_fold_objective(problem, labels) == 0.0
+            masses = [sum(f.question_count for f, fold in zip(facts, labels) if fold == j)
+                      for j in range(3)]
+            assert all(lo <= m <= hi for m, (lo, hi) in zip(masses, problem.mass_bounds()))
+        else:
+            want = annealing_solve_heuristic(problem, seed, iterations, restarts)
+            assert (got.to_json(), got.objective) == (want.to_json(), want.objective)
+
+    def test_subset_sum_finds_the_packing_greedy_misses(self):
+        # components of mass 49, 33, 12, 10, 9, 5 (118 questions): greedy
+        # packing gives test 15 against a window of [11.8, 14.16], but train
+        # 49+33+10, dev 12, test 9+5 keeps every component whole
+        counts = {"a1": 30, "a2": 19, "b1": 20, "b2": 13, "c": 12, "d1": 6, "d2": 4,
+                  "e": 9, "f": 5}
+        facts = [SeedFact(fid, count, Counter()) for fid, count in counts.items()]
+        problem = SplitProblem(facts, {(0, 1): 25.0, (2, 3): 31.0, (5, 6): 12.5})
+        greedy = greedy_component_labels(problem)
+        masses = [sum(f.question_count for f, fold in zip(facts, greedy) if fold == j)
+                  for j in range(3)]
+        assert masses == [91, 12, 15]
+        assignment = solve_heuristic(problem, iterations=0, restarts=1)
+        assert (assignment.feasible, assignment.objective) == (True, 0.0)
+        fold_of = assignment.fold_of
+        assert fold_of["a1"] == fold_of["a2"] and fold_of["b1"] == fold_of["b2"]
+        assert fold_of["d1"] == fold_of["d2"]
+
+    def test_no_zero_cut_packing_falls_back_to_the_annealing_run(self):
+        # a chain joins every fact, and no fold can hold all of them
+        problem = random_split_instance(random.Random(41), 10)
+        problem.sim = {(i, i + 1): 10.0 + i for i in range(9)}
+        assert not zero_cut_packing_exists(problem)
+        got = solve_heuristic(problem, seed=2, iterations=3000, restarts=3)
+        want = annealing_solve_heuristic(problem, seed=2, iterations=3000, restarts=3)
         assert (got.to_json(), got.objective) == (want.to_json(), want.objective)
+        assert got.feasible and got.objective > 0.0
+
+    @given(
+        counts=st.lists(st.integers(1, 30), max_size=40),
+        targets=st.sampled_from([(0.78, 0.11, 0.11), (1 / 3, 1 / 3, 1 / 3), (0.5, 0.5, 0.0),
+                                 (0.1, 0.2, 0.7)]),
+        zero_edges=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_singleton_packing_is_the_old_greedy_start(self, counts, targets, zero_edges):
+        # the byte-identity promise for edgeless problems: 0.0-weight edges
+        # join nothing, and singleton components pack exactly as facts did
+        facts = [SeedFact(f"f{i:02d}", c, Counter()) for i, c in enumerate(counts)]
+        sim = {(i, i + 1): 0.0 for i in range(len(facts) - 1)} if zero_edges else {}
+        problem = SplitProblem(facts, sim, targets)
+        frozen = frozen_greedy_labels(problem)
+        assert _greedy_packing(problem, _components(problem))[0] == frozen
+        assignment = solve_heuristic(problem, iterations=0, restarts=1)
+        if _violation(_masses(problem, frozen), problem.mass_bounds()) == 0.0:
+            assert assignment.fold_of == {f.id: FOLDS[j] for f, j in zip(facts, frozen)}
 
     @pytest.mark.parametrize("option, value", [("restarts", 0), ("restarts", -1),
                                                ("iterations", -1)])
