@@ -7,8 +7,8 @@ within a slack band.  Infeasibility is reported, never silently relaxed.
 
 ``solve_exact`` is branch-and-bound for small instances.  ``solve_heuristic``
 first packs whole connected components of the similarity graph into
-folds, which cuts no edge and so is optimal whenever the fold masses
-allow it, and anneals only when no such packing exists.
+folds, largest first, which cuts no edge and so is optimal whenever the
+fold masses allow it, and anneals only when that packing misses them.
 """
 
 from __future__ import annotations
@@ -299,14 +299,6 @@ def _components(problem: SplitProblem) -> list[tuple[int, list[int]]]:
             for root in sorted(members, key=lambda root: (-mass[root], root))]
 
 
-def _labels_of(problem: SplitProblem, components, folds) -> list[int]:
-    labels = [0] * len(problem.facts)
-    for (_, group), fold in zip(components, folds):
-        for i in group:
-            labels[i] = fold
-    return labels
-
-
 def _greedy_packing(problem: SplitProblem, components) -> tuple[list[int], list[int]]:
     """Labels and fold masses after putting each component, in order, into
     the fold with the largest remaining deficit toward its target mass (the
@@ -314,84 +306,14 @@ def _greedy_packing(problem: SplitProblem, components) -> tuple[list[int], list[
     q = problem.total_questions
     deficits = [t * q for t in problem.fold_targets]
     masses = [0, 0, 0]
-    folds = []
-    for mass, _ in components:
+    labels = [0] * len(problem.facts)
+    for mass, group in components:
         fold = deficits.index(max(deficits))
-        folds.append(fold)
+        for i in group:
+            labels[i] = fold
         deficits[fold] -= mass
         masses[fold] += mass
-    return _labels_of(problem, components, folds), masses
-
-
-def _zero_cut_packing(problem: SplitProblem, components, bounds) -> list[int] | None:
-    """Labels that keep every component whole and every fold mass inside
-    its bounds, or None when no such packing exists.
-
-    A 2-D subset sum over (dev mass, test mass): bit d * width + t of a
-    Python int is set when some assignment of the components seen so far
-    puts mass d in dev and t in test, for d and t up to the top of their
-    windows; train takes the rest.  The reached pair with the smallest dev
-    mass, then test mass, whose train mass also fits is walked back to a
-    packing, preferring train, then dev, for each component from the last.
-    The walk needs the reach set before each component, so one in every
-    ~sqrt(#components) is kept and the rest are recomputed block by block.
-    """
-    (train_lo, train_hi), (dev_lo, dev_hi), (test_lo, test_hi) = bounds
-    total = problem.total_questions
-    masses = [mass for mass, _ in components]
-    d_max, t_max = math.floor(dev_hi), math.floor(test_hi)
-    width = t_max + 1
-    full = (1 << width * (d_max + 1)) - 1
-    row_starts = full // ((1 << width) - 1)
-
-    def step(reach: int, mass: int) -> int:
-        reach_next = reach | ((reach << mass * width) & full)
-        if mass <= t_max:
-            # a test shift must not carry a pair past the end of its row
-            reach_next |= (reach << mass) & (row_starts * ((1 << width) - (1 << mass)))
-        return reach_next
-
-    stride = math.isqrt(len(masses)) + 1
-    checkpoints = []
-    reach = 1
-    for k, mass in enumerate(masses):
-        if k % stride == 0:
-            checkpoints.append(reach)
-        reach = step(reach, mass)
-
-    # integer masses fit a float window [lo, hi] exactly when they fit
-    # [ceil(lo), floor(hi)], so the search below is exact
-    train_min, train_max = math.ceil(train_lo), math.floor(train_hi)
-    for d in range(max(0, math.ceil(dev_lo)), d_max + 1):
-        t_lo = max(0, math.ceil(test_lo), total - d - train_max)
-        t_hi = min(t_max, total - d - train_min)
-        if t_lo > t_hi:
-            continue
-        row = (reach >> d * width + t_lo) & ((1 << t_hi - t_lo + 1) - 1)
-        if row:
-            t = t_lo + (row & -row).bit_length() - 1
-            break
-    else:
-        return None
-
-    def reached(bits: int, d: int, t: int) -> bool:
-        return bool(bits >> d * width + t & 1)
-
-    folds = [0] * len(masses)
-    for block in reversed(range(len(checkpoints))):
-        start = block * stride
-        before = [checkpoints[block]]
-        for mass in masses[start:start + stride - 1]:
-            before.append(step(before[-1], mass))
-        for k in reversed(range(start, min(start + stride, len(masses)))):
-            prior, mass = before[k - start], masses[k]
-            if reached(prior, d, t):
-                continue
-            if d >= mass and reached(prior, d - mass, t):
-                folds[k], d = 1, d - mass
-            else:
-                folds[k], t = 2, t - mass
-    return _labels_of(problem, components, folds)
+    return labels, masses
 
 
 def solve_heuristic(
@@ -405,28 +327,23 @@ def solve_heuristic(
     Facts joined by a positive-weight edge form components.  A split that
     keeps every component whole cuts only 0.0-weight edges, and no
     similarity is negative, so when its fold masses are feasible its
-    objective 0.0 is optimal.  The components go to folds
-    greedily, largest first; if that misses the mass bounds, a subset sum
-    over component masses decides exactly whether any whole-component
-    packing fits.  Only when none does does the annealing run: single-fact
-    moves and pairwise swaps from the greedy packing (restart 0) and from
-    seeded random labels, with an infeasibility penalty large enough that
-    any feasible assignment beats any infeasible one.  The best (violation,
-    objective) state it visits is reported, so the result is feasible
-    whenever a feasible assignment was visited.  ``seed``, ``iterations``
-    and ``restarts`` only affect the annealing.  Deterministic for a fixed
-    seed.
+    objective 0.0 is optimal.  The components go to folds greedily,
+    largest first, and a feasible packing is returned at once.  Otherwise
+    the annealing runs: single-fact moves and pairwise swaps from the
+    greedy packing (restart 0) and from seeded random labels, with an
+    infeasibility penalty large enough that any feasible assignment beats
+    any infeasible one.  The best (violation, objective) state it visits
+    is reported, so the result is feasible whenever a feasible assignment
+    was visited.  ``seed``, ``iterations`` and ``restarts`` only affect the
+    annealing.  Deterministic for a fixed seed.
     """
     check_annealing_runs(iterations, restarts)
     n = len(problem.facts)
     bounds = problem.mass_bounds()
     components = _components(problem)
     greedy, masses = _greedy_packing(problem, components)
-    packed = greedy
-    if _violation(masses, bounds) > 0.0:
-        packed = _zero_cut_packing(problem, components, bounds)
-    if packed is not None:
-        return _assignment(problem, packed, cross_fold_objective(problem, packed), 0.0, bounds)
+    if _violation(masses, bounds) == 0.0:
+        return _assignment(problem, greedy, cross_fold_objective(problem, greedy), 0.0, bounds)
     penalty = sum(problem.sim.values()) + 1.0
     adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     for (i, k), value in problem.sim.items():

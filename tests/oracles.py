@@ -22,7 +22,6 @@ from hopkit.qa import checked_score
 from hopkit.retrieval import RetrievalParams, RetrievedPair, query_tokens
 from hopkit.splitter import (
     FoldAssignment,
-    SeedFact,
     SplitProblem,
     _assignment,
     _masses,
@@ -355,17 +354,6 @@ def greedy_component_labels(problem: SplitProblem) -> list[int]:
             labels[i] = fold
         deficits[fold] -= mass
     return labels
-
-
-def zero_cut_packing_exists(problem: SplitProblem) -> bool:
-    """Whether some split keeps every positive-weight component whole and
-    every fold mass in bounds: each component becomes one edgeless fact and
-    ``enumerate_split`` scans all 3^components assignments."""
-    contracted = [
-        SeedFact(f"c{c[0]}", sum(problem.facts[i].question_count for i in c), Counter())
-        for c in flood_fill_components(problem)
-    ]
-    return enumerate_split(SplitProblem(contracted, {}, problem.fold_targets, problem.slack))[2]
 
 
 def annealing_solve_heuristic(
