@@ -15,11 +15,11 @@ import math
 import os
 import re
 import struct
-from collections.abc import ItemsView
+from collections.abc import ItemsView, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Corpus, TokenBag
+from .corpus import Corpus
 from .errors import SnapshotError
 
 K1 = 1.2
@@ -107,56 +107,46 @@ def bm25_term_score(tf: int, idf: float, dl: int, avg_len: float) -> float:
 
 def search(
     index: InvertedIndex,
-    query: TokenBag,
-    top_n: int | None,
+    query: Iterable[str],
+    top_n: int,
     must_contain_any: tuple[frozenset[str], frozenset[str]] | None = None,
     negation_filter: frozenset[str] | None = None,
 ) -> list[SearchHit]:
-    """BM25-ranked sentences matching at least one query token.
+    """The top_n BM25-ranked sentences holding at least one query term.
 
-    Query term frequency is ignored: each distinct query stem contributes
-    once.  With must_contain_any=(A, B), a candidate must contain at least
-    one token from A and one from B (an empty side admits nothing).  Ties
-    break by ascending sentence id.  Scores accumulate in sorted term
-    order so reruns and the naive reference scan agree bit for bit.
+    Only the query's distinct terms count, each once.  With
+    must_contain_any=(A, B), a hit must hold at least one term from A and
+    one from B (an empty side admits nothing).  None means any query term:
+    (Q, Q) for the query's term set Q, since a sentence holding a query
+    term holds one from each side.  Ties break by ascending sentence id.
 
-    A constrained search is evaluated candidate-first: it finds the
-    documents meeting both sides by set algebra over the postings, and
-    scores each from its token bag, adding the same per-term contributions
-    in the same sorted term order as the full posting scan, so both give
-    identical floats: build_index derives the postings from those bags.
+    Search is candidate-first: it finds the documents meeting both sides
+    by set algebra over the postings, and scores each from its token bag,
+    adding the per-term contributions in sorted term order, so reruns and
+    the naive reference scan agree bit for bit: build_index derives the
+    postings from those bags.
 
-    With top_n, no negation_filter and more than top_n survivors per
-    query term, a constrained search scores only the survivors whose
-    bound, the sum of the max impacts of the query terms they hold,
-    reaches a floor that falls until the top_n-th best score theta found
-    so far satisfies theta * (1 - 1e-9) >= floor.  This is exact.  Every contribution is at most its term's max impact, and
-    float addition is monotone, so a score is at most its bound up to the
-    rounding of summing the same terms in another order: a relative error
-    far below 1e-9 for any real query.  An unscored survivor therefore
-    scores strictly below theta, and can neither enter the top_n nor tie
-    with a hit at theta; a survivor that does tie at theta has a bound
-    above the floor and is scored, so ties still break by id.
+    Without a negation_filter and with more than top_n survivors per
+    query term, a search scores only the survivors whose bound, the sum
+    of the max impacts of the query terms they hold, reaches a floor that
+    falls until the top_n-th best score theta found so far satisfies
+    theta * (1 - 1e-9) >= floor.  This is exact.  Every contribution is at
+    most its term's max impact, and float addition is monotone, so a
+    score is at most its bound up to the rounding of summing the same
+    terms in another order: a relative error far below 1e-9 for any real
+    query.  An unscored survivor therefore scores strictly below theta,
+    and can neither enter the top_n nor tie with a hit at theta; a
+    survivor that does tie at theta has a bound above the floor and is
+    scored, so ties still break by id.
     """
-    if top_n is not None and top_n <= 0:
-        return []
-    if index.n_docs == 0:
+    if top_n <= 0 or index.n_docs == 0:
         return []
     terms = sorted(set(query))
-    if must_contain_any is not None:
-        scores = _score_constrained(
-            index, terms, *must_contain_any, None if negation_filter else top_n
-        )
-    else:
-        scores = {}
-        for term in terms:
-            plist = index.postings.get(term)
-            if not plist:
-                continue
-            idf = index.idf(term)
-            for doc_id, tf in plist:
-                contrib = bm25_term_score(tf, idf, index.doc_len[doc_id], index.avg_len)
-                scores[doc_id] = scores.get(doc_id, 0.0) + contrib
+    if must_contain_any is None:
+        must_contain_any = (frozenset(terms),) * 2
+    scores = _score_constrained(
+        index, terms, *must_contain_any, None if negation_filter else top_n
+    )
     keyed = [(-score, doc_id) for doc_id, score in scores.items()]
     if negation_filter:
         keyed = [
@@ -166,7 +156,7 @@ def search(
                 _SURFACE_RE.findall(index.corpus[doc_id].text.lower())
             )
         ]
-    ranked = heapq.nsmallest(len(keyed) if top_n is None else top_n, keyed)
+    ranked = heapq.nsmallest(top_n, keyed)
     return [SearchHit(doc_id, -neg_score) for neg_score, doc_id in ranked]
 
 

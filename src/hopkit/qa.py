@@ -132,7 +132,10 @@ class FileScorer:
 
 
 def _parse_score_row(row: dict) -> tuple[str, tuple[str, str], float]:
-    """("label" or "text", (question id, that field), score)."""
+    """("label" or "text", (question id, that field), score).  The score
+    is a number or a numeric string; JSON true and false are neither."""
+    if isinstance(row["score"], bool):
+        raise TypeError("score must be a number, got bool")
     score = float(row["score"])
     field_name = "label" if "label" in row else "text"
     if field_name not in row:

@@ -10,7 +10,6 @@ per-question work can run in parallel with no shared state.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .corpus import Sentence, TokenBag, stem_set, tokenize_normalize
@@ -66,12 +65,11 @@ def single_step(
 
 
 def intermediate_diff(
-    query: TokenBag | frozenset[str], f1: Sentence
+    query: frozenset[str], f1: Sentence
 ) -> tuple[frozenset[str], frozenset[str]]:
     """Key-set differences (query minus sentence, sentence minus query)."""
-    q_keys = frozenset(query)
     f_keys = frozenset(f1.tokens)
-    return q_keys - f_keys, f_keys - q_keys
+    return query - f_keys, f_keys - query
 
 
 def two_step(
@@ -100,10 +98,9 @@ def two_step(
         q_minus, f_minus = intermediate_diff(query_stems, index.corpus[hop.sentence_id])
         if not q_minus or not f_minus:
             continue
-        bridge_query: TokenBag = Counter(dict.fromkeys(q_minus | f_minus, 1))
         second_hops = search(
             index,
-            bridge_query,
+            q_minus | f_minus,
             params.l,
             must_contain_any=(q_minus, f_minus),
             negation_filter=negation_filter,

@@ -135,5 +135,8 @@ def test_traced_cli_runs_index_retrieve_and_recall_with_search_spans(tmp_path):
     assert {parent for parent, _ in searches} == {"retrieval.two_step"}
     for _, (constrained, hits, scanned, scored) in searches:
         assert 0 <= hits <= scored <= scanned
+    # first hops pass no must_contain_any, which is how the tracer tells
+    # them from bridges for index.search_calls.first_hop
     assert any(constrained for _, (constrained, *_) in searches)
+    assert any(not constrained for _, (constrained, *_) in searches)
     assert all(scanned > 0 for _, (_, _, scanned, _) in searches)

@@ -620,6 +620,8 @@ def _is_str(value):
 
 
 def _floatable(value):
+    if isinstance(value, bool):
+        return False
     try:
         float(value)
     except (TypeError, ValueError):
@@ -834,12 +836,13 @@ class TestInputContract:
             ("split solve", "facts", '{"id": 7, "text": "wind", "questions": 1}\n'
                                      '{"id": "7", "text": "heat", "questions": 1}'),
             ("split solve", "facts", {"id": "f9", "text": "wind", "questions": True}),
+            ("eval accuracy", "scores", {"id": "q000", "label": "B", "score": True}),
         ],
         ids=["ranked row without ranked", "facts row not an object", "facts text not a string",
              "scores row without id", "question not an object", "nesting too deep",
              "pools row repeating an id", "ranked row repeating an id",
              "ranked row with an unknown id", "facts row repeating an id",
-             "facts ids 7 and '7'", "facts questions a bool"],
+             "facts ids 7 and '7'", "facts questions a bool", "scores score a bool"],
     )
     def test_reproduced_crashes(self, contract_files, tmp_path, command, target, line):
         bad = tmp_path / contract_files[target].name

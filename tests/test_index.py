@@ -52,6 +52,15 @@ def toy_corpus():
     )
 
 
+def one_full_match_corpus():
+    """"wind heat air." and 40 permutations of one bag that hold "wind" in
+    longer sentences, so for the query (air, heat, wind) only the first
+    sentence can reach the top-1."""
+    others = [" ".join(p) + "." for p in
+              itertools.islice(itertools.permutations(["wind", *STEM_WORDS[4:]]), 40)]
+    return Corpus.from_texts(["wind heat air.", *others])
+
+
 class TestBuild:
     def test_toy_postings(self):
         index = build_index(toy_corpus())
@@ -189,13 +198,13 @@ class TestSearch:
         query=st.lists(query_words, min_size=1, max_size=6),
         sides=st.none() | st.tuples(st.frozensets(query_words, max_size=4),
                                     st.frozensets(query_words, max_size=4)),
-        top_n=st.none() | st.integers(1, 40),
+        top_n=st.integers(1, 40),
         negate=st.booleans(),
     )
     @settings(max_examples=400, deadline=None)
     def test_property_equals_naive_scan_exactly(self, corpus, query, sides, top_n, negate):
-        # sides range over empty, disjoint-from-query and overlapping sets;
-        # top_n over unbounded, 1, and more than the candidates
+        # sides range over none, empty, disjoint-from-query and overlapping
+        # sets; top_n over 1 and more than the (at most 30) candidates
         index = build_index(corpus)
         got = search(index, Counter(query), top_n, must_contain_any=sides,
                      negation_filter=NEGATION_TOKENS if negate else None)
@@ -203,9 +212,28 @@ class TestSearch:
         if negate:
             want = [(sid, score) for sid, score in want
                     if not corpus[sid].text.endswith(" not.")]
-        if top_n is not None:
-            want = want[:top_n]
-        assert [(h.sentence_id, h.score) for h in got] == want
+        assert [(h.sentence_id, h.score) for h in got] == want[:top_n]
+
+    @given(
+        corpus=small_corpora(),
+        query=st.lists(query_words, min_size=1, max_size=6),
+        top_n=st.integers(1, 40),
+        negate=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_unconstrained_search_is_the_query_against_itself(self, corpus, query, top_n,
+                                                              negate):
+        # a sentence holding any query term holds one from each side of
+        # (Q, Q), so leaving must_contain_any out is that constraint
+        index = build_index(corpus)
+        negation = NEGATION_TOKENS if negate else None
+        got = search(index, query, top_n, negation_filter=negation)
+        constrained = search(index, query, top_n, must_contain_any=(frozenset(query),) * 2,
+                             negation_filter=negation)
+        want = [(sid, score) for sid, score in naive_search(corpus, query, None)
+                if not (negate and corpus[sid].text.endswith(" not."))]
+        assert got == constrained
+        assert [(h.sentence_id, h.score) for h in got] == want[:top_n]
 
     @given(
         corpus=tied_corpora(),
@@ -227,12 +255,9 @@ class TestSearch:
         assert [(h.sentence_id, h.score) for h in got] == want
 
     def test_pruned_search_scores_only_what_can_rank(self):
-        # 40 permutations of one bag hold "wind" in longer sentences than
-        # the one sentence holding every query term, so only that one can
-        # reach the top-1 and the rest are never scored
-        others = [" ".join(p) + "." for p in
-                  itertools.islice(itertools.permutations(["wind", *STEM_WORDS[4:]]), 40)]
-        corpus = Corpus.from_texts(["wind heat air.", *others])
+        # only the first sentence can reach the top-1, so the rest are
+        # never scored
+        corpus = one_full_match_corpus()
         index = build_index(corpus)
         terms, sides = ["air", "heat", "wind"], (frozenset({"wind"}), frozenset({"wind"}))
         assert len(_score_constrained(index, terms, *sides, None)) == 41
@@ -240,6 +265,30 @@ class TestSearch:
         hits = search(index, Counter(terms), 1, must_contain_any=sides)
         assert [(h.sentence_id, h.score) for h in hits] == naive_search(
             corpus, terms, 1, must_contain_any=sides)
+
+    def test_unconstrained_search_is_pruned(self, monkeypatch):
+        # every sentence holds a query term, and still only the one that
+        # can reach the top-1 is scored once the max impacts are known
+        # (filling one scores the term's whole posting list)
+        corpus = one_full_match_corpus()
+        index = build_index(corpus)
+        terms = ["air", "heat", "wind"]
+        holders = set().union(*(index.postings[term].mapping for term in terms))
+        assert len(holders) == 41
+        for term in terms:
+            index.max_impact(term)
+        calls = 0
+        real = hopkit.index.bm25_term_score
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(hopkit.index, "bm25_term_score", counting)
+        hits = search(index, Counter(terms), 1)
+        assert calls < len(holders)
+        assert [(h.sentence_id, h.score) for h in hits] == naive_search(corpus, terms, 1)
 
     def test_pruning_scores_past_a_first_round_of_weak_hits(self):
         # the long sentence holds both query terms, so its bound is the

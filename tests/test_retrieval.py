@@ -48,7 +48,7 @@ class TestQueryTokens:
 
 class TestIntermediateDiff:
     def test_fig1_differences(self):
-        query_bag = query_tokens(FIG1_QUESTION, FIG1_ANSWER)
+        query_bag = frozenset(query_tokens(FIG1_QUESTION, FIG1_ANSWER))
         f1 = Sentence.make(0, FIG1_FS)
         q_minus, f_minus = intermediate_diff(query_bag, f1)
         # note: the Porter stem of "harnessed" is "har" (step 3 strips -ness)
@@ -56,14 +56,14 @@ class TestIntermediateDiff:
         assert f_minus == {"produc", "wind"}
 
     def test_sentence_subset_of_query(self):
-        query_bag = Counter({"wind": 1, "turbin": 1, "power": 1})
+        query_bag = frozenset({"wind", "turbin", "power"})
         f1 = Sentence.make(0, "wind turbine")
         q_minus, f_minus = intermediate_diff(query_bag, f1)
         assert q_minus == {"power"}
         assert f_minus == frozenset()
 
     def test_disjoint(self):
-        query_bag = Counter({"wind": 1})
+        query_bag = frozenset({"wind"})
         f1 = Sentence.make(0, "solar panel")
         q_minus, f_minus = intermediate_diff(query_bag, f1)
         assert q_minus == {"wind"}
