@@ -31,6 +31,14 @@ NEGATION_TOKENS = frozenset({"not", "except", "cannot"})
 
 _SURFACE_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
+# A pruned search builds the survivor set from its rarer side when that
+# side holds at most this many postings per wanted hit per query term.
+# Building it costs a C-level set insertion per posting.  Skipping it,
+# the impact rounds reach documents through every query term's postings,
+# and many of those fail the rarer side.  Timed per search on the
+# benchmark's corpora, the two broke even near 16.
+POOL_POSTINGS_PER_HIT = 16
+
 
 @dataclass(frozen=True)
 class SearchHit:
@@ -120,23 +128,32 @@ def search(
     (Q, Q) for the query's term set Q, since a sentence holding a query
     term holds one from each side.  Ties break by ascending sentence id.
 
-    Search is candidate-first: it finds the documents meeting both sides
-    by set algebra over the postings, and scores each from its token bag,
-    adding the per-term contributions in sorted term order, so reruns and
-    the naive reference scan agree bit for bit: build_index derives the
-    postings from those bags.
+    Candidates come from one of two sources.  Under a negation_filter,
+    or when the rarer side holds at most POOL_POSTINGS_PER_HIT postings
+    per wanted hit per query term, the survivors (the documents meeting
+    both sides) are found by set algebra over that side's postings.
+    Otherwise no survivor set is built: the pruning rounds below reach
+    documents through the query terms' postings, and drop a reached
+    document that fails a side (none can when every query term is on
+    both sides, as in a first hop).  Scoring is term-at-a-time: for each
+    query term in sorted order, its contribution is assigned to, or added
+    to, each candidate holding it, the order in which the naive reference
+    scan sums a document's terms, so reruns and that scan agree bit for
+    bit.
 
-    Without a negation_filter and with more than top_n survivors per
-    query term, a search scores only the survivors whose bound, the sum
-    of the max impacts of the query terms they hold, reaches a floor that
-    falls until the top_n-th best score theta found so far satisfies
-    theta * (1 - 1e-9) >= floor.  This is exact.  Every contribution is at
-    most its term's max impact, and float addition is monotone, so a
+    Without a negation_filter, and unless at most top_n survivors per
+    query term were found, a search scores only the candidates whose
+    bound, the sum of the max impacts of the query terms they hold,
+    reaches a floor that falls until the top_n-th best score theta found
+    so far satisfies theta * (1 - 1e-9) >= floor, or until the floor is
+    at or below the smallest max impact, when every candidate holding a
+    query term has been reached.  This is exact.  Every contribution is
+    at most its term's max impact, and float addition is monotone, so a
     score is at most its bound up to the rounding of summing the same
     terms in another order: a relative error far below 1e-9 for any real
-    query.  An unscored survivor therefore scores strictly below theta,
+    query.  An unscored candidate therefore scores strictly below theta,
     and can neither enter the top_n nor tie with a hit at theta; a
-    survivor that does tie at theta has a bound above the floor and is
+    candidate that does tie at theta has a bound above the floor and is
     scored, so ties still break by id.
     """
     if top_n <= 0 or index.n_docs == 0:
@@ -170,59 +187,74 @@ def _score_constrained(
     """Scores of the documents meeting both sides; with top_n, of at least
     those that can rank in the top_n (see search)."""
     postings = index.postings
-
-    def postings_total(side) -> int:
-        return sum(len(postings[term]) for term in side if term in postings)
-
-    if postings_total(side_b) < postings_total(side_a):
-        side_a, side_b = side_b, side_a
-    pool = set().union(*(postings[term].mapping.keys() for term in side_a if term in postings))
-    sentences = index.corpus.sentences
-    if len(pool) <= len(side_b):
-        survivors = {doc_id for doc_id in pool if not side_b.isdisjoint(sentences[doc_id].tokens)}
-    else:
-        survivors = set().union(
-            *(postings[term].mapping.keys() & pool for term in side_b if term in postings)
-        )
-    if not survivors:
+    total_a = sum(len(postings[term]) for term in side_a if term in postings)
+    total_b = sum(len(postings[term]) for term in side_b if term in postings)
+    if not total_a or not total_b:
         return {}
-    weighted = [(term, index.idf(term)) for term in terms if term in postings]
+    if total_b < total_a:
+        side_a, side_b, total_a = side_b, side_a, total_b
+    sentences = index.corpus.sentences
+
+    def holding(side, docs) -> set[int]:
+        """The docs that hold a term of side."""
+        return set().union(*(postings[term].mapping.keys() & docs for term in side
+                             if term in postings))
+
+    survivors = None  # not built: the impact rounds start from every document
+    if top_n is None or total_a <= POOL_POSTINGS_PER_HIT * top_n * len(terms):
+        pool = set().union(*(postings[term].mapping.keys() for term in side_a if term in postings))
+        if side_a <= side_b:
+            survivors = pool  # a pool document holds a term of side_a, so of side_b
+        elif len(pool) <= len(side_b):
+            survivors = {doc_id for doc_id in pool
+                         if not side_b.isdisjoint(sentences[doc_id].tokens)}
+        else:
+            survivors = holding(side_b, pool)
+        if not survivors:
+            return {}
+    weighted = [(term, index.idf(term), postings[term].mapping) for term in terms
+                if term in postings]
+    if not weighted:
+        return {}  # no document holds a query term
     doc_len, avg_len = index.doc_len, index.avg_len
     scores: dict[int, float] = {}
 
     def score(doc_ids) -> None:
-        for doc_id in doc_ids:
-            bag = sentences[doc_id].tokens
-            total = None
-            for term, idf in weighted:
-                tf = bag.get(term)
-                if tf:
-                    contrib = bm25_term_score(tf, idf, doc_len[doc_id], avg_len)
-                    total = contrib if total is None else total + contrib
-            if total is not None:
-                scores[doc_id] = total
+        # Documents not scored yet, term-at-a-time in sorted term order:
+        # each one's first contribution is assigned and the later ones
+        # added, the order a document-at-a-time sum would take.
+        for term, idf, tfs in weighted:
+            for doc_id in tfs.keys() & doc_ids:
+                contrib = bm25_term_score(tfs[doc_id], idf, doc_len[doc_id], avg_len)
+                total = scores.get(doc_id)
+                scores[doc_id] = contrib if total is None else total + contrib
 
     # A pruning round makes at least one key-set intersection per query
-    # term, and scoring a survivor one bag lookup per term: with at most
-    # top_n survivors per term, scoring them all costs no more.
-    if top_n is None or not weighted or len(survivors) <= top_n * len(weighted):
+    # term: with at most top_n survivors per query term, scoring them all
+    # costs no more.
+    if top_n is None or (survivors is not None and len(survivors) <= top_n * len(weighted)):
         score(survivors)
         return scores
     # Query terms by descending max impact, with the summed impact of each
     # term and those after it.
-    ranked = sorted(((index.max_impact(term), term) for term, _ in weighted), reverse=True)
+    ranked = sorted(((index.max_impact(term), term) for term, _, _ in weighted), reverse=True)
     impacts = [impact for impact, _ in ranked]
     term_docs = [postings[term].mapping.keys() for _, term in ranked]
     tail = [0.0] * (len(ranked) + 1)
     for i in range(len(ranked) - 1, -1, -1):
         tail[i] = impacts[i] + tail[i + 1]
+    # A document reached from every document holds a query term; unless
+    # every query term is on both sides (first hops), it must be checked.
+    check = survivors is None and not (side_a.issuperset(terms) and side_b.issuperset(terms))
+    seen: set[int] = set()
 
     floor = tail[0]
     while True:
-        # Survivors whose held terms' impacts sum to at least floor: each
-        # entry is (docs holding the terms taken so far, the next term to
-        # take or skip, the taken terms' summed impact).  That sum is below
-        # floor, so an entry past the last term stops at tail[-1] == 0.0.
+        # Documents whose held terms' impacts sum to at least floor: each
+        # entry is (docs holding the terms taken so far, or None for every
+        # document before the first is taken; the next term to take or
+        # skip; the taken terms' summed impact).  That sum is below floor,
+        # so an entry past the last term stops at tail[-1] == 0.0.
         reached: set[int] = set()
         stack = [(survivors, 0, 0.0)]
         while stack:
@@ -230,16 +262,20 @@ def _score_constrained(
             if bound + tail[i] < floor:
                 continue
             stack.append((docs, i + 1, bound))
-            held = term_docs[i] & docs
+            held = term_docs[i] if docs is None else term_docs[i] & docs
             if not held:
                 continue
             if bound + impacts[i] >= floor:
-                reached |= held
+                reached.update(held)
             else:
                 stack.append((held, i + 1, bound + impacts[i]))
-        score(reached.difference(scores))
+        reached -= seen
+        seen |= reached
+        if check:
+            reached = holding(side_b, holding(side_a, reached))
+        score(reached)
         if floor <= impacts[-1]:
-            return scores  # every survivor holding a query term is scored
+            return scores  # every document holding a query term is reached
         if len(scores) < top_n:
             floor /= 2.0
             continue

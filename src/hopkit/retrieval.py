@@ -90,7 +90,8 @@ def two_step(
     4. sort pairs by summed score (ties by ascending ids) and emit unique
        fact ids in pair order, first hop first, until m facts.
     """
-    q_stems, a_stems = stem_set(q), stem_set(a)
+    # Tokenized here, not through stem_set's memo: each question asks once.
+    q_stems, a_stems = frozenset(tokenize_normalize(q)), frozenset(tokenize_normalize(a))
     query_stems = q_stems | a_stems
     first_hops = search(index, query_stems, params.k, negation_filter=negation_filter)
     pairs: list[RetrievedPair] = []

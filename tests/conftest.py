@@ -119,12 +119,13 @@ query_words = st.sampled_from(STEM_WORDS + ("absent",))
 
 
 @st.composite
-def small_corpora(draw, max_sentences: int = 30) -> Corpus:
+def small_corpora(draw, max_sentences: int = 30, min_sentences: int = 0) -> Corpus:
     """Corpus over STEM_WORDS with heavy term overlap (so many score ties);
     sentences drawn with the flag set end in the negation word "not"."""
     rows = draw(
         st.lists(
             st.tuples(st.lists(st.sampled_from(STEM_WORDS), min_size=1, max_size=8), st.booleans()),
+            min_size=min_sentences,
             max_size=max_sentences,
         )
     )

@@ -379,12 +379,17 @@ def annealing_solve_heuristic(
     best_key = (math.inf, math.inf)
     best_labels: list[int] | None = None
 
-    def consider(labels, violation, objective) -> None:
+    def consider(labels, violation, objective) -> float:
+        # The running objective drifts by float rounding, so a state that
+        # seems to beat the best one is judged on its recomputed objective,
+        # and the walk goes on from that exact value.
         nonlocal best_key, best_labels
-        key = (violation, objective)
-        if key < best_key:
-            best_key = key
-            best_labels = labels.copy()
+        if (violation, objective) < best_key:
+            objective = cross_fold_objective(problem, labels)
+            if (violation, objective) < best_key:
+                best_key = (violation, objective)
+                best_labels = labels.copy()
+        return objective
 
     for restart in range(max(1, restarts)):
         rng = random.Random(f"{seed}:{restart}")
@@ -443,10 +448,9 @@ def annealing_solve_heuristic(
                 for fact_index, fold in changes:
                     labels[fact_index] = fold
                 masses = new_masses
-                objective = new_objective
                 violation = new_violation
-                energy = new_energy
-                consider(labels, violation, objective)
+                objective = consider(labels, violation, new_objective)
+                energy = objective + penalty * violation
             temperature *= cooling
 
     assert best_labels is not None

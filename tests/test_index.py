@@ -7,7 +7,7 @@ import struct
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import hopkit.corpus
@@ -17,6 +17,7 @@ from hopkit.errors import SnapshotError
 from hopkit.index import (
     MAGIC,
     NEGATION_TOKENS,
+    POOL_POSTINGS_PER_HIT,
     _score_constrained,
     bm25_term_score,
     build_index,
@@ -289,6 +290,72 @@ class TestSearch:
         hits = search(index, Counter(terms), 1)
         assert calls < len(holders)
         assert [(h.sentence_id, h.score) for h in hits] == naive_search(corpus, terms, 1)
+
+    @given(
+        corpus=small_corpora(min_sentences=10),
+        query=st.lists(query_words, min_size=1, max_size=6),
+        sides=st.tuples(st.frozensets(query_words, min_size=1, max_size=4),
+                        st.frozensets(query_words, min_size=1, max_size=4)),
+        cut=st.sampled_from([1, POOL_POSTINGS_PER_HIT]),
+        walk=st.booleans(),
+        negate=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_both_candidate_sources_equal_naive_scan(self, corpus, query, sides, cut, walk,
+                                                     negate, data):
+        # top_n is drawn on the side of the pool cut-off that walk names:
+        # up to cut * top_n * len(terms) postings on the rarer side builds
+        # the survivor set, and more walks the impact rounds from every
+        # document, which needs the max impacts.  The cut-off only chooses
+        # the candidate source, so the hits must not depend on it; the
+        # cut of 1 puts the walk within reach of these small corpora.
+        index = build_index(corpus)
+        terms = set(query)
+        rarer = min(sum(len(index.postings[t]) for t in side if t in index.postings)
+                    for side in sides)
+        per_hit = cut * len(terms)
+        if walk:
+            assume(rarer > per_hit)
+            top_n = data.draw(st.integers(1, min(40, (rarer - 1) // per_hit)))
+        else:
+            least = max(1, -(-rarer // per_hit))
+            assume(least <= 40)
+            top_n = data.draw(st.integers(least, 40))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hopkit.index, "POOL_POSTINGS_PER_HIT", cut)
+            got = search(index, query, top_n, must_contain_any=sides,
+                         negation_filter=NEGATION_TOKENS if negate else None)
+        want = [(sid, score) for sid, score in naive_search(corpus, query, None, sides)
+                if not (negate and corpus[sid].text.endswith(" not."))]
+        assert [(h.sentence_id, h.score) for h in got] == want[:top_n]
+        if walk and not negate and not terms.isdisjoint(index.postings):
+            event("walk")
+            assert index._max_impact
+
+    def test_rare_side_search_scores_only_its_pool(self, monkeypatch):
+        # "air" is in one sentence and "wind" in all 41: the survivor set
+        # built from the rare side holds one sentence, so scoring it needs
+        # no max impact and one contribution per query term, where a walk
+        # over the impact rounds would reach every sentence
+        corpus = one_full_match_corpus()
+        index = build_index(corpus)
+        terms, sides = ["air", "heat", "wind"], (frozenset({"air"}), frozenset({"wind"}))
+        assert (len(index.postings["air"]), len(index.postings["wind"])) == (1, 41)
+        calls = 0
+        real = hopkit.index.bm25_term_score
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(hopkit.index, "bm25_term_score", counting)
+        hits = search(index, terms, 1, must_contain_any=sides)
+        assert index._max_impact == {}
+        assert calls <= len(terms)
+        assert [(h.sentence_id, h.score) for h in hits] == naive_search(
+            corpus, terms, 1, must_contain_any=sides)
 
     def test_pruning_scores_past_a_first_round_of_weak_hits(self):
         # the long sentence holds both query terms, so its bound is the

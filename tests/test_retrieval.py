@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hopkit.corpus
 from hopkit.corpus import Corpus, Sentence, stem_set
 from hopkit.index import build_index
 from hopkit.retrieval import (
@@ -245,6 +246,18 @@ class TestRecallReport:
         assert single.both_count == 0
         assert two.both_found >= 0.8
         assert two.either_found > single.either_found
+
+    def test_two_step_keeps_no_question_text_in_the_stem_set_memo(self, monkeypatch):
+        # each question and answer is asked about once per run, so a memo
+        # entry for it would never be hit again
+        forms = hopkit.corpus._NormalForms(hopkit.corpus.STOPWORDS, hopkit.corpus.stem)
+        monkeypatch.setattr(hopkit.corpus, "_normal_forms", forms)
+        corpus, questions = planted_chain_dataset(random.Random(47), n_chains=10, n_noise=100)
+        report = recall_report(build_index(corpus), questions, RetrievalParams(), "two")
+        assert report.n_resolvable == len(questions)
+        texts = {text for q in questions for text in (q.stem, q.answer_text)}
+        assert hopkit.corpus._normal_forms is forms
+        assert texts.isdisjoint(forms.sets)
 
     def test_unresolvable_gold_facts_tallied(self, mini_index):
         questions = [

@@ -307,6 +307,22 @@ class TestSolveHeuristic:
             want = annealing_solve_heuristic(problem, seed, iterations, restarts)
             assert (got.to_json(), got.objective) == (want.to_json(), want.objective)
 
+    def test_annealing_tie_keeps_the_earlier_state(self):
+        # with slack 1.0 every split of 11 one-question facts is feasible,
+        # and the greedy start cuts nothing; restart 1 reaches other
+        # zero-cut splits whose running objective has drifted below 0.0,
+        # and on the recomputed objective they only tie with the start
+        facts = [SeedFact(f"f{i:02d}", 1, Counter()) for i in range(11)]
+        rng = random.Random(0)
+        sim = {(i, k): rng.uniform(10.0, 60.0)
+               for i in range(11) for k in range(i + 1, 11) if rng.random() < 0.3}
+        problem = SplitProblem(facts, sim, slack=1.0)
+        packed = greedy_component_labels(problem)
+        assert cross_fold_objective(problem, packed) == 0.0
+        got = annealing_solve_heuristic(problem, seed=0, iterations=100, restarts=2)
+        assert got.fold_of == {f.id: FOLDS[j] for f, j in zip(facts, packed)}
+        assert got.fold_of == solve_heuristic(problem, 0, 100, 2).fold_of
+
     def test_greedy_miss_falls_back_to_the_annealing_run(self):
         # components of mass 49, 33, 12, 10, 9, 5 (118 questions): greedy
         # packing gives test 15 against a window of [11.8, 14.16], so the
