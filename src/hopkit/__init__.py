@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .corpus import (  # noqa: F401
     Corpus,
-    Sentence,
     TokenBag,
     clean_filter,
     load_corpus,

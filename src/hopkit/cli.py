@@ -132,14 +132,14 @@ def cmd_retrieve(args) -> int:
                     "rank": rank,
                     "id": hit.sentence_id,
                     "score": _round9(hit.score),
-                    "text": index.corpus[hit.sentence_id].text,
+                    "text": index.corpus[hit.sentence_id],
                 }
             )
     else:
         facts, pairs = two_step(index, args.question, args.answer, params, negations)
         for rank, fid in enumerate(facts, start=1):
             lines.append(
-                {"type": "fact", "rank": rank, "id": fid, "text": index.corpus[fid].text}
+                {"type": "fact", "rank": rank, "id": fid, "text": index.corpus[fid]}
             )
         for pair in pairs:
             lines.append(

@@ -216,42 +216,31 @@ def segment_sentences(
 # Corpus
 
 
-@dataclass(frozen=True)
-class Sentence:
-    """A corpus sentence with a stable id and its cached token bag."""
-
-    id: int
-    text: str
-    tokens: TokenBag
-
-    @classmethod
-    def make(cls, sid: int, text: str) -> "Sentence":
-        return cls(sid, text, tokenize_normalize(text))
-
-
 @dataclass
 class Corpus:
-    """Immutable-after-load ordered sentence collection.
+    """Immutable-after-load ordered sentence texts.
 
-    Ids are dense 0..n-1; texts are unique in normal form (control
-    characters replaced, whitespace collapsed).
+    A sentence's id is its position in ``texts``, so ids are dense 0..n-1;
+    texts are unique in normal form (control characters replaced,
+    whitespace collapsed).  The corpus keeps no tokens: an index built over
+    it holds the only term frequencies.
     Safe to share across concurrent readers.
     """
 
-    sentences: list[Sentence]
+    texts: list[str]
     source_digest: str = ""
     rejections: Counter = field(default_factory=Counter)
     _by_text: dict[str, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if not self._by_text:
-            self._by_text = {_normal_form(s.text): s.id for s in self.sentences}
+            self._by_text = {_normal_form(text): sid for sid, text in enumerate(self.texts)}
 
     def __len__(self) -> int:
-        return len(self.sentences)
+        return len(self.texts)
 
-    def __getitem__(self, sid: int) -> Sentence:
-        return self.sentences[sid]
+    def __getitem__(self, sid: int) -> str:
+        return self.texts[sid]
 
     def id_of_text(self, text: str) -> int | None:
         """Resolve a sentence by its text in the corpus's normal form, or None."""
@@ -261,15 +250,12 @@ class Corpus:
     def from_texts(cls, texts, source_digest: str = "") -> "Corpus":
         """Build a corpus from already-clean sentence strings (dedups,
         assigns ids in order).  Lines are not run through clean_filter."""
-        sentences: list[Sentence] = []
         seen: dict[str, int] = {}
         for raw in texts:
             text = _normal_form(raw)
-            if not text or text in seen:
-                continue
-            seen[text] = len(sentences)
-            sentences.append(Sentence.make(len(sentences), text))
-        return cls(sentences, source_digest, _by_text=seen)
+            if text and text not in seen:
+                seen[text] = len(seen)
+        return cls(list(seen), source_digest, _by_text=seen)
 
 
 _CONTROL_RE = re.compile(r"[\x00-\x08\x0b-\x1f\x7f]")
@@ -302,7 +288,6 @@ def load_corpus(path: str | Path) -> Corpus:
     path = Path(path)
     raw = path.read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
-    sentences: list[Sentence] = []
     rejections: Counter = Counter()
     seen: dict[str, int] = {}
     for lineno, line in enumerate(raw.split(b"\n"), start=1):
@@ -320,9 +305,8 @@ def load_corpus(path: str | Path) -> Corpus:
         if text in seen:
             rejections["duplicate"] += 1
             continue
-        seen[text] = len(sentences)
-        sentences.append(Sentence.make(len(sentences), text))
-    return Corpus(sentences, digest, rejections, seen)
+        seen[text] = len(seen)
+    return Corpus(list(seen), digest, rejections, seen)
 
 
 def write_rejection_report(corpus: Corpus, path: str | Path) -> None:

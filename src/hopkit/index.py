@@ -13,13 +13,12 @@ import hashlib
 import heapq
 import math
 import os
-import re
 import struct
 from collections.abc import ItemsView, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Corpus
+from .corpus import _TOKEN_RE, Corpus, tokenize_normalize
 from .errors import SnapshotError
 
 K1 = 1.2
@@ -28,8 +27,6 @@ B = 0.75
 # Post-retrieval noise hook: hits whose surface text contains one of these
 # words can optionally be dropped (off by default).
 NEGATION_TOKENS = frozenset({"not", "except", "cannot"})
-
-_SURFACE_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 # A pruned search builds the survivor set from its rarer side when that
 # side holds at most this many postings per wanted hit per query term.
@@ -51,7 +48,9 @@ class InvertedIndex:
 
     ``postings[term]`` is the items view of a dict from doc id to tf, in
     ascending id order: it iterates as (doc id, tf) pairs, and its dict's
-    key view intersects with sets in C.
+    key view intersects with sets in C.  The postings are the only store
+    of term frequencies: which terms a document holds is answered by key
+    membership, ``doc_id in postings[term].mapping``.
     """
 
     def __init__(
@@ -94,14 +93,15 @@ class InvertedIndex:
 def build_index(corpus: Corpus) -> InvertedIndex:
     postings: dict = {}
     doc_len = []
-    for sentence in corpus.sentences:
-        doc_len.append(sum(sentence.tokens.values()))
-        for term, tf in sentence.tokens.items():
+    for doc_id, text in enumerate(corpus.texts):
+        bag = tokenize_normalize(text)
+        doc_len.append(sum(bag.values()))
+        for term, tf in bag.items():
             docs = postings.get(term)
             if docs is None:
-                postings[term] = {sentence.id: tf}
+                postings[term] = {doc_id: tf}
             else:
-                docs[sentence.id] = tf
+                docs[doc_id] = tf
     for term, docs in postings.items():
         postings[term] = docs.items()
     return InvertedIndex(corpus, postings, doc_len)
@@ -170,7 +170,7 @@ def search(
             (neg_score, doc_id)
             for neg_score, doc_id in keyed
             if not negation_filter.intersection(
-                _SURFACE_RE.findall(index.corpus[doc_id].text.lower())
+                _TOKEN_RE.findall(index.corpus[doc_id].lower())
             )
         ]
     ranked = heapq.nsmallest(top_n, keyed)
@@ -187,29 +187,31 @@ def _score_constrained(
     """Scores of the documents meeting both sides; with top_n, of at least
     those that can rank in the top_n (see search)."""
     postings = index.postings
-    total_a = sum(len(postings[term]) for term in side_a if term in postings)
-    total_b = sum(len(postings[term]) for term in side_b if term in postings)
+    # Each side's terms' key views: a document holds a term of the side
+    # when it is in one of them.
+    keys_a = [postings[term].mapping.keys() for term in side_a if term in postings]
+    keys_b = [postings[term].mapping.keys() for term in side_b if term in postings]
+    total_a, total_b = sum(map(len, keys_a)), sum(map(len, keys_b))
     if not total_a or not total_b:
         return {}
     if total_b < total_a:
-        side_a, side_b, total_a = side_b, side_a, total_b
-    sentences = index.corpus.sentences
+        side_a, side_b, keys_a, keys_b, total_a = side_b, side_a, keys_b, keys_a, total_b
 
-    def holding(side, docs) -> set[int]:
-        """The docs that hold a term of side."""
-        return set().union(*(postings[term].mapping.keys() & docs for term in side
-                             if term in postings))
+    def holding(keys, docs) -> set[int]:
+        """The docs in one of keys."""
+        return set().union(*(held & docs for held in keys))
 
     survivors = None  # not built: the impact rounds start from every document
     if top_n is None or total_a <= POOL_POSTINGS_PER_HIT * top_n * len(terms):
-        pool = set().union(*(postings[term].mapping.keys() for term in side_a if term in postings))
+        pool = set().union(*keys_a)
         if side_a <= side_b:
             survivors = pool  # a pool document holds a term of side_a, so of side_b
-        elif len(pool) <= len(side_b):
-            survivors = {doc_id for doc_id in pool
-                         if not side_b.isdisjoint(sentences[doc_id].tokens)}
+        elif len(pool) <= len(keys_b):
+            # A membership test per pooled document and side term costs
+            # less than an intersection per side term.
+            survivors = {doc_id for doc_id in pool if any(doc_id in held for held in keys_b)}
         else:
-            survivors = holding(side_b, pool)
+            survivors = holding(keys_b, pool)
         if not survivors:
             return {}
     weighted = [(term, index.idf(term), postings[term].mapping) for term in terms
@@ -272,7 +274,7 @@ def _score_constrained(
         reached -= seen
         seen |= reached
         if check:
-            reached = holding(side_b, holding(side_a, reached))
+            reached = holding(keys_b, holding(keys_a, reached))
         score(reached)
         if floor <= impacts[-1]:
             return scores  # every document holding a query term is reached
@@ -299,7 +301,7 @@ MAGIC = b"HOPIDX2\x00"
 
 def write_snapshot(index: InvertedIndex, path: str | Path) -> None:
     body = bytearray(struct.pack("<I", index.n_docs))
-    for text in [index.corpus.source_digest, *(s.text for s in index.corpus.sentences)]:
+    for text in [index.corpus.source_digest, *index.corpus.texts]:
         data = text.encode("utf-8")
         body += struct.pack("<I", len(data))
         body += data

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .corpus import Sentence, TokenBag, stem_set, tokenize_normalize
+from .corpus import TokenBag, stem_set, tokenize_normalize
 from .index import InvertedIndex, SearchHit, search
 
 
@@ -65,10 +65,11 @@ def single_step(
 
 
 def intermediate_diff(
-    query: frozenset[str], f1: Sentence
+    query: frozenset[str], f1: str
 ) -> tuple[frozenset[str], frozenset[str]]:
-    """Key-set differences (query minus sentence, sentence minus query)."""
-    f_keys = frozenset(f1.tokens)
+    """Key-set differences (query minus sentence, sentence minus query) of
+    a query's stems and a first-hop sentence's text, tokenized here."""
+    f_keys = frozenset(tokenize_normalize(f1))
     return query - f_keys, f_keys - query
 
 
@@ -111,9 +112,11 @@ def two_step(
             for h2 in second_hops
         )
 
+    postings = index.postings
+
     def survives(pair: RetrievedPair) -> bool:
-        f2_keys = index.corpus[pair.f2].tokens.keys()
-        return not q_stems.isdisjoint(f2_keys) or not a_stems.isdisjoint(f2_keys)
+        # The stems f2 shares with q or a are the ones whose postings hold it.
+        return any(pair.f2 in postings[term].mapping for term in query_stems if term in postings)
 
     kept = sorted(
         (p for p in pairs if survives(p)),

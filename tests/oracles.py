@@ -36,16 +36,20 @@ B = 0.75
 
 
 class OracleSearcher:
-    """Exhaustive-scan BM25 with corpus statistics computed once up front."""
+    """Exhaustive-scan BM25 with corpus statistics computed once up front.
+
+    Every text, question and answer is tokenized with reference_tokenize,
+    so the oracle shares no tokenizer code with the engine."""
 
     def __init__(self, corpus: Corpus):
         self.corpus = corpus
-        self.n_docs = len(corpus)
-        self.doc_len = [sum(s.tokens.values()) for s in corpus.sentences]
+        self.bags = [reference_tokenize(text) for text in corpus.texts]
+        self.n_docs = len(self.bags)
+        self.doc_len = [sum(bag.values()) for bag in self.bags]
         self.avg_len = sum(self.doc_len) / self.n_docs if self.n_docs else 0.0
         self.df = Counter()
-        for sentence in corpus.sentences:
-            self.df.update(sentence.tokens.keys())
+        for bag in self.bags:
+            self.df.update(bag.keys())
 
     def scores(self, query_terms) -> dict[int, float]:
         scores: dict[int, float] = {}
@@ -56,13 +60,13 @@ class OracleSearcher:
             if df == 0:
                 continue
             idf = math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
-            for sentence in self.corpus.sentences:
-                tf = sentence.tokens.get(term, 0)
+            for sid, bag in enumerate(self.bags):
+                tf = bag.get(term, 0)
                 if tf == 0:
                     continue
-                norm = K1 * (1.0 - B + B * self.doc_len[sentence.id] / self.avg_len)
+                norm = K1 * (1.0 - B + B * self.doc_len[sid] / self.avg_len)
                 contrib = idf * tf * (K1 + 1.0) / (tf + norm)
-                scores[sentence.id] = scores.get(sentence.id, 0.0) + contrib
+                scores[sid] = scores.get(sid, 0.0) + contrib
         return scores
 
     def search(self, query_terms, top_n, must_contain_any=None):
@@ -73,8 +77,8 @@ class OracleSearcher:
             candidates = [
                 sid
                 for sid in candidates
-                if not side_a.isdisjoint(self.corpus[sid].tokens.keys())
-                and not side_b.isdisjoint(self.corpus[sid].tokens.keys())
+                if not side_a.isdisjoint(self.bags[sid].keys())
+                and not side_b.isdisjoint(self.bags[sid].keys())
             ]
         candidates.sort(key=lambda sid: (-scores[sid], sid))
         if top_n is not None:
@@ -82,13 +86,13 @@ class OracleSearcher:
         return [(sid, scores[sid]) for sid in candidates]
 
     def two_step(self, q: str, a: str, params: RetrievalParams):
-        query_bag = query_tokens(q, a)
+        query_bag = reference_tokenize(q + " " + a)
         first = self.search(query_bag, params.k)
-        q_stems = stem_set(q)
-        a_stems = stem_set(a)
+        q_stems = frozenset(reference_tokenize(q))
+        a_stems = frozenset(reference_tokenize(a))
         pairs = []
         for f1_id, score1 in first:
-            f1_keys = frozenset(self.corpus[f1_id].tokens)
+            f1_keys = frozenset(self.bags[f1_id])
             q_minus = frozenset(query_bag) - f1_keys
             f_minus = f1_keys - frozenset(query_bag)
             if not q_minus or not f_minus:
@@ -97,7 +101,7 @@ class OracleSearcher:
                 q_minus | f_minus, params.l, must_contain_any=(q_minus, f_minus)
             )
             for f2_id, score2 in second:
-                f2_keys = self.corpus[f2_id].tokens.keys()
+                f2_keys = self.bags[f2_id].keys()
                 if not q_stems.isdisjoint(f2_keys) or not a_stems.isdisjoint(f2_keys):
                     pairs.append(RetrievedPair(f1_id, f2_id, score1, score2))
         pairs.sort(key=lambda p: (-p.pair_score, p.f1, p.f2))

@@ -17,6 +17,7 @@ from hopkit.corpus import (
     stem_set,
     tokenize_normalize,
 )
+from hopkit.index import build_index
 
 from oracles import reference_clean_filter, reference_normal_form, reference_tokenize
 
@@ -141,7 +142,13 @@ class TestLoadCorpus(object):
             "Plants absorb water through roots.\n"
         )
         corpus = load_corpus(path)
-        assert [s.id for s in corpus.sentences] == [0, 1, 2, 3]
+        assert corpus.texts == [
+            "Wind turns the turbine blades.",
+            "Solar panels capture the light.",
+            "Rivers carve deep stone canyons.",
+            "Plants absorb water through roots.",
+        ]
+        assert [corpus.id_of_text(text) for text in corpus.texts] == [0, 1, 2, 3]
         assert corpus.rejections == Counter({"duplicate": 1})
 
     def test_markup_line_rejected(self, tmp_path):
@@ -173,15 +180,7 @@ class TestLoadCorpus(object):
         first = load_corpus(path)
         second = load_corpus(path)
         assert first.source_digest == second.source_digest
-        assert [s.text for s in first.sentences] == [s.text for s in second.sentences]
-        assert [s.tokens for s in first.sentences] == [s.tokens for s in second.sentences]
-
-    def test_tokens_match_tokenizer(self, tmp_path):
-        path = tmp_path / "c.txt"
-        path.write_text("Wind turns the turbine blades.\n")
-        corpus = load_corpus(path)
-        sentence = corpus[0]
-        assert sentence.tokens == tokenize_normalize(sentence.text)
+        assert first.texts == second.texts
 
     def test_id_of_text_normalizes_whitespace(self):
         corpus = Corpus.from_texts(["Wind  turns the   turbine."])
@@ -262,14 +261,32 @@ class TestIngestMatchesOracles:
     def test_from_texts(self, texts):
         corpus = Corpus.from_texts(texts)
         expected = list(dict.fromkeys(t for t in map(reference_normal_form, texts) if t))
-        assert [s.text for s in corpus.sentences] == expected
-        assert [s.id for s in corpus.sentences] == list(range(len(expected)))
-        for sentence in corpus.sentences:
-            assert list(sentence.tokens.items()) == list(reference_tokenize(sentence.text).items())
+        assert corpus.texts == expected
+        assert [corpus[sid] for sid in range(len(corpus))] == expected
         # the text -> id map the corpus was handed is the one it would build
         assert corpus._by_text == {
-            normalize_whitespace(s.text): s.id for s in corpus.sentences
+            normalize_whitespace(text): sid for sid, text in enumerate(corpus.texts)
         }
+
+    @given(st.lists(ingest_texts, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_postings_match_reference_tokenizer(self, texts):
+        # the postings hold what a plain loop of the reference tokenizer
+        # over the texts in id order gives: terms in first-seen order, each
+        # term's (id, tf) pairs in id order, and every document's length
+        corpus = Corpus.from_texts(texts)
+        postings: dict[str, list[tuple[int, int]]] = {}
+        doc_len = []
+        for sid, text in enumerate(corpus.texts):
+            bag = reference_tokenize(text)
+            doc_len.append(sum(bag.values()))
+            for term, tf in bag.items():
+                postings.setdefault(term, []).append((sid, tf))
+        index = build_index(corpus)
+        assert [(term, list(plist)) for term, plist in index.postings.items()] == list(
+            postings.items()
+        )
+        assert index.doc_len == doc_len
 
     @given(st.lists(ingest_texts | st.sampled_from((
         "Wind turns the turbine blades.", "Wind  turns the turbine blades. ",
@@ -293,12 +310,10 @@ class TestIngestMatchesOracles:
             else:
                 texts.append(text)
         corpus = load_corpus(path)
-        assert [s.text for s in corpus.sentences] == texts
+        assert corpus.texts == texts
         assert corpus.rejections == rejections
-        for sentence in corpus.sentences:
-            assert list(sentence.tokens.items()) == list(reference_tokenize(sentence.text).items())
         assert corpus._by_text == {
-            normalize_whitespace(s.text): s.id for s in corpus.sentences
+            normalize_whitespace(text): sid for sid, text in enumerate(corpus.texts)
         }
 
     @given(st.lists(ingest_texts, max_size=8))
@@ -311,7 +326,7 @@ class TestIngestMatchesOracles:
                 continue
             assert alone.id_of_text(raw) == 0
             sid = corpus.id_of_text(raw)
-            assert sid is not None and corpus[sid].text == alone[0].text
+            assert sid is not None and corpus[sid] == alone[0]
 
     def test_text_with_a_control_character_resolves(self):
         text = "Heat\x1bmelts the ice."

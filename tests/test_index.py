@@ -152,7 +152,7 @@ class TestSearch:
             10,
             must_contain_any=(frozenset({"wind"}), frozenset({"electr"})),
         )
-        texts = [mini_index.corpus[h.sentence_id].text for h in hits]
+        texts = [mini_index.corpus[h.sentence_id] for h in hits]
         assert texts == ["Wind is used for producing electricity."]
 
     def test_must_contain_any_empty_side_admits_nothing(self, mini_index):
@@ -212,7 +212,7 @@ class TestSearch:
         want = naive_search(corpus, query, None, must_contain_any=sides)
         if negate:
             want = [(sid, score) for sid, score in want
-                    if not corpus[sid].text.endswith(" not.")]
+                    if not corpus[sid].endswith(" not.")]
         assert [(h.sentence_id, h.score) for h in got] == want[:top_n]
 
     @given(
@@ -232,7 +232,7 @@ class TestSearch:
         constrained = search(index, query, top_n, must_contain_any=(frozenset(query),) * 2,
                              negation_filter=negation)
         want = [(sid, score) for sid, score in naive_search(corpus, query, None)
-                if not (negate and corpus[sid].text.endswith(" not."))]
+                if not (negate and corpus[sid].endswith(" not."))]
         assert got == constrained
         assert [(h.sentence_id, h.score) for h in got] == want[:top_n]
 
@@ -327,7 +327,7 @@ class TestSearch:
             got = search(index, query, top_n, must_contain_any=sides,
                          negation_filter=NEGATION_TOKENS if negate else None)
         want = [(sid, score) for sid, score in naive_search(corpus, query, None, sides)
-                if not (negate and corpus[sid].text.endswith(" not."))]
+                if not (negate and corpus[sid].endswith(" not."))]
         assert [(h.sentence_id, h.score) for h in got] == want[:top_n]
         if walk and not negate and not terms.isdisjoint(index.postings):
             event("walk")
@@ -337,11 +337,10 @@ class TestSearch:
         # "air" is in one sentence and "wind" in all 41: the survivor set
         # built from the rare side holds one sentence, so scoring it needs
         # no max impact and one contribution per query term, where a walk
-        # over the impact rounds would reach every sentence
-        corpus = one_full_match_corpus()
-        index = build_index(corpus)
-        terms, sides = ["air", "heat", "wind"], (frozenset({"air"}), frozenset({"wind"}))
-        assert (len(index.postings["air"]), len(index.postings["wind"])) == (1, 41)
+        # over the impact rounds would reach every sentence.  The other
+        # side has more terms than the pool has sentences, so the pooled
+        # sentence is tested for each of them; in the second corpus it
+        # holds neither, and nothing may be hit.
         calls = 0
         real = hopkit.index.bm25_term_score
 
@@ -351,11 +350,18 @@ class TestSearch:
             return real(*args)
 
         monkeypatch.setattr(hopkit.index, "bm25_term_score", counting)
-        hits = search(index, terms, 1, must_contain_any=sides)
-        assert index._max_impact == {}
-        assert calls <= len(terms)
-        assert [(h.sentence_id, h.score) for h in hits] == naive_search(
-            corpus, terms, 1, must_contain_any=sides)
+        terms, sides = ["air", "heat", "wind"], (frozenset({"air"}), frozenset({"heat", "wind"}))
+        for texts, n_hits in ((["wind heat air."], 1), (["air rain.", "heat rain."], 0)):
+            corpus = Corpus.from_texts([*texts, *one_full_match_corpus().texts[1:]])
+            index = build_index(corpus)
+            assert [len(index.postings[term]) for term in terms] == [1, 1, 40 + n_hits]
+            calls = 0
+            hits = search(index, terms, 1, must_contain_any=sides)
+            assert index._max_impact == {}
+            assert calls <= len(terms)
+            want = naive_search(corpus, terms, 1, must_contain_any=sides)
+            assert len(want) == n_hits
+            assert [(h.sentence_id, h.score) for h in hits] == want
 
     def test_pruning_scores_past_a_first_round_of_weak_hits(self):
         # the long sentence holds both query terms, so its bound is the
@@ -407,7 +413,7 @@ class TestSearch:
         corpus = toy_corpus()
         small = build_index(corpus)
         grown = build_index(
-            Corpus.from_texts([s.text for s in corpus.sentences] + ["quartz vein glitters."])
+            Corpus.from_texts([*corpus.texts, "quartz vein glitters."])
         )
         for term in ("wind", "solar", "power"):
             assert grown.postings[term] == small.postings[term]
@@ -448,9 +454,7 @@ class TestSnapshot:
         assert loaded.doc_len == index.doc_len
         assert loaded.avg_len == index.avg_len
         assert loaded.postings == index.postings
-        assert [s.text for s in loaded.corpus.sentences] == [
-            s.text for s in corpus.sentences
-        ]
+        assert loaded.corpus.texts == corpus.texts
         q, a = random_query(rng, vocab)
         query = Counter(q.split() + a.split())
         assert search(loaded, query, 10) == search(index, query, 10)
@@ -490,9 +494,7 @@ class TestSnapshot:
             write_snapshot(bigger, path)
         assert path.read_bytes() == old
         assert sorted(p.name for p in tmp_path.iterdir()) == ["index.hopidx"]
-        assert [s.text for s in load_snapshot(path).corpus.sentences] == [
-            s.text for s in toy_corpus().sentences
-        ]
+        assert load_snapshot(path).corpus.texts == toy_corpus().texts
 
     def test_failed_rename_leaves_no_temporary_file(self, tmp_path, monkeypatch):
         path = tmp_path / "index.hopidx"
@@ -535,9 +537,7 @@ class TestSnapshot:
         loaded = load_snapshot(path)
         rebuilt = build_index(toy_corpus())
         assert "wind" not in loaded.postings
-        assert [(s.text, s.tokens) for s in loaded.corpus.sentences] == [
-            (s.text, s.tokens) for s in rebuilt.corpus.sentences
-        ]
+        assert loaded.corpus.texts == rebuilt.corpus.texts
         assert loaded.postings == rebuilt.postings
         assert (loaded.doc_len, loaded.avg_len) == (rebuilt.doc_len, rebuilt.avg_len)
 

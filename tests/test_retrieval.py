@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopkit.corpus
-from hopkit.corpus import Corpus, Sentence, stem_set
+from hopkit.corpus import Corpus, stem_set
 from hopkit.index import build_index
 from hopkit.retrieval import (
     RetrievalParams,
@@ -50,23 +50,20 @@ class TestQueryTokens:
 class TestIntermediateDiff:
     def test_fig1_differences(self):
         query_bag = frozenset(query_tokens(FIG1_QUESTION, FIG1_ANSWER))
-        f1 = Sentence.make(0, FIG1_FS)
-        q_minus, f_minus = intermediate_diff(query_bag, f1)
+        q_minus, f_minus = intermediate_diff(query_bag, FIG1_FS)
         # note: the Porter stem of "harnessed" is "har" (step 3 strips -ness)
         assert q_minus == {"har", "electr", "product"}
         assert f_minus == {"produc", "wind"}
 
     def test_sentence_subset_of_query(self):
         query_bag = frozenset({"wind", "turbin", "power"})
-        f1 = Sentence.make(0, "wind turbine")
-        q_minus, f_minus = intermediate_diff(query_bag, f1)
+        q_minus, f_minus = intermediate_diff(query_bag, "wind turbine")
         assert q_minus == {"power"}
         assert f_minus == frozenset()
 
     def test_disjoint(self):
         query_bag = frozenset({"wind"})
-        f1 = Sentence.make(0, "solar panel")
-        q_minus, f_minus = intermediate_diff(query_bag, f1)
+        q_minus, f_minus = intermediate_diff(query_bag, "solar panel")
         assert q_minus == {"wind"}
         assert f_minus == {"solar", "panel"}
 
@@ -74,7 +71,7 @@ class TestIntermediateDiff:
 class TestSingleStep:
     def test_fig1_excludes_unlinked_fact(self, mini_index):
         hits = single_step(mini_index, FIG1_QUESTION, FIG1_ANSWER, 10)
-        texts = [mini_index.corpus[h.sentence_id].text for h in hits]
+        texts = [mini_index.corpus[h.sentence_id] for h in hits]
         assert FIG1_FC in texts  # overlaps both sides
         assert FIG1_FL not in texts  # no question overlap
         assert FIG1_FS not in texts  # no answer overlap
@@ -147,8 +144,8 @@ class TestTwoStep:
             qa_stems = stem_set(q) | stem_set(a)
             for pair in pairs:
                 assert pair.f1 != pair.f2
-                f1_keys = frozenset(corpus[pair.f1].tokens)
-                f2_keys = frozenset(corpus[pair.f2].tokens)
+                f1_keys = stem_set(corpus[pair.f1])
+                f2_keys = stem_set(corpus[pair.f2])
                 q_minus = frozenset(query_bag) - f1_keys
                 f_minus = f1_keys - frozenset(query_bag)
                 assert q_minus & f2_keys, "second hop must cover an uncovered query token"
