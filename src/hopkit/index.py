@@ -128,53 +128,53 @@ def search(
     (Q, Q) for the query's term set Q, since a sentence holding a query
     term holds one from each side.  Ties break by ascending sentence id.
 
-    Candidates come from one of two sources.  Under a negation_filter,
-    or when the rarer side holds at most POOL_POSTINGS_PER_HIT postings
-    per wanted hit per query term, the survivors (the documents meeting
-    both sides) are found by set algebra over that side's postings.
-    Otherwise no survivor set is built: the pruning rounds below reach
-    documents through the query terms' postings, and drop a reached
-    document that fails a side (none can when every query term is on
-    both sides, as in a first hop).  Scoring is term-at-a-time: for each
-    query term in sorted order, its contribution is assigned to, or added
-    to, each candidate holding it, the order in which the naive reference
-    scan sums a document's terms, so reruns and that scan agree bit for
-    bit.
+    Candidates come from one of two sources.  When the rarer side holds
+    at most POOL_POSTINGS_PER_HIT postings per wanted hit per query term,
+    the survivors (the documents meeting both sides) are found by set
+    algebra over that side's postings.  Otherwise no survivor set is
+    built: the pruning rounds below reach documents through the query
+    terms' postings, and drop a reached document that fails a side (none
+    can when every query term is on both sides, as in a first hop).
+    Scoring is term-at-a-time: for each query term in sorted order, its
+    contribution is assigned to, or added to, each candidate holding it,
+    the order in which the naive reference scan sums a document's terms,
+    so reruns and that scan agree bit for bit.
 
-    Without a negation_filter, and unless at most top_n survivors per
-    query term were found, a search scores only the candidates whose
-    bound, the sum of the max impacts of the query terms they hold,
-    reaches a floor that falls until the top_n-th best score theta found
-    so far satisfies theta * (1 - 1e-9) >= floor, or until the floor is
-    at or below the smallest max impact, when every candidate holding a
-    query term has been reached.  This is exact.  Every contribution is
-    at most its term's max impact, and float addition is monotone, so a
-    score is at most its bound up to the rounding of summing the same
-    terms in another order: a relative error far below 1e-9 for any real
-    query.  An unscored candidate therefore scores strictly below theta,
-    and can neither enter the top_n nor tie with a hit at theta; a
-    candidate that does tie at theta has a bound above the floor and is
-    scored, so ties still break by id.
+    Unless at most top_n survivors per query term were found, a search
+    scores only the candidates whose bound, the sum of the max impacts of
+    the query terms they hold, reaches a floor that falls until the
+    top_n-th best score theta found so far satisfies theta * (1 - 1e-9)
+    >= floor, or until the floor is at or below the smallest max impact,
+    when every candidate holding a query term has been reached.  This is
+    exact.  Every contribution is at most its term's max impact, and float
+    addition is monotone, so a score is at most its bound up to the
+    rounding of summing the same terms in another order: a relative error
+    far below 1e-9 for any real query.  An unscored candidate therefore
+    scores strictly below theta, and can neither enter the top_n nor tie
+    with a hit at theta; a candidate that does tie at theta has a bound
+    above the floor and is scored, so ties still break by id.
+
+    A negation_filter drops hits whose surface words include one of its
+    words.  Such a search asks for wanted = top_n hits and doubles wanted
+    until top_n survive the filter, or until fewer than wanted were
+    scored, when every survivor was: exact, as the kept hits are a prefix
+    of the filtered full ranking.
     """
-    if top_n <= 0 or index.n_docs == 0:
+    if top_n <= 0:
         return []
     terms = sorted(set(query))
     if must_contain_any is None:
         must_contain_any = (frozenset(terms),) * 2
-    scores = _score_constrained(
-        index, terms, *must_contain_any, None if negation_filter else top_n
-    )
-    keyed = [(-score, doc_id) for doc_id, score in scores.items()]
-    if negation_filter:
-        keyed = [
-            (neg_score, doc_id)
-            for neg_score, doc_id in keyed
-            if not negation_filter.intersection(
-                _TOKEN_RE.findall(index.corpus[doc_id].lower())
-            )
-        ]
-    ranked = heapq.nsmallest(top_n, keyed)
-    return [SearchHit(doc_id, -neg_score) for neg_score, doc_id in ranked]
+    wanted = top_n
+    while True:
+        scores = _score_constrained(index, terms, *must_contain_any, wanted)
+        ranked = heapq.nsmallest(wanted, [(-score, doc_id) for doc_id, score in scores.items()])
+        if negation_filter:
+            ranked = [hit for hit in ranked if negation_filter.isdisjoint(
+                _TOKEN_RE.findall(index.corpus[hit[1]].lower()))]
+        if len(ranked) >= top_n or len(scores) < wanted:
+            return [SearchHit(doc_id, -neg_score) for neg_score, doc_id in ranked[:top_n]]
+        wanted *= 2
 
 
 def _score_constrained(
@@ -182,10 +182,10 @@ def _score_constrained(
     terms: list[str],
     side_a: frozenset[str],
     side_b: frozenset[str],
-    top_n: int | None,
+    top_n: int,
 ) -> dict[int, float]:
-    """Scores of the documents meeting both sides; with top_n, of at least
-    those that can rank in the top_n (see search)."""
+    """Scores of at least the documents meeting both sides that can rank
+    in the top_n (see search)."""
     postings = index.postings
     # Each side's terms' key views: a document holds a term of the side
     # when it is in one of them.
@@ -202,7 +202,7 @@ def _score_constrained(
         return set().union(*(held & docs for held in keys))
 
     survivors = None  # not built: the impact rounds start from every document
-    if top_n is None or total_a <= POOL_POSTINGS_PER_HIT * top_n * len(terms):
+    if total_a <= POOL_POSTINGS_PER_HIT * top_n * len(terms):
         pool = set().union(*keys_a)
         if side_a <= side_b:
             survivors = pool  # a pool document holds a term of side_a, so of side_b
@@ -234,7 +234,7 @@ def _score_constrained(
     # A pruning round makes at least one key-set intersection per query
     # term: with at most top_n survivors per query term, scoring them all
     # costs no more.
-    if top_n is None or (survivors is not None and len(survivors) <= top_n * len(weighted)):
+    if survivors is not None and len(survivors) <= top_n * len(weighted):
         score(survivors)
         return scores
     # Query terms by descending max impact, with the summed impact of each

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Protocol
 
@@ -283,7 +284,7 @@ def question_to_json(question: MCQuestion) -> dict:
 
 
 def load_questions(path: str | Path) -> list[MCQuestion]:
-    return read_jsonl(path, question_from_json)
+    return read_jsonl(path, question_from_json, key=attrgetter("id"))
 
 
 def save_questions(questions, path: str | Path) -> None:

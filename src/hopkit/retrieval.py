@@ -80,20 +80,21 @@ def two_step(
     params: RetrievalParams = RetrievalParams(),
     negation_filter: frozenset[str] | None = None,
 ) -> tuple[list[int], list[RetrievedPair]]:
-    """Two-step retrieval; returns (unique fact ids, all surviving pairs).
+    """Two-step retrieval; returns (unique fact ids, all pairs in order).
 
     1. take the top-k hits for the combined q+a query;
     2. for each first hop with both set differences non-empty, take the
        top-l sentences containing at least one uncovered query token and
        one newly introduced token (the first hop itself can never match:
        it contains no uncovered query token);
-    3. drop pairs whose second hop shares no stem with q and none with a;
-    4. sort pairs by summed score (ties by ascending ids) and emit unique
+    3. sort pairs by summed score (ties by ascending ids) and emit unique
        fact ids in pair order, first hop first, until m facts.
+
+    No second hop needs checking for a stem shared with q or a: it holds
+    an uncovered query token, which is one.
     """
     # Tokenized here, not through stem_set's memo: each question asks once.
-    q_stems, a_stems = frozenset(tokenize_normalize(q)), frozenset(tokenize_normalize(a))
-    query_stems = q_stems | a_stems
+    query_stems = frozenset(query_tokens(q, a))
     first_hops = search(index, query_stems, params.k, negation_filter=negation_filter)
     pairs: list[RetrievedPair] = []
     for hop in first_hops:
@@ -111,27 +112,17 @@ def two_step(
             RetrievedPair(hop.sentence_id, h2.sentence_id, hop.score, h2.score)
             for h2 in second_hops
         )
-
-    postings = index.postings
-
-    def survives(pair: RetrievedPair) -> bool:
-        # The stems f2 shares with q or a are the ones whose postings hold it.
-        return any(pair.f2 in postings[term].mapping for term in query_stems if term in postings)
-
-    kept = sorted(
-        (p for p in pairs if survives(p)),
-        key=lambda p: (-p.pair_score, p.f1, p.f2),
-    )
+    pairs.sort(key=lambda p: (-p.pair_score, p.f1, p.f2))
     facts: list[int] = []
     seen: set[int] = set()
-    for pair in kept:
+    for pair in pairs:
         for fid in (pair.f1, pair.f2):
             if fid not in seen:
                 seen.add(fid)
                 facts.append(fid)
                 if len(facts) == params.m:
-                    return facts, kept
-    return facts, kept
+                    return facts, pairs
+    return facts, pairs
 
 
 # ---------------------------------------------------------------------------

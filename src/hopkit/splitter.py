@@ -169,7 +169,7 @@ def _violation(masses, bounds) -> float:
     return total
 
 
-def _report(problem: SplitProblem, masses, bounds) -> dict[str, dict]:
+def _report(masses, bounds) -> dict[str, dict]:
     report = {}
     for fold, mass, (lo, hi) in zip(FOLDS, masses, bounds):
         over = max(0.0, mass - hi)
@@ -187,7 +187,7 @@ def _assignment(problem: SplitProblem, labels: list[int], objective: float,
                 violation: float, bounds) -> FoldAssignment:
     fold_of = {fact.id: FOLDS[fold] for fact, fold in zip(problem.facts, labels)}
     feasible = violation == 0.0
-    report = None if feasible else _report(problem, _masses(problem, labels), bounds)
+    report = None if feasible else _report(_masses(problem, labels), bounds)
     return FoldAssignment(fold_of, objective, feasible, report)
 
 

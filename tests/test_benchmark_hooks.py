@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 from hopkit.qa import save_questions
@@ -140,3 +141,43 @@ def test_traced_cli_runs_index_retrieve_and_recall_with_search_spans(tmp_path):
     assert any(constrained for _, (constrained, *_) in searches)
     assert any(not constrained for _, (constrained, *_) in searches)
     assert all(scanned > 0 for _, (_, _, scanned, _) in searches)
+
+
+_TRACED_TWO_STEP = """
+import json, tracing
+tracer = tracing.Tracer({})
+tracer.install()
+from hopkit.cli import main
+codes = [main(argv) for argv in json.loads(COMMANDS)]
+children = {i: [] for i, span in enumerate(tracer.spans) if span[0] == "retrieval.two_step"}
+for span in tracer.spans:
+    if span[0] == "index.search" and span[3] in children:
+        children[span[3]].append(span[5][0])
+print(json.dumps({"codes": codes, "children": list(children.values())}))
+"""
+
+
+def test_each_two_step_issues_one_first_hop_search(tmp_path):
+    # the tracer counts a search passed no must_contain_any as a first hop,
+    # so a two_step that constrained its first hop would count as bridges
+    mini = resources.files("hopkit.data").joinpath("mini_corpus.txt")
+    idx = tmp_path / "idx"
+    retrieve = ["retrieve", "--index", str(idx), "--mode", "two", "--question",
+                "Differential heating of air can be harnessed for what?",
+                "--answer", "electricity production"]
+    commands = [
+        ["index", "build", "--corpus", str(mini), "--out", str(idx)],
+        [*retrieve, "--out", str(tmp_path / "plain.jsonl")],
+        [*retrieve, "--drop-negations", "--out", str(tmp_path / "negated.jsonl")],
+        ["retrieve", "--index", str(idx), "--mode", "two", "--question",
+         "What can trigger an immune response?", "--answer", "transplanted organs",
+         "--out", str(tmp_path / "antigen.jsonl")],
+    ]
+    result = _run_traced(f"COMMANDS = {json.dumps(commands)!r}\n" + _TRACED_TWO_STEP)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report["codes"] == [0] * len(commands), result.stderr
+    assert len(report["children"]) == 3
+    for constrained in report["children"]:
+        assert constrained.count(False) == 1
+        assert constrained[0] is False and len(constrained) > 1

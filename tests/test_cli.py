@@ -555,6 +555,20 @@ class TestMalformedInputs:
         assert err["error"] == "HopkitError"
         assert f"{pools}:2:" in err["message"]
 
+    def test_repeated_question_id_names_the_dataset(self, tmp_path, capsys):
+        # gen must refuse the dataset, not write two pool rows for one id
+        # and leave rank to blame the pools file
+        dataset = fold_dataset(tmp_path, n=5)
+        lines = dataset.read_text("utf-8").splitlines()
+        dataset.write_text("\n".join([*lines, lines[3]]) + "\n", "utf-8")
+        pools = tmp_path / "pools.jsonl"
+        capsys.readouterr()
+        code = main(["distract", "gen", "--dataset", str(dataset), "--out", str(pools)])
+        payload = assert_domain_error(code, capsys.readouterr().err)
+        assert f"{dataset}:6:" in payload["message"]
+        assert "'q003' repeats line 4" in payload["message"]
+        assert not pools.exists()
+
     @pytest.mark.parametrize("spec", ["ir", "bogus"])
     def test_rank_names_the_scorer_specs_it_takes(self, tmp_path, spec, capsys):
         dataset = fold_dataset(tmp_path)

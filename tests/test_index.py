@@ -261,7 +261,7 @@ class TestSearch:
         corpus = one_full_match_corpus()
         index = build_index(corpus)
         terms, sides = ["air", "heat", "wind"], (frozenset({"wind"}), frozenset({"wind"}))
-        assert len(_score_constrained(index, terms, *sides, None)) == 41
+        assert len(_score_constrained(index, terms, *sides, index.n_docs)) == 41
         assert list(_score_constrained(index, terms, *sides, 1)) == [0]
         hits = search(index, Counter(terms), 1, must_contain_any=sides)
         assert [(h.sentence_id, h.score) for h in hits] == naive_search(
@@ -290,6 +290,53 @@ class TestSearch:
         hits = search(index, Counter(terms), 1)
         assert calls < len(holders)
         assert [(h.sentence_id, h.score) for h in hits] == naive_search(corpus, terms, 1)
+
+    def test_negation_filtered_search_is_pruned(self, monkeypatch):
+        # no sentence is negated, so the filter keeps the top-1 of the
+        # first pruned search and scores no more than it does
+        corpus = one_full_match_corpus()
+        index = build_index(corpus)
+        terms = ["air", "heat", "wind"]
+        holders = set().union(*(index.postings[term].mapping for term in terms))
+        for term in terms:
+            index.max_impact(term)
+        calls = 0
+        real = hopkit.index.bm25_term_score
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(hopkit.index, "bm25_term_score", counting)
+        hits = search(index, Counter(terms), 1, negation_filter=NEGATION_TOKENS)
+        assert calls < len(holders)
+        assert [(h.sentence_id, h.score) for h in hits] == naive_search(corpus, terms, 1)
+
+    def test_negation_filter_widens_until_a_hit_survives(self, monkeypatch):
+        # the three best sentences are negated, so top-1 searches for 1, 2
+        # and 4 hits before one survives the filter
+        negated = ["wind heat air not.", "air wind heat not.", "heat air wind not."]
+        corpus = Corpus.from_texts(
+            [*negated, "wind heat air rock.", *one_full_match_corpus().texts[1:]])
+        index = build_index(corpus)
+        terms = ["air", "heat", "wind"]
+        calls = 0
+        real = hopkit.index._score_constrained
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(hopkit.index, "_score_constrained", counting)
+        top_n = 1
+        hits = search(index, Counter(terms), top_n, negation_filter=NEGATION_TOKENS)
+        ranked = naive_search(corpus, terms, None)
+        assert [sid for sid, _ in ranked[:3]] == [0, 1, 2]
+        want = [(sid, score) for sid, score in ranked if not corpus[sid].endswith(" not.")]
+        assert [(h.sentence_id, h.score) for h in hits] == want[:top_n]
+        assert calls <= math.ceil(math.log2(index.n_docs / top_n)) + 1
 
     @given(
         corpus=small_corpora(min_sentences=10),
