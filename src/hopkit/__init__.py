@@ -7,7 +7,6 @@ from .corpus import (  # noqa: F401
     TokenBag,
     clean_filter,
     load_corpus,
-    segment_sentences,
     tokenize_normalize,
 )
 from .errors import HopkitError  # noqa: F401

@@ -161,58 +161,6 @@ def clean_filter(candidate: str) -> CleanResult:
 
 
 # ---------------------------------------------------------------------------
-# Sentence segmentation
-
-# Abbreviations whose trailing period never ends a sentence.
-DEFAULT_ABBREVIATIONS = frozenset(
-    {
-        "dr", "mr", "mrs", "ms", "prof", "st", "jr", "sr", "vs", "etc",
-        "e.g", "i.e", "cf", "fig", "no", "dept", "inc", "ltd", "co",
-        "approx", "est", "al", "eds", "ed", "vol", "pp",
-    }
-)
-
-_BOUNDARY_RE = re.compile(r"[.!?]+")
-
-
-def segment_sentences(
-    document: str, abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS
-) -> list[str]:
-    """Split a document on sentence-final punctuation.
-
-    A run of . ! ? ends a sentence when followed by whitespace and then an
-    uppercase letter or a blank stretch containing a newline, unless the
-    preceding word is a protected abbreviation.  Joining the results and
-    collapsing whitespace reproduces the input.
-    """
-    sentences: list[str] = []
-    start = 0
-    for match in _BOUNDARY_RE.finditer(document):
-        end = match.end()
-        if end >= len(document):
-            break
-        follow = document[end:]
-        stripped = follow.lstrip()
-        leading_ws = follow[: len(follow) - len(stripped)]
-        if not leading_ws:
-            continue
-        if not ("\n" in leading_ws or (stripped and stripped[0].isupper())):
-            continue
-        prev_word = document[start : match.start()].split()[-1:] or [""]
-        word = prev_word[0].lower().lstrip("(\"'")
-        if word in abbreviations or word.rstrip(".") in abbreviations:
-            continue
-        piece = document[start:end].strip()
-        if piece:
-            sentences.append(normalize_whitespace(piece))
-        start = end
-    tail = document[start:].strip()
-    if tail:
-        sentences.append(normalize_whitespace(tail))
-    return sentences
-
-
-# ---------------------------------------------------------------------------
 # Corpus
 
 

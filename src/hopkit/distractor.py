@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .corpus import stem_set
 from .errors import HopkitError, InsufficientCandidatesError
-from .qa import Choice, MCQuestion, Scorer, checked_score
+from .qa import MAX_WAYS, Choice, MCQuestion, Scorer, checked_score
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,8 @@ class AdversarialConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+        if self.target_ways > MAX_WAYS:
+            raise ValueError(f"target_ways must be at most {MAX_WAYS}, got {self.target_ways}")
 
 
 @dataclass

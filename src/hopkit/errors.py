@@ -28,20 +28,22 @@ def read_jsonl(
 ) -> list:
     """``parse(row)`` for every row of a JSON-lines file, in file order.
 
-    Blank lines are skipped; every other line must be a JSON object.  Bad
-    JSON (nesting too deep to decode included), a row that is not an
-    object, and a KeyError, TypeError or ValueError raised by ``parse``
-    become a HopkitError naming path:line, so a parse function only has to
-    say what is wrong with the row.  With ``key``, a row whose
-    ``key(parse(row))`` repeats an earlier row's is a bad row too.
+    Lines end at LF, so CRLF files read the same.  Blank lines are skipped;
+    every other line must be a JSON object.  Malformed UTF-8, bad JSON
+    (nesting too deep to decode included), a row that is not an object, and
+    a KeyError, TypeError or ValueError raised by ``parse`` become a
+    HopkitError naming path:line, so a parse function only has to say what
+    is wrong with the row.  With ``key``, a row whose ``key(parse(row))``
+    repeats an earlier row's is a bad row too.
     """
     parsed = []
     first_line: dict = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 value = parse(require_type(json.loads(line), dict, "row"))
                 if key is not None:
                     row_key = key(value)

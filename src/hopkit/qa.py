@@ -20,6 +20,11 @@ from .index import InvertedIndex
 from .retrieval import query_tokens, single_step
 
 
+# Choices are labelled with the letters 'A' to 'Z', so a question has at most
+# this many.
+MAX_WAYS = 26
+
+
 @dataclass(frozen=True)
 class Choice:
     label: str
@@ -45,6 +50,8 @@ class MCQuestion:
 
     def __post_init__(self) -> None:
         labels = [c.label for c in self.choices]
+        if len(labels) > MAX_WAYS:
+            raise ValueError(f"question {self.id}: {len(labels)} choices, more than {MAX_WAYS}")
         expected = [chr(ord("A") + i) for i in range(len(labels))]
         if labels != expected:
             raise ValueError(f"question {self.id}: labels {labels} not consecutive from 'A'")
@@ -57,12 +64,6 @@ class MCQuestion:
             if choice.label == self.answer_key:
                 return choice.text
         raise AssertionError("unreachable: answer key validated in __post_init__")
-
-    def choice_text(self, label: str) -> str:
-        for choice in self.choices:
-            if choice.label == label:
-                return choice.text
-        raise KeyError(label)
 
 
 @dataclass(frozen=True)
@@ -213,14 +214,17 @@ def _overlap(fact_bag: TokenBag, qa_bag: TokenBag, occurrences: bool) -> int:
     return len(shared)
 
 
-def overlap_stats(dataset, thresholds=(2, 3, 4), count_occurrences: bool = False) -> OverlapReport:
-    """For each threshold k, the fraction of questions where the less
-    overlapping of the two facts shares fewer than k stems with q+a, plus
-    the mean overlap of each fact.  Distinct stems by default; set
-    count_occurrences to count token occurrences instead.
+OVERLAP_THRESHOLDS = (2, 3, 4)
+
+
+def overlap_stats(dataset, count_occurrences: bool = False) -> OverlapReport:
+    """For each k in OVERLAP_THRESHOLDS, the fraction of questions where
+    the less overlapping of the two facts shares fewer than k stems with
+    q+a, plus the mean overlap of each fact.  Distinct stems by default;
+    set count_occurrences to count token occurrences instead.
     """
-    report = OverlapReport(fraction_below={k: 0.0 for k in thresholds})
-    below = {k: 0 for k in thresholds}
+    report = OverlapReport(fraction_below={k: 0.0 for k in OVERLAP_THRESHOLDS})
+    below = {k: 0 for k in OVERLAP_THRESHOLDS}
     sum1 = sum2 = 0
     for question in dataset:
         if not question.fact1 or not question.fact2:
@@ -232,10 +236,10 @@ def overlap_stats(dataset, thresholds=(2, 3, 4), count_occurrences: bool = False
         report.n_used += 1
         sum1 += o1
         sum2 += o2
-        for k in thresholds:
+        for k in OVERLAP_THRESHOLDS:
             below[k] += min(o1, o2) < k
     if report.n_used:
-        report.fraction_below = {k: below[k] / report.n_used for k in thresholds}
+        report.fraction_below = {k: below[k] / report.n_used for k in OVERLAP_THRESHOLDS}
         report.mean_fact1 = sum1 / report.n_used
         report.mean_fact2 = sum2 / report.n_used
     return report
@@ -285,12 +289,6 @@ def question_to_json(question: MCQuestion) -> dict:
 
 def load_questions(path: str | Path) -> list[MCQuestion]:
     return read_jsonl(path, question_from_json, key=attrgetter("id"))
-
-
-def save_questions(questions, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for question in questions:
-            handle.write(json.dumps(question_to_json(question)) + "\n")
 
 
 def emit_score_requests(dataset, path: str | Path) -> None:

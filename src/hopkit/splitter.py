@@ -191,7 +191,7 @@ def _assignment(problem: SplitProblem, labels: list[int], objective: float,
     return FoldAssignment(fold_of, objective, feasible, report)
 
 
-def solve_exact(problem: SplitProblem, size_cap: int = EXACT_SIZE_CAP) -> FoldAssignment:
+def solve_exact(problem: SplitProblem) -> FoldAssignment:
     """Branch-and-bound over the 3-way labels, globally optimal.
 
     Minimizes (mass violation, objective) lexicographically, so the result
@@ -201,8 +201,8 @@ def solve_exact(problem: SplitProblem, size_cap: int = EXACT_SIZE_CAP) -> FoldAs
     n = len(problem.facts)
     if n == 0:
         return FoldAssignment({}, 0.0, _violation([0, 0, 0], problem.mass_bounds()) == 0.0)
-    if n > size_cap:
-        raise SplitSizeError(f"exact solver capped at {size_cap} facts, got {n}")
+    if n > EXACT_SIZE_CAP:
+        raise SplitSizeError(f"exact solver capped at {EXACT_SIZE_CAP} facts, got {n}")
     bounds = problem.mass_bounds()
     order = sorted(range(n), key=lambda i: (-problem.facts[i].question_count, i))
     position = {fact_index: pos for pos, fact_index in enumerate(order)}

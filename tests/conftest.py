@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 import sys
 from importlib import resources
@@ -12,7 +13,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from hopkit.corpus import STOPWORDS, Corpus, load_corpus, tokenize_normalize
 from hopkit.index import build_index
-from hopkit.qa import Choice, MCQuestion
+from hopkit.qa import Choice, MCQuestion, question_to_json
 from hopkit.splitter import SeedFact
 
 FIG1_QUESTION = "Differential heating of air can be harnessed for what?"
@@ -55,6 +56,13 @@ def make_question(
         fact2=fact2,
         combined_fact=combined,
     )
+
+
+def save_questions(questions, path) -> None:
+    """Write questions as a JSON-lines dataset, one question_to_json row each."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for question in questions:
+            handle.write(json.dumps(question_to_json(question)) + "\n")
 
 
 def unsourced(texts) -> list[tuple[str, str]]:

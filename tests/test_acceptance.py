@@ -15,7 +15,7 @@ from hopkit.cli import main
 from hopkit.corpus import Corpus
 from hopkit.distractor import multi_adversary_rank
 from hopkit.index import build_index, search
-from hopkit.qa import load_questions, overlap_stats, save_questions
+from hopkit.qa import load_questions, overlap_stats
 from hopkit.retrieval import RetrievalParams, recall_report, two_step
 from hopkit.splitter import FOLDS, solve_exact, solve_heuristic
 from hopkit.validator import check_composition, check_link, check_question, CompositionRecord
@@ -26,6 +26,7 @@ from conftest import (
     random_corpus,
     random_query,
     random_split_instance,
+    save_questions,
     unsourced,
 )
 from oracles import OracleSearcher, brute_adversary_sort, enumerate_split

@@ -8,9 +8,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from hopkit.qa import save_questions
-
-from conftest import make_question
+from conftest import make_question, save_questions
 
 ROOT = Path(__file__).resolve().parents[1]
 

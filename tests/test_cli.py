@@ -13,10 +13,18 @@ from hypothesis import strategies as st
 
 from hopkit.cli import main
 from hopkit.index import MAGIC
-from hopkit.qa import IRScorer, load_questions, save_questions
+from hopkit.qa import IRScorer, load_questions
 from hopkit.splitter import load_facts_jsonl, problem_to_json, solve_heuristic
 
-from conftest import FIG1_ANSWER, FIG1_FL, FIG1_FS, FIG1_QUESTION, make_question, synth_vocab
+from conftest import (
+    FIG1_ANSWER,
+    FIG1_FL,
+    FIG1_FS,
+    FIG1_QUESTION,
+    make_question,
+    save_questions,
+    synth_vocab,
+)
 from oracles import brute_build_problem
 
 
@@ -568,6 +576,44 @@ class TestMalformedInputs:
         assert f"{dataset}:6:" in payload["message"]
         assert "'q003' repeats line 4" in payload["message"]
         assert not pools.exists()
+
+    @pytest.mark.parametrize("command, target", [
+        ("validate", "dataset"), ("eval accuracy", "scores"), ("distract rank", "pools"),
+        ("distract assemble", "ranked"), ("split solve", "facts"),
+    ])
+    def test_malformed_utf8_names_file_and_line(self, contract_files, tmp_path, command,
+                                                target):
+        bad = tmp_path / contract_files[target].name
+        first = contract_files[target].read_bytes().splitlines()[0]
+        bad.write_bytes(first + b"\n\xff\xfe\n")
+        code, err = run_quietly(COMMANDS[command](dict(contract_files, **{target: bad})))
+        payload = assert_domain_error(code, err)
+        assert payload["error"] == "HopkitError"
+        assert payload["message"].startswith(f"{bad}:2: bad row: UnicodeDecodeError: ")
+
+    def test_ways_beyond_the_letters_is_domain_error(self, tmp_path, capsys):
+        # choices are labelled A to Z: 26 ways assemble, and 27 exit 1
+        # before anything is written
+        dataset = fold_dataset(tmp_path, n=30)
+        pools, ranked, out = (tmp_path / name for name in ("pools", "ranked", "out"))
+        assert main(["distract", "gen", "--dataset", str(dataset), "--ways", "26",
+                     "--out", str(pools)]) == 0
+        ranked.write_text("".join(
+            json.dumps({"id": row["id"], "ranked": row["candidates"]}) + "\n"
+            for row in map(json.loads, pools.read_text("utf-8").splitlines())
+        ), "utf-8")
+        assemble = ["distract", "assemble", "--dataset", str(dataset), "--ranked", str(ranked),
+                    "--seed", "1", "--out", str(out), "--ways"]
+        assert main(assemble + ["26"]) == 0
+        letters = [chr(ord("A") + i) for i in range(26)]
+        assert all([c.label for c in q.choices] == letters for q in load_questions(out))
+        out.unlink()
+        capsys.readouterr()
+        for argv in (["distract", "gen", "--dataset", str(dataset), "--out", str(out),
+                      "--ways", "27"], assemble + ["27"]):
+            payload = assert_domain_error(main(argv), capsys.readouterr().err)
+            assert "27" in payload["message"] and "26" in payload["message"]
+            assert not out.exists()
 
     @pytest.mark.parametrize("spec", ["ir", "bogus"])
     def test_rank_names_the_scorer_specs_it_takes(self, tmp_path, spec, capsys):

@@ -13,7 +13,6 @@ from hopkit.corpus import (
     clean_filter,
     load_corpus,
     normalize_whitespace,
-    segment_sentences,
     stem_set,
     tokenize_normalize,
 )
@@ -102,33 +101,6 @@ class TestCleanFilter:
     @settings(max_examples=200)
     def test_pure_function_of_candidate(self, text):
         assert clean_filter(text) == clean_filter(text)
-
-
-class TestSegmentSentences:
-    def test_two_sentences(self):
-        assert segment_sentences("A is b. C is d.") == ["A is b.", "C is d."]
-
-    def test_abbreviation_protected(self):
-        assert segment_sentences("Dr. Smith ran. He won.") == ["Dr. Smith ran.", "He won."]
-
-    def test_empty(self):
-        assert segment_sentences("") == []
-
-    def test_lowercase_continuation_not_split(self):
-        assert segment_sentences("It was 3 p.m. and quiet.") == ["It was 3 p.m. and quiet."]
-
-    def test_newline_boundary(self):
-        doc = "First line ends here.\nthen another thought."
-        assert segment_sentences(doc) == ["First line ends here.", "then another thought."]
-
-    def test_exclamation_and_question(self):
-        assert segment_sentences("Stop! Why now? Go.") == ["Stop!", "Why now?", "Go."]
-
-    @given(st.text(alphabet=" .!?\nabcdefgABCDEFG", max_size=300))
-    @settings(max_examples=200)
-    def test_reconstruction_modulo_whitespace(self, doc):
-        joined = " ".join(segment_sentences(doc))
-        assert normalize_whitespace(joined) == normalize_whitespace(doc)
 
 
 class TestLoadCorpus(object):

@@ -21,7 +21,6 @@ from hopkit.qa import (
     overlap_stats,
     question_from_json,
     question_to_json,
-    save_questions,
 )
 from hopkit.retrieval import query_tokens
 
@@ -148,7 +147,7 @@ class TestAnswer:
             answer_pos=0,
         )
         verdict = answer(IRScorer(mini_index), question)
-        assert question.choice_text(verdict.chosen) == FIG1_ANSWER
+        assert {c.label: c.text for c in question.choices}[verdict.chosen] == FIG1_ANSWER
 
     def test_scale_invariance_of_argmax(self):
         rng = random.Random(3)
@@ -274,13 +273,20 @@ class TestJsonl:
             "q1", FIG1_QUESTION, FIG1_ANSWER, ["erosion prevention"],
             fact1="f1", fact2="f2", combined=FIG1_FC,
         )
+        row = question_to_json(question)
         path = tmp_path / "d.jsonl"
-        save_questions([question], path)
-        loaded = load_questions(path)
-        assert loaded == [question]
-        row = json.loads(path.read_text().splitlines()[0])
+        path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        assert load_questions(path) == [question]
         assert set(row) == {"id", "question", "answerKey", "fact1", "fact2", "combinedfact"}
         assert row["question"]["choices"][0] == {"label": "A", "text": FIG1_ANSWER}
+
+    def test_crlf_file_reads_as_lf(self, tmp_path):
+        questions = [make_question(f"q{i}", f"stem {i}", "yes", ["no"]) for i in range(3)]
+        rows = [json.dumps(question_to_json(q)) for q in questions]
+        lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+        lf.write_bytes(("\n".join(rows) + "\n\n").encode("utf-8"))
+        crlf.write_bytes(("\r\n".join(rows) + "\r\n\r\n").encode("utf-8"))
+        assert load_questions(crlf) == load_questions(lf) == questions
 
     def test_bad_record_reports_line(self, tmp_path):
         path = tmp_path / "d.jsonl"
