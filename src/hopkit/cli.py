@@ -23,7 +23,7 @@ from .distractor import (
     multi_adversary_rank,
     prune_by_scorer,
 )
-from .errors import HopkitError, read_jsonl, require_type
+from .errors import HopkitError, jsonl, read_jsonl, require_type, write_output
 from .index import (
     NEGATION_TOKENS,
     InvertedIndex,
@@ -42,6 +42,7 @@ from .qa import (
 )
 from .retrieval import RetrievalParams, recall_report, single_step, two_step
 from .splitter import (
+    SplitProblem,
     build_problem,
     check_annealing_runs,
     load_facts_jsonl,
@@ -63,7 +64,7 @@ def _round9(value: float) -> float:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, "utf-8")
+        write_output(out, text)
     else:
         sys.stdout.write(text)
 
@@ -92,7 +93,7 @@ def _make_scorer(spec: str, args):
     if spec.startswith("ir:"):
         return IRScorer(load_snapshot(_resolve_snapshot(spec[3:])), name=spec)
     if spec.startswith("file:"):
-        return FileScorer(spec[5:], name=spec)
+        return FileScorer(spec[5:])
     specs = "ir, ir:SNAPSHOT, or file:PATH" if takes_index else "ir:SNAPSHOT or file:PATH"
     raise HopkitError(f"unknown scorer spec {spec!r} for this command; use {specs}")
 
@@ -114,7 +115,7 @@ def cmd_index_build(args) -> int:
         "source_digest": corpus.source_digest,
         "snapshot": str(out_dir / SNAPSHOT_NAME),
     }
-    sys.stdout.write(json.dumps(summary) + "\n")
+    sys.stdout.write(jsonl([summary]))
     return 0
 
 
@@ -152,7 +153,7 @@ def cmd_retrieve(args) -> int:
                     "pair_score": _round9(pair.pair_score),
                 }
             )
-    _emit("".join(json.dumps(line) + "\n" for line in lines), args.out)
+    _emit(jsonl(lines), args.out)
     return 0
 
 
@@ -163,7 +164,7 @@ def cmd_eval_recall(args) -> int:
     report = recall_report(index, dataset, params, args.mode)
     _emit(report.to_tsv(), args.out)
     if args.audit:
-        Path(args.audit).write_text(report.audit_jsonl(), "utf-8")
+        write_output(args.audit, jsonl(report.per_question))
     return 0
 
 
@@ -204,7 +205,7 @@ def cmd_distract_gen(args) -> int:
                 ],
             }
         )
-    _emit("".join(json.dumps(line) + "\n" for line in lines), args.out)
+    _emit(jsonl(lines), args.out)
     return 0
 
 
@@ -285,7 +286,7 @@ def cmd_distract_rank(args) -> int:
                 ],
             }
         )
-    _emit("".join(json.dumps(line) + "\n" for line in lines), args.out)
+    _emit(jsonl(lines), args.out)
     return 0
 
 
@@ -303,8 +304,7 @@ def cmd_distract_assemble(args) -> int:
                 shuffle_seed=f"{args.seed}:{question.id}",
             )
         )
-    text = "".join(json.dumps(question_to_json(q)) + "\n" for q in assembled)
-    _emit(text, args.out)
+    _emit(jsonl(map(question_to_json, assembled)), args.out)
     return 0
 
 
@@ -313,16 +313,15 @@ def cmd_split_solve(args) -> int:
     facts = load_facts_jsonl(args.facts)
     if not facts:
         raise HopkitError(f"{args.facts}: no seed facts to split")
-    targets = tuple(float(t) for t in args.targets.split(","))
+    try:
+        targets = tuple(float(t) for t in args.targets.split(","))
+    except ValueError:
+        targets = ()
     if len(targets) != 3:
         raise HopkitError(f"--targets needs three comma-separated fractions, got {args.targets!r}")
     problem = build_problem(facts, targets, args.slack, args.prune_threshold)
     if args.dump_problem:
-        dump = Path(args.dump_problem)
-        dump.parent.mkdir(parents=True, exist_ok=True)
-        dump.write_text(
-            json.dumps(problem_to_json(problem), indent=2) + "\n", "utf-8"
-        )
+        write_output(args.dump_problem, json.dumps(problem_to_json(problem), indent=2) + "\n")
     if args.exact:
         assignment = solve_exact(problem)
     else:
@@ -330,21 +329,14 @@ def cmd_split_solve(args) -> int:
             problem, seed=args.seed, iterations=args.iterations, restarts=args.restarts
         )
     prefix = Path(args.out)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    Path(f"{prefix}.json").write_text(
-        json.dumps(assignment.to_json(), indent=2) + "\n", "utf-8"
-    )
-    Path(f"{prefix}.tsv").write_text(assignment.to_tsv(), "utf-8")
-    sys.stdout.write(
-        json.dumps(
-            {
-                "feasible": assignment.feasible,
-                "objective": _round9(assignment.objective),
-                "out": f"{prefix}.json",
-            }
-        )
-        + "\n"
-    )
+    write_output(f"{prefix}.json", json.dumps(assignment.to_json(), indent=2) + "\n")
+    write_output(f"{prefix}.tsv", assignment.to_tsv())
+    summary = {
+        "feasible": assignment.feasible,
+        "objective": _round9(assignment.objective),
+        "out": f"{prefix}.json",
+    }
+    sys.stdout.write(jsonl([summary]))
     return 0
 
 
@@ -363,6 +355,11 @@ def _add_index_source(parser: argparse.ArgumentParser) -> None:
                         help="index snapshot file or directory (env: HOPKIT_INDEX)")
     parser.add_argument("--corpus", default=os.environ.get(ENV_PATHS["corpus"]),
                         help="corpus file, one sentence per line (env: HOPKIT_CORPUS)")
+
+
+def _add_retrieval_params(parser: argparse.ArgumentParser) -> None:
+    for name in ("k", "l", "m"):
+        parser.add_argument(f"--{name}", type=int, default=getattr(RetrievalParams, name))
 
 
 def _add_dataset(parser: argparse.ArgumentParser) -> None:
@@ -391,9 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_retrieve.add_argument("--mode", choices=("single", "two"), required=True)
     p_retrieve.add_argument("--question", required=True)
     p_retrieve.add_argument("--answer", required=True)
-    p_retrieve.add_argument("--k", type=int, default=20)
-    p_retrieve.add_argument("--l", type=int, default=4)
-    p_retrieve.add_argument("--m", type=int, default=10)
+    _add_retrieval_params(p_retrieve)
     p_retrieve.add_argument("--drop-negations", action="store_true",
                             help="drop hits containing negation words (noise hook)")
     p_retrieve.add_argument("--out")
@@ -405,9 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_index_source(p_recall)
     _add_dataset(p_recall)
     p_recall.add_argument("--mode", choices=("single", "two"), required=True)
-    p_recall.add_argument("--k", type=int, default=20)
-    p_recall.add_argument("--l", type=int, default=4)
-    p_recall.add_argument("--m", type=int, default=10)
+    _add_retrieval_params(p_recall)
     p_recall.add_argument("--audit", help="write per-question JSON lines here")
     p_recall.add_argument("--out")
     p_recall.set_defaults(func=cmd_eval_recall)
@@ -432,10 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
     distract_sub = p_distract.add_subparsers(dest="distract_command", required=True)
     p_gen = distract_sub.add_parser("gen", help="generate candidate pools")
     _add_dataset(p_gen)
-    p_gen.add_argument("--pool-n", type=int, default=300)
-    p_gen.add_argument("--token-slack", type=int, default=2)
-    p_gen.add_argument("--char-slack", type=float, default=0.5)
-    p_gen.add_argument("--ways", type=int, default=8)
+    p_gen.add_argument("--pool-n", type=int, default=AdversarialConfig.pool_dissimilar_n)
+    p_gen.add_argument("--token-slack", type=int, default=AdversarialConfig.token_slack)
+    p_gen.add_argument("--char-slack", type=float, default=AdversarialConfig.char_ratio_slack)
+    p_gen.add_argument("--ways", type=int, default=AdversarialConfig.target_ways)
     p_gen.add_argument("--out")
     p_gen.set_defaults(func=cmd_distract_gen)
     p_rank = distract_sub.add_parser("rank", help="rank pooled candidates by scorers")
@@ -451,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset(p_assemble)
     p_assemble.add_argument("--ranked", required=True)
     p_assemble.add_argument("--seed", required=True)
-    p_assemble.add_argument("--ways", type=int, default=8)
+    p_assemble.add_argument("--ways", type=int, default=AdversarialConfig.target_ways)
     p_assemble.add_argument("--out")
     p_assemble.set_defaults(func=cmd_distract_assemble)
 
@@ -465,9 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--iterations", type=int, default=20000)
     p_solve.add_argument("--restarts", type=int, default=10)
-    p_solve.add_argument("--targets", default="0.78,0.11,0.11")
-    p_solve.add_argument("--slack", type=float, default=0.01)
-    p_solve.add_argument("--prune-threshold", type=float, default=10.0)
+    p_solve.add_argument("--targets", default=",".join(map(str, SplitProblem.fold_targets)))
+    p_solve.add_argument("--slack", type=float, default=SplitProblem.slack)
+    p_solve.add_argument("--prune-threshold", type=float, default=SplitProblem.prune_threshold)
     p_solve.add_argument("--dump-problem", help="also write the built problem as JSON here")
     p_solve.add_argument("--out", required=True, help="output path prefix")
     p_solve.set_defaults(func=cmd_split_solve)
@@ -486,7 +479,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (HopkitError, OSError, ValueError) as exc:
-        sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
+        sys.stderr.write(jsonl([{"error": type(exc).__name__, "message": str(exc)}]))
         return 1
 
 

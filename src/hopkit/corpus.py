@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+from .errors import write_output
 from .porter import stem
 
 # A token bag maps stem -> occurrence count.  The key view is the set view;
@@ -260,4 +261,4 @@ def load_corpus(path: str | Path) -> Corpus:
 def write_rejection_report(corpus: Corpus, path: str | Path) -> None:
     """Tab-separated "reason<TAB>count" lines, sorted by reason."""
     lines = [f"{reason}\t{count}" for reason, count in sorted(corpus.rejections.items())]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), "utf-8")
+    write_output(path, "\n".join(lines) + ("\n" if lines else ""))

@@ -99,7 +99,7 @@ def candidate_pool_with_sources(
 
 
 def prune_by_scorer(
-    scorer: Scorer, question: MCQuestion, candidates: list[tuple[str, str]], keep_top: int = 30
+    scorer: Scorer, question: MCQuestion, candidates: list[tuple[str, str]], keep_top: int
 ) -> list[tuple[str, str]]:
     """Keep the most distracting (text, source) pairs: highest scorer score
     against the question, ties by text.  Every candidate is scored, so a
@@ -138,8 +138,8 @@ def multi_adversary_rank(
 def assemble_8way(
     question: MCQuestion,
     ranked_texts: list[str],
-    target_ways: int = 8,
-    shuffle_seed: int | str = 0,
+    target_ways: int,
+    shuffle_seed: int | str,
 ) -> MCQuestion:
     """Fill the question to target_ways choices and reshuffle.
 

@@ -1,4 +1,5 @@
-"""Shared exception types and the one JSON-lines reader every input uses."""
+"""Shared exception types, the one JSON-lines reader and formatter, and the one
+writer every output file but the index snapshot goes through."""
 
 from __future__ import annotations
 
@@ -56,6 +57,20 @@ def read_jsonl(
                     f"{path}:{lineno}: bad row: {type(exc).__name__}: {exc}"
                 ) from exc
     return parsed
+
+
+def jsonl(rows) -> str:
+    """JSON-lines text: one ``json.dumps(row)`` per row, each ending in LF."""
+    return "".join(json.dumps(row) + "\n" for row in rows)
+
+
+def write_output(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, creating missing parent
+    directories.  A plain write, not a temporary file renamed into place,
+    so /dev/stdout and FIFOs work as paths."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, "utf-8")
 
 
 def require_type(value, kind: type, what: str):

@@ -7,7 +7,6 @@ format that lets out-of-process models participate without being linked.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -15,7 +14,7 @@ from pathlib import Path
 from typing import Protocol
 
 from .corpus import TokenBag, tokenize_normalize
-from .errors import HopkitError, read_jsonl, require_type
+from .errors import HopkitError, jsonl, read_jsonl, require_type, write_output
 from .index import InvertedIndex
 from .retrieval import query_tokens, single_step
 
@@ -114,8 +113,8 @@ class FileScorer:
     {"id", "text", "score"} for arbitrary candidate strings.
     """
 
-    def __init__(self, path: str | Path, name: str | None = None):
-        self.name = name or f"file:{path}"
+    def __init__(self, path: str | Path):
+        self.name = f"file:{path}"
         self.by_label: dict[tuple[str, str], float] = {}
         self.by_text: dict[tuple[str, str], float] = {}
         for field_name, key, score in read_jsonl(path, _parse_score_row):
@@ -294,17 +293,9 @@ def load_questions(path: str | Path) -> list[MCQuestion]:
 def emit_score_requests(dataset, path: str | Path) -> None:
     """Write one {"id", "label", "stem", "choice"} row per (question, choice)
     so an external scorer can fill in scores and hand back a FileScorer file."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for question in sorted(dataset, key=lambda q: q.id):
-            for choice in question.choices:
-                handle.write(
-                    json.dumps(
-                        {
-                            "id": question.id,
-                            "label": choice.label,
-                            "stem": question.stem,
-                            "choice": choice.text,
-                        }
-                    )
-                    + "\n"
-                )
+    rows = [
+        {"id": question.id, "label": choice.label, "stem": question.stem, "choice": choice.text}
+        for question in sorted(dataset, key=lambda q: q.id)
+        for choice in question.choices
+    ]
+    write_output(path, jsonl(rows))

@@ -9,7 +9,6 @@ per-question work can run in parallel with no shared state.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .corpus import TokenBag, stem_set, tokenize_normalize
@@ -50,7 +49,7 @@ def single_step(
     index: InvertedIndex,
     q: str,
     a: str,
-    m: int = 10,
+    m: int,
     negation_filter: frozenset[str] | None = None,
 ) -> list[SearchHit]:
     """Top-m hits for the combined query that overlap both q and a.
@@ -166,9 +165,6 @@ class RecallReport:
             f"{name}\t{m}\t{value:.9f}\t{num}\t{den}" for name, m, value, num, den in rows
         )
         return "\n".join(lines) + "\n"
-
-    def audit_jsonl(self) -> str:
-        return "".join(json.dumps(entry) + "\n" for entry in self.per_question)
 
 
 def recall_report(

@@ -80,9 +80,9 @@ class SplitProblem:
 
 def build_problem(
     facts: list[SeedFact],
-    targets: tuple[float, float, float] = (0.78, 0.11, 0.11),
-    slack: float = 0.01,
-    prune_threshold: float = 10.0,
+    targets: tuple[float, float, float] = SplitProblem.fold_targets,
+    slack: float = SplitProblem.slack,
+    prune_threshold: float = SplitProblem.prune_threshold,
 ) -> SplitProblem:
     """Keep the fact pairs whose similarity is at or above the prune
     threshold as graph edges.
@@ -318,9 +318,9 @@ def _greedy_packing(problem: SplitProblem, components) -> tuple[list[int], list[
 
 def solve_heuristic(
     problem: SplitProblem,
-    seed: int = 0,
-    iterations: int = 20000,
-    restarts: int = 10,
+    seed: int,
+    iterations: int,
+    restarts: int,
 ) -> FoldAssignment:
     """Component-first packing, with simulated annealing as the fallback.
 

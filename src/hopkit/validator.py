@@ -9,10 +9,10 @@ functions of token bags.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .corpus import stem_set
+from .errors import jsonl
 from .qa import MCQuestion
 
 
@@ -141,4 +141,4 @@ def validate_dataset(questions) -> list[dict]:
 
 
 def validation_jsonl(questions) -> str:
-    return "".join(json.dumps(row) + "\n" for row in validate_dataset(questions))
+    return jsonl(validate_dataset(questions))

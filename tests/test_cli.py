@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopkit.cli import main
+from hopkit.cli import build_parser, main
+from hopkit.distractor import AdversarialConfig
 from hopkit.index import MAGIC
 from hopkit.qa import IRScorer, load_questions
-from hopkit.splitter import load_facts_jsonl, problem_to_json, solve_heuristic
+from hopkit.retrieval import RetrievalParams
+from hopkit.splitter import SplitProblem, load_facts_jsonl, problem_to_json, solve_heuristic
 
 from conftest import (
     FIG1_ANSWER,
@@ -459,6 +461,7 @@ class TestSplitSolve:
     @pytest.mark.parametrize(
         "option, value",
         [("--targets", "nan,0.5,0.5"), ("--targets", "1.5,-0.25,-0.25"),
+         ("--targets", "a,b,c"), ("--targets", "0.5,0.5,"),
          ("--slack", "nan"), ("--slack", "-1"),
          ("--slack", "inf"), ("--prune-threshold", "nan"), ("--prune-threshold", "inf")],
     )
@@ -637,6 +640,25 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+def test_option_defaults_are_the_library_defaults():
+    parse = build_parser().parse_args
+    retrieve = parse(["retrieve", "--mode", "two", "--question", "q", "--answer", "a"])
+    recall = parse(["eval", "recall", "--dataset", "d", "--mode", "two"])
+    for args in (retrieve, recall):
+        assert RetrievalParams(k=args.k, l=args.l, m=args.m) == RetrievalParams()
+    gen = parse(["distract", "gen", "--dataset", "d"])
+    assert AdversarialConfig(
+        pool_dissimilar_n=gen.pool_n, token_slack=gen.token_slack,
+        char_ratio_slack=gen.char_slack, target_ways=gen.ways,
+    ) == AdversarialConfig()
+    assemble = parse(["distract", "assemble", "--dataset", "d", "--ranked", "r", "--seed", "1"])
+    assert assemble.ways == AdversarialConfig().target_ways
+    solve = parse(["split", "solve", "--facts", "f", "--heuristic", "--out", "o"])
+    defaults = SplitProblem([], {})
+    assert tuple(map(float, solve.targets.split(","))) == defaults.fold_targets
+    assert (solve.slack, solve.prune_threshold) == (defaults.slack, defaults.prune_threshold)
 
 
 class TestEnvPathOverrides:
@@ -935,3 +957,17 @@ class TestInputContract:
         payload = assert_domain_error(code, err)
         assert payload["message"].startswith(f"{named} must be ")
         assert not files["split"].parent.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("retrieve", "--out"), ("eval recall", "--out"), ("eval recall", "--audit"),
+    ("eval accuracy", "--out"), ("eval accuracy", "--emit-requests"), ("stats overlap", "--out"),
+    ("distract gen", "--out"), ("distract rank", "--out"), ("distract assemble", "--out"),
+    ("validate", "--out"),
+])
+def test_output_flag_creates_missing_directories(contract_files, tmp_path, command, flag):
+    written = []
+    for path in (tmp_path / "out.txt", tmp_path / "new" / "sub" / "out.txt"):
+        assert run_quietly(COMMANDS[command](contract_files) + [flag, path]) == (0, "")
+        written.append(path.read_bytes())
+    assert written[0] and written[0] == written[1]

@@ -394,7 +394,7 @@ class TestAssemble8Way:
 
     def test_fills_to_eight_and_preserves_answer(self):
         question = make_question("q", "stem", "the right answer")
-        assembled = assemble_8way(question, self.ranked(), shuffle_seed="7:q")
+        assembled = assemble_8way(question, self.ranked(), 8, shuffle_seed="7:q")
         assert len(assembled.choices) == 8
         assert assembled.answer_text == "the right answer"
         texts = [c.text for c in assembled.choices]
@@ -405,7 +405,7 @@ class TestAssemble8Way:
 
     def test_already_eight_reshuffles_only(self):
         question = make_question("q", "stem", "right", [f"w{i}" for i in range(7)])
-        assembled = assemble_8way(question, [], shuffle_seed="3:q")
+        assembled = assemble_8way(question, [], 8, shuffle_seed="3:q")
         assert sorted(c.text for c in assembled.choices) == sorted(
             c.text for c in question.choices
         )
@@ -413,20 +413,20 @@ class TestAssemble8Way:
 
     def test_fixed_seed_reproducible(self):
         question = make_question("q", "stem", "right")
-        first = assemble_8way(question, self.ranked(), shuffle_seed="42:q")
-        second = assemble_8way(question, self.ranked(), shuffle_seed="42:q")
+        first = assemble_8way(question, self.ranked(), 8, shuffle_seed="42:q")
+        second = assemble_8way(question, self.ranked(), 8, shuffle_seed="42:q")
         assert first == second
-        different = assemble_8way(question, self.ranked(), shuffle_seed="43:q")
+        different = assemble_8way(question, self.ranked(), 8, shuffle_seed="43:q")
         assert [c.text for c in different.choices] != [c.text for c in first.choices]
 
     def test_insufficient_candidates(self):
         question = make_question("q", "stem", "right")
         with pytest.raises(InsufficientCandidatesError):
-            assemble_8way(question, self.ranked(3))
+            assemble_8way(question, self.ranked(3), 8, shuffle_seed="0:q")
 
     def test_plain_strings_accepted(self):
         question = make_question("q", "stem", "right")
-        assembled = assemble_8way(question, [f"s{i}" for i in range(7)], shuffle_seed="1:q")
+        assembled = assemble_8way(question, [f"s{i}" for i in range(7)], 8, shuffle_seed="1:q")
         assert len(assembled.choices) == 8
 
 

@@ -1,4 +1,5 @@
-"""Source-layout checks: no code in src/ exists only for the tests."""
+"""Source-layout checks: no code in src/ exists only for the tests, and every
+output file and JSON-lines text goes through the one writer and formatter."""
 
 import ast
 from pathlib import Path
@@ -48,3 +49,76 @@ def test_every_src_function_has_a_caller_outside_tests():
                         and not referenced(method, attributes)):
                     unreached.append(f"{path.stem}.{top.name}.{method.name}")
     assert not unreached, f"no caller outside tests: {unreached}"
+
+
+def _calls_outside_write_snapshot(path: Path):
+    """Every call in a src/hopkit module, except those inside index.py's
+    write_snapshot, the snapshot's atomic writer."""
+    tree = _parse(path)
+    skipped = set()
+    if path.name == "index.py":
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef) and top.name == "write_snapshot":
+                skipped = {id(node) for node in ast.walk(top)}
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in skipped]
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """write_text, write_bytes, os.open, os.fdopen, or open / Path.open with
+    a mode that writes (or one that is not a literal)."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_text", "write_bytes", "fdopen"):
+        return True
+    if name != "open":
+        return False
+    if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os":
+        return True
+    position = 1 if isinstance(func, ast.Name) else 0
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"]
+    modes += call.args[position:position + 1]
+    return any(not (isinstance(mode, ast.Constant) and isinstance(mode.value, str))
+               or set(mode.value) & set("wax+") for mode in modes)
+
+
+def test_every_file_is_written_by_the_one_writer():
+    """Outside errors.write_output, no src/hopkit module writes a file; the
+    index snapshot's temp-file-and-rename writer is the one exception."""
+    writes = [f"{path.name}:{call.lineno}"
+              for path in sorted(SRC.glob("*.py")) if path.name != "errors.py"
+              for call in _calls_outside_write_snapshot(path) if _writes_a_file(call)]
+    assert not writes, f"files written outside errors.write_output: {writes}"
+
+
+def _is_json_row(node) -> bool:
+    """A json.dumps call without indent, so its text is one line."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "dumps" and getattr(node.func.value, "id", None) == "json"
+            and not any(kw.arg == "indent" for kw in node.keywords))
+
+
+def _is_newline(node) -> bool:
+    return isinstance(node, ast.Constant) and isinstance(node.value, str) and "\n" in node.value
+
+
+def test_every_json_lines_text_comes_from_the_one_formatter():
+    """Outside errors.jsonl, no src/hopkit module ends a json.dumps row with a
+    newline, whether by +, in an f-string or by joining on one."""
+    rows = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+                parts = [node.left, node.right]
+            elif isinstance(node, ast.JoinedStr):
+                parts = [v.value if isinstance(v, ast.FormattedValue) else v for v in node.values]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "join"):
+                parts = [node.func.value, *(n for arg in node.args for n in ast.walk(arg))]
+            else:
+                continue
+            if any(map(_is_json_row, parts)) and any(map(_is_newline, parts)):
+                rows.append(f"{path.name}:{node.lineno}")
+    assert not rows, f"JSON lines built outside errors.jsonl: {sorted(set(rows))}"

@@ -289,8 +289,7 @@ class TestRecallReport:
         lines = report.to_tsv().splitlines()
         assert lines[0] == "metric\tm\tvalue\tnumerator\tdenominator"
         assert lines[1].startswith("both_found\t10\t1.000000000\t1\t1")
-        audit = report.audit_jsonl().splitlines()
-        assert len(audit) == 1
+        assert len(report.per_question) == 1
 
     def test_mode_validated(self, mini_index):
         with pytest.raises(ValueError):

@@ -371,7 +371,7 @@ class TestSolveHeuristic:
         problem = SplitProblem(facts, sim, targets)
         frozen = frozen_greedy_labels(problem)
         assert _greedy_packing(problem, _components(problem))[0] == frozen
-        assignment = solve_heuristic(problem, iterations=0, restarts=1)
+        assignment = solve_heuristic(problem, seed=0, iterations=0, restarts=1)
         if _violation(_masses(problem, frozen), problem.mass_bounds()) == 0.0:
             assert assignment.fold_of == {f.id: FOLDS[j] for f, j in zip(facts, frozen)}
 
@@ -380,12 +380,16 @@ class TestSolveHeuristic:
     def test_rejects_out_of_range_runs_by_name(self, option, value):
         problem = random_split_instance(random.Random(5), 6)
         with pytest.raises(HopkitError, match=f"{option} must be >= "):
-            solve_heuristic(problem, **{option: value})
+            solve_heuristic(problem, **{"seed": 0, "iterations": 100, "restarts": 1,
+                                        option: value})
 
     def test_edgeless_default_run_matches_the_full_annealing_run(self):
         problem = random_split_instance(random.Random(13), 14)
         problem.sim.clear()
-        assert solve_heuristic(problem).to_json() == annealing_solve_heuristic(problem).to_json()
+        # the CLI's default run: --seed 0 --iterations 20000 --restarts 10
+        runs = {"seed": 0, "iterations": 20000, "restarts": 10}
+        assert (solve_heuristic(problem, **runs).to_json()
+                == annealing_solve_heuristic(problem, **runs).to_json())
 
     def test_objective_self_audit(self):
         rng = random.Random(29)
