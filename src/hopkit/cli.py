@@ -291,6 +291,7 @@ def cmd_distract_rank(args) -> int:
 
 
 def cmd_distract_assemble(args) -> int:
+    ways = AdversarialConfig(target_ways=args.ways).target_ways  # distract gen's rule
     dataset = load_questions(args.dataset)
     ranked_by_id = _rows_by_id(args.ranked, _ranked_from_json, {q.id for q in dataset})
     assembled = []
@@ -300,7 +301,7 @@ def cmd_distract_assemble(args) -> int:
             assemble_8way(
                 question,
                 ranked,
-                target_ways=args.ways,
+                target_ways=ways,
                 shuffle_seed=f"{args.seed}:{question.id}",
             )
         )
@@ -313,6 +314,8 @@ def cmd_split_solve(args) -> int:
     facts = load_facts_jsonl(args.facts)
     if not facts:
         raise HopkitError(f"{args.facts}: no seed facts to split")
+    if sum(fact.question_count for fact in facts) > sys.float_info.max:
+        raise HopkitError(f"{args.facts}: the question counts sum past the largest float")
     try:
         targets = tuple(float(t) for t in args.targets.split(","))
     except ValueError:

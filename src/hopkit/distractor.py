@@ -27,7 +27,7 @@ class AdversarialConfig:
     def __post_init__(self) -> None:
         for name in ("pool_dissimilar_n", "token_slack", "char_ratio_slack", "target_ways"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.target_ways > MAX_WAYS:
             raise ValueError(f"target_ways must be at most {MAX_WAYS}, got {self.target_ways}")

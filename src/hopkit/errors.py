@@ -32,10 +32,10 @@ def read_jsonl(
     Lines end at LF, so CRLF files read the same.  Blank lines are skipped;
     every other line must be a JSON object.  Malformed UTF-8, bad JSON
     (nesting too deep to decode included), a row that is not an object, and
-    a KeyError, TypeError or ValueError raised by ``parse`` become a
-    HopkitError naming path:line, so a parse function only has to say what
-    is wrong with the row.  With ``key``, a row whose ``key(parse(row))``
-    repeats an earlier row's is a bad row too.
+    a KeyError, TypeError, ValueError or OverflowError from ``parse`` become
+    a HopkitError naming path:line, so a parse function only has to say
+    what is wrong with the row.  With ``key``, a row whose
+    ``key(parse(row))`` repeats an earlier row's is a bad row too.
     """
     parsed = []
     first_line: dict = {}
@@ -52,7 +52,7 @@ def read_jsonl(
                         raise ValueError(f"id {row_key!r} repeats line {first_line[row_key]}")
                     first_line[row_key] = lineno
                 parsed.append(value)
-            except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                 raise HopkitError(
                     f"{path}:{lineno}: bad row: {type(exc).__name__}: {exc}"
                 ) from exc

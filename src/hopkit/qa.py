@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Protocol
 
@@ -110,14 +110,15 @@ class FileScorer:
     """Scores ingested from a JSON-lines file.
 
     Rows are {"id", "label", "score"} for dataset choices or
-    {"id", "text", "score"} for arbitrary candidate strings.
+    {"id", "text", "score"} for arbitrary candidate strings.  A row that
+    repeats an earlier row's (id, label) or (id, text) is a bad row.
     """
 
     def __init__(self, path: str | Path):
         self.name = f"file:{path}"
         self.by_label: dict[tuple[str, str], float] = {}
         self.by_text: dict[tuple[str, str], float] = {}
-        for field_name, key, score in read_jsonl(path, _parse_score_row):
+        for field_name, key, score in read_jsonl(path, _parse_score_row, key=itemgetter(0, 1)):
             (self.by_label if field_name == "label" else self.by_text)[key] = score
 
     def score(self, question: MCQuestion, choice_text: str) -> float:

@@ -199,8 +199,6 @@ def solve_exact(problem: SplitProblem) -> FoldAssignment:
     least-violating assignment (with a violation report) otherwise.
     """
     n = len(problem.facts)
-    if n == 0:
-        return FoldAssignment({}, 0.0, _violation([0, 0, 0], problem.mass_bounds()) == 0.0)
     if n > EXACT_SIZE_CAP:
         raise SplitSizeError(f"exact solver capped at {EXACT_SIZE_CAP} facts, got {n}")
     bounds = problem.mass_bounds()
@@ -332,10 +330,12 @@ def solve_heuristic(
     the annealing runs: single-fact moves and pairwise swaps from the
     greedy packing (restart 0) and from seeded random labels, with an
     infeasibility penalty large enough that any feasible assignment beats
-    any infeasible one.  The best (violation, objective) state it visits
-    is reported, so the result is feasible whenever a feasible assignment
-    was visited.  ``seed``, ``iterations`` and ``restarts`` only affect the
-    annealing.  Deterministic for a fixed seed.
+    any infeasible one.  A swap is two single-fact moves, priced and
+    applied in order on the live labels; a rejected proposal puts its facts
+    back.  The best (violation, objective) state it visits is reported, so
+    the result is feasible whenever a feasible assignment was visited.
+    ``seed``, ``iterations`` and ``restarts`` only affect the annealing.
+    Deterministic for a fixed seed.
     """
     check_annealing_runs(iterations, restarts)
     n = len(problem.facts)
@@ -381,56 +381,43 @@ def solve_heuristic(
         t_end = 1e-3
         cooling = (t_end / t0) ** (1.0 / max(1, iterations - 1))
         temperature = t0
-
-        def move_delta(i: int, fold: int) -> float:
-            return sum(
-                value * ((labels[k] != fold) - (labels[k] != labels[i]))
-                for k, value in adj[i]
-            )
-
         for _ in range(iterations):
+            # a proposal is a list of (fact, its fold, its new fold) moves
             if n >= 2 and rng.random() < 0.5:
                 i, j = rng.sample(range(n), 2)
-                if labels[i] == labels[j]:
-                    temperature *= cooling
-                    continue
-                fi, fj = labels[i], labels[j]
-                d1 = move_delta(i, fj)
-                labels[i] = fj
-                d2 = move_delta(j, fi)
-                labels[i] = fi
-                new_masses = list(masses)
-                new_masses[fi] += counts[j] - counts[i]
-                new_masses[fj] += counts[i] - counts[j]
-                new_objective = objective + d1 + d2
-                apply_change = (((i, fj), (j, fi)), new_masses, new_objective)
+                moves = [(i, labels[i], labels[j]), (j, labels[j], labels[i])]
             else:
                 i = rng.randrange(n)
-                fold = rng.randrange(3)
-                if fold == labels[i]:
-                    temperature *= cooling
-                    continue
-                new_masses = list(masses)
-                new_masses[labels[i]] -= counts[i]
-                new_masses[fold] += counts[i]
-                new_objective = objective + move_delta(i, fold)
-                apply_change = (((i, fold),), new_masses, new_objective)
-            changes, new_masses, new_objective = apply_change
+                moves = [(i, labels[i], rng.randrange(3))]
+            if moves[0][1] == moves[0][2]:
+                temperature *= cooling
+                continue
+            new_masses = list(masses)
+            new_objective = objective
+            for k, old, fold in moves:
+                new_objective += sum(
+                    value * ((labels[other] != fold) - (labels[other] != old))
+                    for other, value in adj[k]
+                )
+                new_masses[old] -= counts[k]
+                new_masses[fold] += counts[k]
+                labels[k] = fold
             new_violation = _violation(new_masses, bounds)
             new_energy = new_objective + penalty * new_violation
             delta = new_energy - energy
             if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-12)):
-                for fact_index, fold in changes:
-                    labels[fact_index] = fold
                 masses = new_masses
                 violation = new_violation
                 objective = consider(labels, violation, new_objective)
                 energy = objective + penalty * violation
+            else:
+                for k, old, _ in moves:
+                    labels[k] = old
             temperature *= cooling
 
     assert best_labels is not None
-    objective = cross_fold_objective(problem, best_labels)
-    return _assignment(problem, best_labels, objective, best_key[0], bounds)
+    violation, objective = best_key
+    return _assignment(problem, best_labels, objective, violation, bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -439,13 +426,16 @@ def solve_heuristic(
 
 def load_facts_jsonl(path: str | Path) -> list[SeedFact]:
     """Rows: {"id", "text", "questions"} (or "question_count").  Ids are
-    read as strings and must be distinct, so 7 and "7" are one id."""
+    strings or integers, read as strings, and must be distinct, so 7 and
+    "7" are one id."""
     return read_jsonl(path, _fact_from_json, key=attrgetter("id"))
 
 
 def _fact_from_json(row: dict) -> SeedFact:
     count = require_type(row.get("questions", row.get("question_count", 1)), int, "questions")
     text = require_type(row["text"], str, "text")
+    if type(row["id"]) not in (str, int):
+        raise TypeError(f"id must be str or int, got {type(row['id']).__name__}")
     return SeedFact(str(row["id"]), count, tokenize_normalize(text))
 
 

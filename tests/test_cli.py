@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from hopkit.cli import build_parser, main
 from hopkit.distractor import AdversarialConfig
+from hopkit.errors import jsonl
 from hopkit.index import MAGIC
 from hopkit.qa import IRScorer, load_questions
 from hopkit.retrieval import RetrievalParams
@@ -745,7 +746,8 @@ ROW_FORMATS = {
     "facts": (
         {"id": "f9", "text": "wind energy turbine", "questions": 3},
         [("id",), ("text",)],
-        [(("text",), _is_str),
+        [(("id",), lambda v: isinstance(v, (str, int)) and not isinstance(v, bool)),
+         (("text",), _is_str),
          (("questions",), lambda v: isinstance(v, int) and not isinstance(v, bool))],
     ),
 }
@@ -784,6 +786,30 @@ READS = [
     ("distract assemble", "dataset"), ("distract assemble", "ranked"),
     ("split solve", "facts"), ("validate", "dataset"),
 ]
+
+
+BIG = 10**400  # 401 digits, more than a float holds
+BIG_SCORE = [{"id": "q000", "label": "Z", "score": BIG}]
+# case -> (argv, file the rows are appended to, rows, exit code, text the
+# error message holds, formatted with the files)
+HUGE_INTEGER_INPUTS = {
+    "eval accuracy score": (COMMANDS["eval accuracy"], "scores", BIG_SCORE, 1, "{scores}:"),
+    "distract rank file score": (
+        lambda f: [*COMMANDS["distract rank"](f), "--scorer", f"file:{f['scores']}"],
+        "scores", BIG_SCORE, 1, "{scores}:"),
+    "distract gen --token-slack": (
+        lambda f: [*COMMANDS["distract gen"](f), "--token-slack", BIG], None, [], 0, ""),
+    "distract gen --pool-n": (
+        lambda f: [*COMMANDS["distract gen"](f), "--pool-n", BIG], None, [], 0, ""),
+    "distract gen --ways": (
+        lambda f: [*COMMANDS["distract gen"](f), "--ways", BIG], None, [], 1, "at most 26"),
+    "split solve questions": (
+        COMMANDS["split solve"], "facts", [{"id": "f9", "text": "wind", "questions": BIG}], 1,
+        "{facts}"),
+    "split solve question total": (
+        COMMANDS["split solve"], "facts",
+        [{"id": f"f{i}", "text": "wind", "questions": 10**308} for i in (8, 9)], 1, "{facts}"),
+}
 
 
 def run_quietly(argv) -> tuple[int, str]:
@@ -919,12 +945,17 @@ class TestInputContract:
                                      '{"id": "7", "text": "heat", "questions": 1}'),
             ("split solve", "facts", {"id": "f9", "text": "wind", "questions": True}),
             ("eval accuracy", "scores", {"id": "q000", "label": "B", "score": True}),
+            ("split solve", "facts", {"id": None, "text": "wind", "questions": 1}),
+            ("split solve", "facts", {"id": {"a": 1}, "text": "wind", "questions": 1}),
+            ("split solve", "facts", {"id": True, "text": "wind", "questions": 1}),
+            ("split solve", "facts", {"id": 1.5, "text": "wind", "questions": 1}),
         ],
         ids=["ranked row without ranked", "facts row not an object", "facts text not a string",
              "scores row without id", "question not an object", "nesting too deep",
              "pools row repeating an id", "ranked row repeating an id",
              "ranked row with an unknown id", "facts row repeating an id",
-             "facts ids 7 and '7'", "facts questions a bool", "scores score a bool"],
+             "facts ids 7 and '7'", "facts questions a bool", "scores score a bool",
+             "facts id null", "facts id an object", "facts id a bool", "facts id a float"],
     )
     def test_reproduced_crashes(self, contract_files, tmp_path, command, target, line):
         bad = tmp_path / contract_files[target].name
@@ -935,11 +966,28 @@ class TestInputContract:
         assert payload["error"] == "HopkitError"
         assert f"{bad}:" in payload["message"]
 
+    @pytest.mark.parametrize("case", sorted(HUGE_INTEGER_INPUTS))
+    def test_integer_too_big_for_a_float_is_no_traceback(self, contract_files, tmp_path, case):
+        argv, target, rows, code, named = HUGE_INTEGER_INPUTS[case]
+        files = dict(contract_files, split=tmp_path / "split" / "out")
+        if target:
+            files[target] = tmp_path / files[target].name
+            files[target].write_text(contract_files[target].read_text("utf-8") + jsonl(rows),
+                                      "utf-8")
+        got, err = run_quietly(argv(files))
+        assert (got, "Traceback" in err) == (code, False)
+        if code == 0:
+            assert err == ""
+        else:
+            assert named.format(**files) in assert_domain_error(got, err)["message"]
+
     @pytest.mark.parametrize(
         "command, option, value, named",
         [
             ("distract gen", "--char-slack", "nan", "char_ratio_slack"),
             ("distract gen", "--char-slack", "inf", "char_ratio_slack"),
+            ("distract assemble", "--ways", "0", "target_ways"),
+            ("distract assemble", "--ways", "-3", "target_ways"),
             ("split solve", "--restarts", "0", "restarts"),
             ("split solve", "--restarts", "-1", "restarts"),
             ("split solve", "--iterations", "-1", "iterations"),

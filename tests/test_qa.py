@@ -334,6 +334,18 @@ class TestFileScorer:
         scorer = FileScorer(path)
         assert scorer.score(question, "a novel candidate") == 3.0
 
+    @pytest.mark.parametrize("field", ["label", "text"])
+    def test_repeated_key_is_a_bad_row(self, tmp_path, field):
+        # a repeated (id, label) or (id, text) is not read last-wins
+        path = tmp_path / "scores.jsonl"
+        path.write_text(
+            f'{{"id": "q1", "{field}": "A", "score": 5}}\n'
+            f'{{"id": "q1", "{field}": "B", "score": 1}}\n'
+            f'{{"id": "q1", "{field}": "A", "score": 0}}\n'
+        )
+        with pytest.raises(HopkitError, match=r"scores\.jsonl:3: bad row: .* repeats line 1$"):
+            FileScorer(path)
+
     def test_missing_score_is_an_error(self, tmp_path):
         question = make_question("q1", "stem", "a1", ["a2"])
         path = tmp_path / "scores.jsonl"

@@ -224,8 +224,11 @@ class TestSolveExact:
             solve_exact(SplitProblem(facts, {}))
 
     def test_empty_problem(self):
-        assignment = solve_exact(SplitProblem([], {}))
-        assert assignment.fold_of == {}
+        # the search itself returns the empty split, feasible with nothing cut
+        for targets, slack in [((0.78, 0.11, 0.11), 0.01), ((1.0, 0.0, 0.0), 0.0),
+                               ((0.5, 0.5, 0.0), 0.3)]:
+            assignment = solve_exact(SplitProblem([], {}, targets, slack))
+            assert assignment.to_json() == {"fold_of": {}, "objective": 0.0, "feasible": True}
 
 
 class TestSolveHeuristic:
@@ -306,6 +309,22 @@ class TestSolveHeuristic:
         else:
             want = annealing_solve_heuristic(problem, seed, iterations, restarts)
             assert (got.to_json(), got.objective) == (want.to_json(), want.objective)
+
+    def test_large_instance_matches_the_full_annealing_run(self):
+        # 300 facts at about 2 % edge density: each swap prices facts with
+        # several neighbours, some swaps move two adjacent facts, and the
+        # packing of the one large component misses the mass bounds
+        rng = random.Random(300)
+        facts = [SeedFact(f"f{i:03d}", rng.randint(1, 9), Counter()) for i in range(300)]
+        sim = {(i, k): rng.uniform(10.0, 60.0)
+               for i in range(300) for k in range(i + 1, 300) if rng.random() < 0.02}
+        problem = SplitProblem(facts, sim, slack=0.01)
+        assert 800 < len(sim) < 1000
+        masses = _greedy_packing(problem, _components(problem))[1]
+        assert _violation(masses, problem.mass_bounds()) > 0.0
+        got = solve_heuristic(problem, seed=0, iterations=2000, restarts=2)
+        want = annealing_solve_heuristic(problem, seed=0, iterations=2000, restarts=2)
+        assert (got.to_json(), got.objective) == (want.to_json(), want.objective)
 
     def test_annealing_tie_keeps_the_earlier_state(self):
         # with slack 1.0 every split of 11 one-question facts is feasible,
