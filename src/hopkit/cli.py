@@ -25,10 +25,12 @@ from .distractor import (
 )
 from .errors import HopkitError, jsonl, read_jsonl, require_type, write_output
 from .index import (
+    MAGIC,
     NEGATION_TOKENS,
     InvertedIndex,
     build_index,
     load_snapshot,
+    read_snapshot,
     write_snapshot,
 )
 from .qa import (
@@ -116,6 +118,24 @@ def cmd_index_build(args) -> int:
         "snapshot": str(out_dir / SNAPSHOT_NAME),
     }
     sys.stdout.write(jsonl([summary]))
+    return 0
+
+
+def cmd_index_stats(args) -> int:
+    index, stored = read_snapshot(_resolve_snapshot(args.index))
+    lengths = sorted(map(len, index.postings.values()))
+    stats = {
+        "format": MAGIC.rstrip(b"\0").decode("ascii"),
+        "n_docs": index.n_docs,
+        "n_terms": len(lengths),
+        "avg_len": _round9(index.avg_len),
+    }
+    # nearest-rank percentiles of the posting-list lengths
+    for name, pct in (("p50", 50), ("p90", 90), ("p99", 99), ("max", 100)):
+        stats[f"posting_len_{name}"] = lengths[(pct * len(lengths) - 1) // 100] if lengths else 0
+    stats["source_digest"] = index.corpus.source_digest
+    stats["postings"] = "stored" if stored else "rebuilt"
+    sys.stdout.write(jsonl([stats]))
     return 0
 
 
@@ -385,6 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--corpus", required=True)
     p_build.add_argument("--out", required=True, help="output directory")
     p_build.set_defaults(func=cmd_index_build)
+    p_stats = index_sub.add_parser("stats", help="describe an index snapshot")
+    p_stats.add_argument("--index", required=True, help="index snapshot file or directory")
+    p_stats.set_defaults(func=cmd_index_stats)
 
     p_retrieve = sub.add_parser("retrieve", help="retrieve facts for one question")
     _add_index_source(p_retrieve)

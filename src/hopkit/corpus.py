@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from collections import Counter
+from collections import Counter, _count_elements
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -74,6 +74,15 @@ def _current_forms() -> _NormalForms:
     return forms
 
 
+def _count_tokens(text: str, forms: dict[str, str], bag: dict) -> dict:
+    """Count text's normalized tokens into bag: the one tokenizer.  Each raw
+    lowercase token is mapped through forms, a memo of _NormalForms values
+    ("" for a token that normalizes to nothing).  _count_elements is the C
+    loop Counter.update runs, without Counter's Python-level dispatch."""
+    _count_elements(bag, filter(None, map(forms.__getitem__, _TOKEN_RE.findall(text.lower()))))
+    return bag
+
+
 def tokenize_normalize(text: str) -> TokenBag:
     """Lowercase, split, drop stopwords, Porter-stem; counts preserved.
 
@@ -82,8 +91,22 @@ def tokenize_normalize(text: str) -> TokenBag:
     normalized once through a memo, which is rebuilt whenever STOPWORDS or
     the stemmer is rebound.
     """
-    forms = _current_forms()
-    return Counter(filter(None, map(forms.__getitem__, _TOKEN_RE.findall(text.lower()))))
+    return _count_tokens(text, _current_forms(), Counter())
+
+
+class TokenTable(dict):
+    """Raw lowercase token -> normal form of every token one index build
+    met, as a memo for _count_tokens.  Unlike the bounded memo it is filled
+    from, it is never cleared, so after the build it is the corpus's whole
+    tokenizer table."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.forms = _current_forms()
+
+    def __missing__(self, token: str) -> str:
+        form = self[token] = self.forms[token]
+        return form
 
 
 def stem_set(text: str) -> frozenset[str]:
@@ -126,6 +149,13 @@ MAX_TOKENS = 60
 MIN_ALPHA_RATIO = 0.6
 NUMBER_RUN_LEN = 4
 
+# The ASCII characters _DIGIT_RE, str.isspace and str.isalpha accept, so
+# clean_filter can find and count them in C on an ASCII line.
+_ASCII_DIGIT = bytes(c for c in range(128) if _DIGIT_RE.match(chr(c)))
+_ASCII_SPACE = bytes(c for c in range(128) if chr(c).isspace())
+_ASCII_ALPHA = bytes(c for c in range(128) if chr(c).isalpha())
+_ACCEPTED = CleanResult(True)
+
 
 def clean_filter(candidate: str) -> CleanResult:
     """Accept or reject a candidate sentence; the reason names the first
@@ -139,7 +169,16 @@ def clean_filter(candidate: str) -> CleanResult:
     if ("<" in text or ">" in text or "{" in text or "}" in text) and _MARKUP_RE.search(text):
         return CleanResult(False, "markup")
     tokens = text.split()
-    if _DIGIT_RE.search(text):
+    if text.isascii():
+        data = text.encode("ascii")
+        has_digit = len(data.translate(None, _ASCII_DIGIT)) < len(data)
+        non_space = len(data.translate(None, _ASCII_SPACE))
+        alpha = len(data) - len(data.translate(None, _ASCII_ALPHA))
+    else:
+        has_digit = _DIGIT_RE.search(text) is not None
+        non_space = len(text) - sum(map(str.isspace, text))
+        alpha = sum(map(str.isalpha, text))
+    if has_digit:
         run = 0
         for token in tokens:
             if _NUMERIC_TOKEN_RE.fullmatch(token):
@@ -152,13 +191,11 @@ def clean_filter(candidate: str) -> CleanResult:
         return CleanResult(False, "email")
     if ("://" in text or "www." in text.lower()) and _URL_RE.search(text):
         return CleanResult(False, "url")
-    non_space = len(text) - sum(map(str.isspace, text))
-    alpha = sum(map(str.isalpha, text))
     if non_space == 0 or alpha / non_space < MIN_ALPHA_RATIO:
         return CleanResult(False, "alpha_ratio")
     if not MIN_TOKENS <= len(tokens) <= MAX_TOKENS:
         return CleanResult(False, "token_count")
-    return CleanResult(True)
+    return _ACCEPTED
 
 
 # ---------------------------------------------------------------------------

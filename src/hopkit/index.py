@@ -14,11 +14,18 @@ import heapq
 import math
 import os
 import struct
-from collections.abc import ItemsView, Iterable
+import sys
+import unicodedata
+import zlib
+from array import array
+from collections import defaultdict
+from collections.abc import ItemsView, Iterable, Iterator
 from dataclasses import dataclass
+from itertools import accumulate, chain, islice
+from operator import methodcaller, mul, sub
 from pathlib import Path
 
-from .corpus import _TOKEN_RE, Corpus, tokenize_normalize
+from .corpus import _TOKEN_RE, Corpus, TokenTable, _count_tokens, _current_forms
 from .errors import SnapshotError
 
 K1 = 1.2
@@ -50,7 +57,10 @@ class InvertedIndex:
     ascending id order: it iterates as (doc id, tf) pairs, and its dict's
     key view intersects with sets in C.  The postings are the only store
     of term frequencies: which terms a document holds is answered by key
-    membership, ``doc_id in postings[term].mapping``.
+    membership, ``doc_id in postings[term].mapping``.  ``tokens`` is the
+    tokenizer table a build made the postings under: every distinct raw
+    lowercase token of the corpus and its normal form ("" for none).  An
+    index loaded with its stored postings keeps no table (None).
     """
 
     def __init__(
@@ -58,10 +68,12 @@ class InvertedIndex:
         corpus: Corpus,
         postings: dict[str, ItemsView[int, int]],
         doc_len: list[int],
+        tokens: dict[str, str] | None,
     ):
         self.corpus = corpus
         self.postings = postings
         self.doc_len = doc_len
+        self.tokens = tokens
         self.n_docs = len(doc_len)
         self.avg_len = sum(doc_len) / self.n_docs if self.n_docs else 0.0
         # Derived state, not in the snapshot: one log per distinct term.
@@ -91,20 +103,16 @@ class InvertedIndex:
 
 
 def build_index(corpus: Corpus) -> InvertedIndex:
-    postings: dict = {}
+    tokens = TokenTable()
+    docs_of: defaultdict[str, dict[int, int]] = defaultdict(dict)
     doc_len = []
     for doc_id, text in enumerate(corpus.texts):
-        bag = tokenize_normalize(text)
+        bag = _count_tokens(text, tokens, {})
         doc_len.append(sum(bag.values()))
         for term, tf in bag.items():
-            docs = postings.get(term)
-            if docs is None:
-                postings[term] = {doc_id: tf}
-            else:
-                docs[doc_id] = tf
-    for term, docs in postings.items():
-        postings[term] = docs.items()
-    return InvertedIndex(corpus, postings, doc_len)
+            docs_of[term][doc_id] = tf
+    postings = {term: docs.items() for term, docs in docs_of.items()}
+    return InvertedIndex(corpus, postings, doc_len, tokens)
 
 
 def bm25_term_score(tf: int, idf: float, dl: int, avg_len: float) -> float:
@@ -288,68 +296,172 @@ def _score_constrained(
 
 
 # ---------------------------------------------------------------------------
-# On-disk snapshot: magic, sha256 of the body, then the body: n_docs (u32),
-# the source digest and the n_docs sentence texts, each a u32 length and
-# UTF-8 bytes (little-endian).  Only the texts are stored; load_snapshot
-# rebuilds the postings with build_index, so a loaded index always agrees
-# with the tokenizer that loads it.  A snapshot is written to a temporary
-# file beside its target and then renamed over it, so a failed write leaves
-# any earlier snapshot at that path whole.
+# On-disk snapshot: the magic, the sha256 of the rest, then one zlib stream
+# (level 1) holding, little-endian:
+#   - a header of six u32: n_docs, n_terms, n_postings, n_tokens, and the
+#     byte widths of a stored doc id (2, or 4 past 65,536 sentences) and of
+#     a stored tf (1, or 4 when a sentence is 256 tokens or longer);
+#   - doc_len and the n_terms + 1 offsets of the terms' postings (u32 each),
+#     then every term's doc ids and tfs, ascending by doc id, the terms in
+#     sorted order;
+#   - UTF-8 strings, each ended by "\n": the source digest, the tokenizer's
+#     regex pattern and unicodedata version, the n_docs sentence texts, then
+#     the tokenizer table's n_tokens raw tokens and their n_tokens normal
+#     forms ("" for none).  The terms are the table's distinct non-empty
+#     forms, so they are not stored.
+# A load keeps the stored postings only when the loading tokenizer has the
+# same pattern and Unicode version and maps every stored raw token to its
+# stored form: equal tokens and equal forms give equal postings.  Otherwise
+# it rebuilds them from the texts with build_index, so a loaded index
+# always agrees with the tokenizer that loads it.  A snapshot is written to
+# a temporary file beside its target and then renamed over it, so a failed
+# write leaves any earlier snapshot at that path whole.
 
-MAGIC = b"HOPIDX2\x00"
+MAGIC = b"HOPIDX3\x00"
+_HEADER = struct.Struct("<6I")
+_TYPECODES = {1: "B", 2: "H", 4: "I"}
+_STRINGS_PER_CHUNK = 4096
 
 
 def write_snapshot(index: InvertedIndex, path: str | Path) -> None:
-    body = bytearray(struct.pack("<I", index.n_docs))
-    for text in [index.corpus.source_digest, *index.corpus.texts]:
-        data = text.encode("utf-8")
-        body += struct.pack("<I", len(data))
-        body += data
-    digest = hashlib.sha256(body).digest()
+    """Write index to path.  A loaded index keeps no tokenizer table, so it
+    is rebuilt from its texts first, and the snapshot holds a table and
+    postings made by one tokenizer."""
+    if index.tokens is None:
+        index = build_index(index.corpus)
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp, "xb") as handle:
-            handle.write(MAGIC + digest)
-            handle.write(body)
+            handle.write(MAGIC + bytes(32))
+            digest = hashlib.sha256()
+            for chunk in _compressed_body(index):
+                digest.update(chunk)
+                handle.write(chunk)
+            handle.seek(len(MAGIC))
+            handle.write(digest.digest())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
+def _compressed_body(index: InvertedIndex) -> Iterator[bytes]:
+    """The snapshot body as zlib chunks, made a section or a few thousand
+    strings at a time, so no second copy of the corpus text is held."""
+    packer = zlib.compressobj(1)
+    terms = sorted(index.postings)
+    lists = [index.postings[term].mapping for term in terms]
+    ids = array("H" if index.n_docs <= 1 << 16 else "I", chain.from_iterable(lists))
+    tf_values = chain.from_iterable(map(methodcaller("values"), lists))
+    # A tf is at most its sentence's length; bytes() packs small ints fastest.
+    if max(index.doc_len, default=0) < 256:
+        tfs = array("B", bytes(tf_values))
+    else:
+        tfs = array("I", tf_values)
+    offsets = array("I", accumulate(map(len, lists), initial=0))
+    yield packer.compress(_HEADER.pack(index.n_docs, len(terms), len(ids), len(index.tokens),
+                                       ids.itemsize, tfs.itemsize))
+    for section in (array("I", index.doc_len), offsets, ids, tfs):
+        if sys.byteorder == "big":
+            section.byteswap()
+        yield packer.compress(section)
+    del lists, ids, tfs
+    strings = [index.corpus.source_digest, _TOKEN_RE.pattern, unicodedata.unidata_version,
+               *index.corpus.texts, *index.tokens, *index.tokens.values()]
+    for start in range(0, len(strings), _STRINGS_PER_CHUNK):
+        chunk = strings[start : start + _STRINGS_PER_CHUNK]
+        yield packer.compress(("\n".join(chunk) + "\n").encode("utf-8"))
+    yield packer.flush()
+
+
 def load_snapshot(path: str | Path) -> InvertedIndex:
+    return read_snapshot(path)[0]
+
+
+def read_snapshot(path: str | Path) -> tuple[InvertedIndex, bool]:
+    """The index a snapshot holds, and whether its stored postings were kept
+    (False when they were rebuilt under the loading tokenizer)."""
+    try:
+        counts, strings, doc_len, offsets, ids, tfs = _read_sections(path)
+    except (struct.error, UnicodeDecodeError, zlib.error) as exc:
+        raise SnapshotError(f"{path}: malformed snapshot body: {exc}") from exc
+    n_docs, n_terms, n_tokens = counts
+    source_digest, pattern, unidata_version = strings[:3]
+    texts = strings[3 : 3 + n_docs]
+    tokens = strings[3 + n_docs : 3 + n_docs + n_tokens]
+    forms = strings[3 + n_docs + n_tokens :]
+    del strings
+    ids_of_docs = list(range(n_docs))
+    by_text = dict(zip(texts, ids_of_docs))
+    if len(by_text) != n_docs:
+        raise SnapshotError(f"{path}: duplicate sentences in snapshot")
+    corpus = Corpus(texts, source_digest, _by_text=by_text)
+    loaded = list(map(_current_forms().__getitem__, tokens))
+    if (pattern != _TOKEN_RE.pattern or unidata_version != unicodedata.unidata_version
+            or loaded != forms):
+        return build_index(corpus), False
+    # The terms are the loading memo's own strings; the table's copies and
+    # the file's buffers are gone before the postings' dicts are built.
+    del tokens, forms
+    terms = sorted(set(loaded).difference(("",)))
+    del loaded
+    lengths = list(map(sub, offsets[1:], offsets))
+    if len(terms) != n_terms or offsets[0] != 0 or offsets[-1] != len(ids):
+        raise SnapshotError(f"{path}: term offsets disagree with the tokenizer table")
+    if min(lengths, default=1) < 1:
+        raise SnapshotError(f"{path}: term offsets not strictly increasing")
+    if min(tfs, default=1) < 1 or sum(tfs) != sum(doc_len):
+        raise SnapshotError(f"{path}: term frequencies disagree with the sentence lengths")
+    # One int object per doc id, shared by every posting of the document.
+    docs, tf_values = map(ids_of_docs.__getitem__, ids), iter(tfs)
+    postings = {}
+    try:
+        for term, length in zip(terms, lengths):
+            plist = dict(zip(islice(docs, length), islice(tf_values, length)))
+            if len(plist) != length:
+                raise SnapshotError(f"{path}: repeated doc id in the postings of {term!r}")
+            postings[term] = plist.items()
+    except IndexError:
+        raise SnapshotError(f"{path}: doc id out of range in the postings") from None
+    return InvertedIndex(corpus, postings, doc_len.tolist(), None), True
+
+
+def _read_sections(path) -> tuple:
+    """((n_docs, n_terms, n_tokens), strings, doc_len, offsets, ids, tfs) of a
+    snapshot whose sections fill its body exactly.  The file's bytes and
+    the decompressed body are dropped when this returns."""
     raw = Path(path).read_bytes()
     if raw[: len(MAGIC)] != MAGIC:
         raise SnapshotError(
             f"{path}: not a {MAGIC!r} index snapshot (bad magic {raw[: len(MAGIC)]!r}); "
             f"rebuild it with `hopkit index build`"
         )
-    digest, body = raw[len(MAGIC) : len(MAGIC) + 32], raw[len(MAGIC) + 32 :]
-    if hashlib.sha256(body).digest() != digest:
+    stream = memoryview(raw)[len(MAGIC) + 32 :]
+    if hashlib.sha256(stream).digest() != raw[len(MAGIC) : len(MAGIC) + 32]:
         raise SnapshotError(f"{path}: checksum mismatch, snapshot corrupt")
-    try:
-        source_digest, texts = _parse_body(path, body)
-    except (struct.error, UnicodeDecodeError) as exc:
-        raise SnapshotError(f"{path}: malformed snapshot body: {exc}") from exc
-    corpus = Corpus.from_texts(texts, source_digest)
-    if len(corpus) != len(texts):
-        raise SnapshotError(f"{path}: duplicate sentences in snapshot")
-    return build_index(corpus)
-
-
-def _parse_body(path, body: bytes) -> tuple[str, list[str]]:
-    """(source digest, sentence texts); the body must hold exactly these."""
-    (n_docs,) = struct.unpack_from("<I", body)
-    offset = 4
-    strings = []
-    for _ in range(n_docs + 1):
-        (length,) = struct.unpack_from("<I", body, offset)
-        offset += 4
-        if offset + length > len(body):
-            raise SnapshotError(f"{path}: snapshot body truncated at byte {offset}")
-        strings.append(body[offset : offset + length].decode("utf-8"))
-        offset += length
-    if offset != len(body):
-        raise SnapshotError(f"{path}: {len(body) - offset} trailing bytes after the last sentence")
-    return strings[0], strings[1:]
+    unpacker = zlib.decompressobj()
+    body = memoryview(unpacker.decompress(stream))
+    if not unpacker.eof:
+        raise SnapshotError(f"{path}: snapshot body truncated")
+    if unpacker.unused_data:
+        raise SnapshotError(f"{path}: {len(unpacker.unused_data)} trailing bytes after the body")
+    n_docs, n_terms, n_postings, n_tokens, id_width, tf_width = _HEADER.unpack_from(body)
+    if id_width not in _TYPECODES or tf_width not in _TYPECODES:
+        raise SnapshotError(f"{path}: id or tf width ({id_width}, {tf_width}) not 1, 2 or 4")
+    widths = (4, 4, id_width, tf_width)
+    ends = list(accumulate(map(mul, widths, (n_docs, n_terms + 1, n_postings, n_postings)),
+                           initial=_HEADER.size))
+    if ends[-1] > len(body):
+        raise SnapshotError(f"{path}: section lengths disagree with the body's {len(body)} bytes")
+    sections = []
+    for width, start, end in zip(widths, ends, ends[1:]):
+        section = array(_TYPECODES[width])
+        section.frombytes(body[start:end])
+        if sys.byteorder == "big":
+            section.byteswap()
+        sections.append(section)
+    strings = str(body[ends[-1] :], "utf-8").split("\n")
+    if len(strings) != 4 + n_docs + 2 * n_tokens or strings.pop():
+        raise SnapshotError(f"{path}: section lengths disagree with the body's {len(body)} bytes")
+    return (n_docs, n_terms, n_tokens), strings, *sections

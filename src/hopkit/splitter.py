@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -264,6 +265,9 @@ def check_annealing_runs(iterations: int, restarts: int) -> None:
         raise HopkitError(f"restarts must be >= 1, got {restarts}")
     if iterations < 0:
         raise HopkitError(f"iterations must be >= 0, got {iterations}")
+    if iterations > sys.float_info.max:
+        # the cooling rate divides by iterations - 1 as a float
+        raise HopkitError(f"iterations must be at most {sys.float_info.max:g}")
 
 
 def _components(problem: SplitProblem) -> list[tuple[int, list[int]]]:

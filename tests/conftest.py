@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
+import struct
 import sys
+import zlib
+from array import array
 from importlib import resources
 from pathlib import Path
 
@@ -12,7 +16,7 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).parent))
 
 from hopkit.corpus import STOPWORDS, Corpus, load_corpus, tokenize_normalize
-from hopkit.index import build_index
+from hopkit.index import MAGIC, build_index
 from hopkit.qa import Choice, MCQuestion, question_to_json
 from hopkit.splitter import SeedFact
 
@@ -21,6 +25,45 @@ FIG1_ANSWER = "electricity production"
 FIG1_FS = "Differential heating of air produces wind."
 FIG1_FL = "Wind is used for producing electricity."
 FIG1_FC = "Differential heating of air can be harnessed for electricity production."
+
+
+class SnapshotParts:
+    """A HOPIDX3 snapshot's body, decompressed and cut into its sections, so
+    a test can change any of them and seal the body again.  ``header`` is
+    [n_docs, n_terms, n_postings, n_tokens, id width, tf width]; the arrays
+    are doc_len, offsets, ids and tfs; ``strings`` holds the raw bytes of
+    each "\\n"-ended string."""
+
+    HEADER = struct.Struct("<6I")
+    TYPECODES = {1: "B", 2: "H", 4: "I"}
+
+    def __init__(self, raw: bytes):
+        body = zlib.decompress(raw[len(MAGIC) + 32 :])
+        self.header = list(self.HEADER.unpack_from(body))
+        n_docs, n_terms, n_postings, _, id_width, tf_width = self.header
+        at = self.HEADER.size
+        self.arrays = []
+        for width, count in ((4, n_docs), (4, n_terms + 1), (id_width, n_postings),
+                             (tf_width, n_postings)):
+            section = array(self.TYPECODES[width], body[at : at + width * count])
+            if sys.byteorder == "big":
+                section.byteswap()
+            self.arrays.append(section)
+            at += width * count
+        self.doc_len, self.offsets, self.ids, self.tfs = self.arrays
+        assert body[-1:] == b"\n"
+        self.strings = body[at:-1].split(b"\n")
+
+    def sealed(self) -> bytes:
+        """The snapshot file: the magic, the sha256 of the body, the body."""
+        arrays = [array(a.typecode, a) for a in self.arrays]
+        if sys.byteorder == "big":
+            for section in arrays:
+                section.byteswap()
+        body = zlib.compress(self.HEADER.pack(*self.header)
+                             + b"".join(a.tobytes() for a in arrays)
+                             + b"".join(s + b"\n" for s in self.strings), 1)
+        return MAGIC + hashlib.sha256(body).digest() + body
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import random
 import shutil
 from collections import Counter
@@ -14,16 +15,18 @@ from hypothesis import strategies as st
 from hopkit.cli import build_parser, main
 from hopkit.distractor import AdversarialConfig
 from hopkit.errors import jsonl
-from hopkit.index import MAGIC
+from hopkit.index import MAGIC, load_snapshot
 from hopkit.qa import IRScorer, load_questions
 from hopkit.retrieval import RetrievalParams
 from hopkit.splitter import SplitProblem, load_facts_jsonl, problem_to_json, solve_heuristic
 
+import hopkit.corpus
 from conftest import (
     FIG1_ANSWER,
     FIG1_FL,
     FIG1_FS,
     FIG1_QUESTION,
+    SnapshotParts,
     make_question,
     save_questions,
     synth_vocab,
@@ -80,6 +83,47 @@ class TestIndexBuild:
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert "message" in err and "error" in err
+
+
+class TestIndexStats:
+    def test_stats_of_stored_postings(self, snapshot_dir, capsys):
+        capsys.readouterr()
+        assert main(["index", "stats", "--index", str(snapshot_dir)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        stats = json.loads(out)
+        index = load_snapshot(snapshot_dir / "index.hopidx")
+        lengths = sorted(map(len, index.postings.values()))
+        assert stats == {
+            "format": "HOPIDX3", "n_docs": 22, "n_terms": len(lengths),
+            "avg_len": round(index.avg_len, 9),
+            # nearest-rank percentiles
+            "posting_len_p50": lengths[math.ceil(0.50 * len(lengths)) - 1],
+            "posting_len_p90": lengths[math.ceil(0.90 * len(lengths)) - 1],
+            "posting_len_p99": lengths[math.ceil(0.99 * len(lengths)) - 1],
+            "posting_len_max": max(lengths),
+            "source_digest": index.corpus.source_digest, "postings": "stored",
+        }
+
+    def test_stats_when_the_postings_are_rebuilt(self, snapshot_dir, capsys, monkeypatch):
+        # under another stopword list the stored table no longer holds
+        monkeypatch.setattr(hopkit.corpus, "STOPWORDS", hopkit.corpus.STOPWORDS | {"wind"})
+        capsys.readouterr()
+        assert main(["index", "stats", "--index", str(snapshot_dir / "index.hopidx")]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert stats["postings"] == "rebuilt"
+        rebuilt = load_snapshot(snapshot_dir / "index.hopidx")
+        assert "wind" not in rebuilt.postings
+        assert stats["n_terms"] == len(rebuilt.postings)
+
+    def test_stats_of_an_empty_index(self, tmp_path, capsys):
+        corpus = tmp_path / "empty.txt"
+        corpus.write_text("", "utf-8")
+        assert main(["index", "build", "--corpus", str(corpus), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["index", "stats", "--index", str(tmp_path)]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert (stats["n_docs"], stats["n_terms"], stats["posting_len_max"]) == (0, 0, 0)
 
 
 class TestRetrieve:
@@ -884,7 +928,15 @@ def bad_snapshot(draw, raw: bytes) -> bytes:
     def sealed(new_body: bytes) -> bytes:
         return MAGIC + hashlib.sha256(new_body).digest() + new_body
 
-    kind = draw(st.sampled_from(["truncated", "trailing", "flipped", "version 1", "junk"]))
+    kind = draw(st.sampled_from([
+        "truncated", "trailing", "flipped", "version 1", "version 2", "junk",
+        "doc id out of range", "repeated doc id", "tf below 1", "offsets not increasing",
+        "section lengths",
+    ]))
+    if kind in CRAFTED_BODIES:
+        parts = SnapshotParts(raw)
+        CRAFTED_BODIES[kind](draw, parts)
+        return parts.sealed()
     if kind == "truncated":
         return sealed(body[: draw(st.integers(0, len(body) - 1))])
     if kind == "trailing":
@@ -892,9 +944,38 @@ def bad_snapshot(draw, raw: bytes) -> bytes:
     if kind == "flipped":
         at = draw(st.integers(0, len(raw) - 1))
         return raw[:at] + bytes([raw[at] ^ draw(st.integers(1, 255))]) + raw[at + 1 :]
-    if kind == "version 1":
-        return b"HOPIDX1\x00" + raw[len(MAGIC) :]
+    if kind.startswith("version"):
+        return f"HOPIDX{kind[-1]}\x00".encode() + raw[len(MAGIC) :]
     return draw(st.binary(max_size=64))
+
+
+def _repeat_a_doc_id(draw, parts) -> None:
+    offsets = parts.offsets
+    start = draw(st.sampled_from([offsets[t] for t in range(len(offsets) - 1)
+                                  if offsets[t + 1] - offsets[t] >= 2]))
+    parts.ids[start + 1] = parts.ids[start]
+
+
+def _swap_two_offsets(draw, parts) -> None:
+    t = draw(st.integers(0, len(parts.offsets) - 2))
+    parts.offsets[t], parts.offsets[t + 1] = parts.offsets[t + 1], parts.offsets[t]
+
+
+def _set(section, at, value) -> None:
+    section[at] = value
+
+
+# Sealed bodies whose sections are well formed but disagree with each other.
+CRAFTED_BODIES = {
+    "doc id out of range": lambda draw, parts: _set(
+        parts.ids, draw(st.integers(0, len(parts.ids) - 1)),
+        parts.header[0] + draw(st.integers(0, 9))),
+    "repeated doc id": _repeat_a_doc_id,
+    "tf below 1": lambda draw, parts: _set(parts.tfs, draw(st.integers(0, len(parts.tfs) - 1)), 0),
+    "offsets not increasing": _swap_two_offsets,
+    "section lengths": lambda draw, parts: _set(
+        parts.header, at := draw(st.integers(0, 3)), parts.header[at] + draw(st.integers(1, 5))),
+}
 
 
 def assert_domain_error(code: int, err: str) -> dict:
@@ -1005,6 +1086,17 @@ class TestInputContract:
         payload = assert_domain_error(code, err)
         assert payload["message"].startswith(f"{named} must be ")
         assert not files["split"].parent.exists()
+
+    def test_iterations_too_big_for_a_float_is_named(self, tmp_path):
+        # one fact of 5 questions: the component packing misses the mass
+        # bounds, so the annealing would run and compute its cooling rate
+        facts = tmp_path / "facts.jsonl"
+        facts.write_text(jsonl([{"id": "f1", "text": "wind energy", "questions": 5}]), "utf-8")
+        code, err = run_quietly(["split", "solve", "--facts", facts, "--heuristic",
+                                 "--iterations", BIG, "--out", tmp_path / "split" / "out"])
+        assert "Traceback" not in err
+        assert assert_domain_error(code, err)["message"].startswith("iterations must be ")
+        assert not (tmp_path / "split").exists()
 
 
 @pytest.mark.parametrize("command, flag", [

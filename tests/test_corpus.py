@@ -3,7 +3,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hopkit.corpus
@@ -211,6 +211,18 @@ class TestIngestMatchesOracles:
         assert stem_set(text) == want
         assert stem_set(text) == want  # second call is served by the set memo
 
+    # Each ASCII whitespace character, five times between letters: counted
+    # as a letter or as neither, it would turn the alpha ratio's verdict.
+    @example("ab\t\t\t\t\tcd ef")
+    @example("ab\n\n\n\n\ncd ef")
+    @example("ab\x0b\x0b\x0b\x0b\x0bcd ef")
+    @example("ab\x0c\x0c\x0c\x0c\x0ccd ef")
+    @example("ab\r\r\r\r\rcd ef")
+    @example("ab\x1c\x1c\x1c\x1c\x1ccd ef")
+    @example("ab\x1d\x1d\x1d\x1d\x1dcd ef")
+    @example("ab\x1e\x1e\x1e\x1e\x1ecd ef")
+    @example("ab\x1f\x1f\x1f\x1f\x1fcd ef")
+    @example("ab     cd ef")
     @given(ingest_texts)
     @settings(max_examples=400, deadline=None)
     def test_clean_filter(self, text):

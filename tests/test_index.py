@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import hopkit.corpus
 import hopkit.index
-from hopkit.corpus import Corpus
+from hopkit.corpus import STEM_CACHE_SIZE, STOPWORDS, Corpus
 from hopkit.errors import SnapshotError
 from hopkit.index import (
     MAGIC,
@@ -22,11 +22,19 @@ from hopkit.index import (
     bm25_term_score,
     build_index,
     load_snapshot,
+    read_snapshot,
     search,
     write_snapshot,
 )
 
-from conftest import STEM_WORDS, query_words, random_corpus, random_query, small_corpora
+from conftest import (
+    STEM_WORDS,
+    SnapshotParts,
+    query_words,
+    random_corpus,
+    random_query,
+    small_corpora,
+)
 from oracles import naive_search
 
 
@@ -489,6 +497,31 @@ class TestSearch:
         assert [h.sentence_id for h in filtered] == [1]
 
 
+def assert_same_index(loaded, built) -> None:
+    """Equal postings (each term's (doc id, tf) pairs in the same order),
+    statistics, idf table and corpus."""
+    assert sorted(loaded.postings) == sorted(built.postings)
+    for term, plist in built.postings.items():
+        assert type(loaded.postings[term]) is type(plist)
+        assert list(loaded.postings[term]) == list(plist)
+    assert loaded.doc_len == built.doc_len
+    assert (loaded.n_docs, loaded.avg_len) == (built.n_docs, built.avg_len)
+    assert loaded._idf == built._idf
+    assert loaded.corpus.texts == built.corpus.texts
+    assert loaded.corpus._by_text == built.corpus._by_text
+    assert loaded.corpus.source_digest == built.corpus.source_digest
+
+
+def corpus_with_stopwords(rng: random.Random, n_sentences: int) -> tuple[Corpus, list[str]]:
+    """random_corpus's sentences with stopwords and stopword-stemming words
+    mixed in, so rebinding STOPWORDS or the stemmer changes postings."""
+    corpus, vocab = random_corpus(rng, n_sentences)
+    extra = ["the", "is", "of", "doing", "running", "winds", "heating", "wind"]
+    texts = [" ".join(text.rstrip(".").split() + rng.choices(extra, k=rng.randint(0, 3))) + "."
+             for text in corpus.texts]
+    return Corpus.from_texts(texts, "digest"), vocab + extra
+
+
 class TestSnapshot:
     def test_roundtrip(self, tmp_path):
         rng = random.Random(23)
@@ -509,7 +542,7 @@ class TestSnapshot:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.hopidx"
         path.write_bytes(b"NOTANIDX" + b"\x00" * 40)
-        with pytest.raises(SnapshotError, match="magic"):
+        with pytest.raises(SnapshotError, match="bad magic"):
             load_snapshot(path)
 
     def test_checksum_validation(self, tmp_path):
@@ -519,7 +552,7 @@ class TestSnapshot:
         blob = bytearray(path.read_bytes())
         blob[-1] ^= 0xFF
         path.write_bytes(bytes(blob))
-        with pytest.raises(SnapshotError, match="checksum"):
+        with pytest.raises(SnapshotError, match="checksum mismatch"):
             load_snapshot(path)
 
     def test_failed_write_keeps_the_old_snapshot(self, tmp_path, monkeypatch):
@@ -572,9 +605,10 @@ class TestSnapshot:
     def test_undecodable_text_with_valid_checksum(self, tmp_path):
         path = tmp_path / "index.hopidx"
         write_snapshot(build_index(toy_corpus()), path)
-        body = path.read_bytes()[len(MAGIC) + 32 :]
-        self._rewrite_body(path, body.replace(b"turbine", b"turb\xffne"))
-        with pytest.raises(SnapshotError, match="malformed"):
+        parts = SnapshotParts(path.read_bytes())
+        parts.strings[3] = parts.strings[3].replace(b"turbine", b"turb\xffne")
+        path.write_bytes(parts.sealed())
+        with pytest.raises(SnapshotError, match="malformed snapshot body"):
             load_snapshot(path)
 
     def test_load_rebuilds_with_the_loading_tokenizer(self, tmp_path, monkeypatch):
@@ -597,10 +631,11 @@ class TestSnapshot:
 
     def test_duplicate_sentences_with_valid_checksum(self, tmp_path):
         path = tmp_path / "index.hopidx"
-        text = "wind turbine spins fast.".encode("utf-8")
-        entry = struct.pack("<I", len(text)) + text
-        self._rewrite_body(path, struct.pack("<II", 2, 0) + entry + entry)
-        with pytest.raises(SnapshotError, match="duplicate"):
+        write_snapshot(build_index(toy_corpus()), path)
+        parts = SnapshotParts(path.read_bytes())
+        parts.strings[4] = parts.strings[3]  # the second sentence is the first
+        path.write_bytes(parts.sealed())
+        with pytest.raises(SnapshotError, match="duplicate sentences"):
             load_snapshot(path)
 
     def test_trailing_bytes_with_valid_checksum(self, tmp_path):
@@ -609,5 +644,128 @@ class TestSnapshot:
         body = path.read_bytes()[len(MAGIC) + 32 :]
         for tail in (b"\x00", b"\x00\x00\x00\x00", b"\x05\x00\x00\x00extra"):
             self._rewrite_body(path, body + tail)
-            with pytest.raises(SnapshotError, match="trailing"):
+            with pytest.raises(SnapshotError, match="trailing bytes after the body"):
                 load_snapshot(path)
+
+    def test_version_2_snapshot_asks_for_a_rebuild(self, tmp_path):
+        # a texts-only snapshot as the previous format wrote it
+        body = struct.pack("<I", 1)
+        for text in ("digest", "wind turbine spins fast."):
+            body += struct.pack("<I", len(text)) + text.encode("utf-8")
+        path = tmp_path / "index.hopidx"
+        path.write_bytes(b"HOPIDX2\x00" + hashlib.sha256(body).digest() + body)
+        with pytest.raises(SnapshotError, match="bad magic.*HOPIDX2.*rebuild.*hopkit index build"):
+            load_snapshot(path)
+
+    @given(seed=st.integers(0, 2**32 - 1), n_sentences=st.integers(0, 120))
+    @settings(max_examples=60, deadline=None)
+    def test_write_then_load_equals_build(self, tmp_path_factory, seed, n_sentences):
+        corpus, _ = random_corpus(random.Random(seed), n_sentences)
+        built = build_index(corpus)
+        path = tmp_path_factory.mktemp("snapshot") / "index.hopidx"
+        write_snapshot(built, path)
+        loaded, stored = read_snapshot(path)
+        assert stored
+        assert_same_index(loaded, built)
+        # the loaded index keeps no table; writing it rebuilds one
+        write_snapshot(loaded, path.with_name("again.hopidx"))
+        assert path.with_name("again.hopidx").read_bytes() == path.read_bytes()
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           rebinding=st.sampled_from(["add stopwords", "drop stopwords", "stemmer"]))
+    @settings(max_examples=60, deadline=None)
+    def test_load_under_a_rebound_tokenizer_equals_build(self, tmp_path_factory, seed,
+                                                          rebinding):
+        rng = random.Random(seed)
+        corpus, vocab = corpus_with_stopwords(rng, rng.randint(1, 60))
+        built = build_index(corpus)
+        path = tmp_path_factory.mktemp("snapshot") / "index.hopidx"
+        write_snapshot(built, path)
+        with pytest.MonkeyPatch.context() as patch:
+            if rebinding == "add stopwords":
+                patch.setattr(hopkit.corpus, "STOPWORDS",
+                              STOPWORDS | set(rng.sample(vocab, rng.randint(1, 4))))
+            elif rebinding == "drop stopwords":
+                patch.setattr(hopkit.corpus, "STOPWORDS",
+                              STOPWORDS - {rng.choice(["the", "is", "of", "do", "zzz"])})
+            else:
+                cut = rng.randint(1, 6)
+                patch.setattr(hopkit.corpus, "stem", lambda word: word[:cut])
+            loaded, stored = read_snapshot(path)
+            rebuilt = build_index(Corpus.from_texts(loaded.corpus.texts, "digest"))
+        assert_same_index(loaded, rebuilt)
+        # the stored postings are kept exactly when no token's form moved
+        assert stored == (rebuilt.tokens == built.tokens)
+
+    def test_tf_above_255(self, tmp_path):
+        corpus = Corpus.from_texts([" ".join(["wind"] * 300 + ["heat"]) + ".", "wind heat."])
+        built = build_index(corpus)
+        path = tmp_path / "index.hopidx"
+        write_snapshot(built, path)
+        assert SnapshotParts(path.read_bytes()).header[4:] == [2, 4]
+        loaded, stored = read_snapshot(path)
+        assert stored
+        assert dict(loaded.postings["wind"]) == {0: 300, 1: 1}
+        assert_same_index(loaded, built)
+
+    def test_wide_doc_ids_and_a_table_past_the_memo_bound(self, tmp_path):
+        # more sentences than a 2-byte doc id holds, and more distinct tokens
+        # than the shared memo keeps, so it is cleared while building and
+        # while checking the table
+        corpus = Corpus.from_texts([f"wind w{i}." for i in range(1 << 16 | 1)])
+        built = build_index(corpus)
+        assert len(built.tokens) > STEM_CACHE_SIZE
+        path = tmp_path / "index.hopidx"
+        write_snapshot(built, path)
+        assert SnapshotParts(path.read_bytes()).header[4:] == [4, 1]
+        loaded, stored = read_snapshot(path)
+        assert stored
+        assert_same_index(loaded, built)
+
+    @pytest.mark.parametrize("kind, message", [
+        ("doc id out of range", "doc id out of range"),
+        ("repeated doc id", "repeated doc id in the postings of 'wind'"),
+        ("tf below 1", "term frequencies disagree"),
+        ("tfs and lengths disagree", "term frequencies disagree"),
+        ("offsets not increasing", "offsets not strictly increasing"),
+        ("a term with no postings", "offsets not strictly increasing"),
+        ("fewer terms than the table", "offsets disagree with the tokenizer table"),
+        ("more postings than stored", "section lengths disagree"),
+        ("more sentences than stored", "section lengths disagree"),
+        ("a string past the last", "section lengths disagree"),
+        ("bad id width", "width"),
+    ])
+    def test_crafted_body_with_valid_checksum(self, tmp_path, kind, message):
+        # toy_corpus: "wind" is in sentences 0 and 1, "power" twice in 1
+        path = tmp_path / "index.hopidx"
+        write_snapshot(build_index(toy_corpus()), path)
+        parts = SnapshotParts(path.read_bytes())
+        terms = sorted(build_index(toy_corpus()).postings)
+        wind = parts.offsets[terms.index("wind")]
+        if kind == "doc id out of range":
+            parts.ids[wind + 1] = parts.header[0]
+        elif kind == "repeated doc id":
+            parts.ids[wind + 1] = parts.ids[wind]
+        elif kind == "tf below 1":
+            parts.tfs[wind], parts.tfs[wind + 1] = 0, parts.tfs[wind + 1] + 1
+        elif kind == "tfs and lengths disagree":
+            parts.doc_len[0] += 1
+        elif kind == "offsets not increasing":
+            parts.offsets[1], parts.offsets[2] = parts.offsets[2], parts.offsets[1]
+        elif kind == "a term with no postings":
+            parts.offsets[1] = parts.offsets[0]
+        elif kind == "fewer terms than the table":
+            parts.header[1] -= 1
+            parts.offsets.pop(-2)
+        elif kind == "more postings than stored":
+            parts.header[2] += 1
+        elif kind == "more sentences than stored":
+            parts.header[0] += 1
+        elif kind == "a string past the last":
+            parts.strings.append(b"wind")
+        else:
+            parts.header[4] = 3
+        path.write_bytes(parts.sealed())
+        with pytest.raises(SnapshotError, match=message):
+            load_snapshot(path)
+

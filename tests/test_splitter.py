@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -29,7 +31,16 @@ from hopkit.splitter import (
     solve_heuristic,
 )
 
-from conftest import random_split_instance, seed_facts
+from conftest import (
+    FIG1_ANSWER,
+    FIG1_FL,
+    FIG1_FS,
+    FIG1_QUESTION,
+    make_question,
+    random_split_instance,
+    save_questions,
+    seed_facts,
+)
 from oracles import (
     annealing_solve_heuristic,
     brute_build_problem,
@@ -461,6 +472,42 @@ def _facts_sharing_many_terms(path: Path) -> None:
     path.write_text("".join(json.dumps(row) + "\n" for row in rows), "utf-8")
 
 
+# Runs CLI commands in one process: argv (a JSON list of [argv, stdout file
+# or null]); each must exit 0.
+_PIPELINE = """
+import io, json, sys
+from contextlib import redirect_stdout
+from hopkit.cli import main
+for argv, stdout in json.loads(sys.argv[1]):
+    with redirect_stdout(io.StringIO()) as text:
+        assert main(argv) == 0, argv
+    if stdout:
+        with open(stdout, "w", encoding="utf-8") as handle:
+            handle.write(text.getvalue())
+"""
+
+
+def _pipeline_commands(corpus: Path, questions: Path, fold: Path, out: Path) -> list:
+    idx = str(out / "idx")
+    return [
+        [["index", "build", "--corpus", str(corpus), "--out", idx], None],
+        [["index", "stats", "--index", idx], str(out / "stats.jsonl")],
+        [["retrieve", "--index", idx, "--mode", "two", "--question", FIG1_QUESTION,
+          "--answer", FIG1_ANSWER, "--out", str(out / "retrieve.jsonl")], None],
+        [["eval", "recall", "--index", idx, "--dataset", str(questions), "--mode", "two",
+          "--out", str(out / "recall.tsv"), "--audit", str(out / "audit.jsonl")], None],
+        [["distract", "gen", "--dataset", str(fold), "--ways", "4",
+          "--out", str(out / "pools.jsonl")], None],
+        [["distract", "rank", "--dataset", str(fold), "--pools", str(out / "pools.jsonl"),
+          "--scorer", f"ir:{idx}", "--out", str(out / "ranked.jsonl")], None],
+        [["distract", "assemble", "--dataset", str(fold), "--ranked",
+          str(out / "ranked.jsonl"), "--seed", "1", "--ways", "4",
+          "--out", str(out / "assembled.jsonl")], None],
+        [["validate", "--dataset", str(out / "assembled.jsonl"),
+          "--out", str(out / "validate.jsonl")], None],
+    ]
+
+
 def _run_with_hash_seed(hash_seed: str, argv: list[str]) -> str:
     env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
@@ -499,3 +546,32 @@ class TestHashSeedIndependence:
                 (out / name).read_bytes() for name in ("problem.json", "split.json", "split.tsv")
             ))
         assert len(written) == 1
+
+    def test_pipeline_writes_identical_bytes(self, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(
+            resources.files("hopkit.data").joinpath("mini_corpus.txt").read_text("utf-8"),
+            "utf-8")
+        fold = [make_question(f"q{i:03d}", f"what is thing number {i} made of?",
+                              f"answer{i:03d}", [f"human distractor {i}"],
+                              fact1=f"thing{i} relates to matter{i}",
+                              fact2=f"matter{i} builds answer{i:03d} pieces")
+                for i in range(1, 9)]
+        questions, fold_path = tmp_path / "questions.jsonl", tmp_path / "fold.jsonl"
+        save_questions(fold, fold_path)
+        save_questions([make_question("q000", FIG1_QUESTION, FIG1_ANSWER, ["erosion prevention"],
+                                      fact1=FIG1_FS, fact2=FIG1_FL), *fold], questions)
+        written = set()
+        for hash_seed in HASH_SEEDS:
+            out = tmp_path / hash_seed
+            commands = _pipeline_commands(corpus, questions, fold_path, out)
+            _run_with_hash_seed(hash_seed, ["-c", _PIPELINE, json.dumps(commands)])
+            written.add(tuple(sorted(
+                (str(path.relative_to(out)), hashlib.sha256(path.read_bytes()).hexdigest())
+                for path in out.rglob("*") if path.is_file())))
+        assert len(written) == 1
+        assert [name for name, _ in next(iter(written))] == [
+            "assembled.jsonl", "audit.jsonl", "idx/index.hopidx", "idx/rejections.tsv",
+            "pools.jsonl", "ranked.jsonl", "recall.tsv", "retrieve.jsonl", "stats.jsonl",
+            "validate.jsonl"]
+
