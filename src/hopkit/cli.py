@@ -30,7 +30,6 @@ from .index import (
     InvertedIndex,
     build_index,
     load_snapshot,
-    read_snapshot,
     write_snapshot,
 )
 from .qa import (
@@ -122,7 +121,7 @@ def cmd_index_build(args) -> int:
 
 
 def cmd_index_stats(args) -> int:
-    index, stored = read_snapshot(_resolve_snapshot(args.index))
+    index = load_snapshot(_resolve_snapshot(args.index))
     lengths = sorted(map(len, index.postings.values()))
     stats = {
         "format": MAGIC.rstrip(b"\0").decode("ascii"),
@@ -134,7 +133,7 @@ def cmd_index_stats(args) -> int:
     for name, pct in (("p50", 50), ("p90", 90), ("p99", 99), ("max", 100)):
         stats[f"posting_len_{name}"] = lengths[(pct * len(lengths) - 1) // 100] if lengths else 0
     stats["source_digest"] = index.corpus.source_digest
-    stats["postings"] = "stored" if stored else "rebuilt"
+    stats["postings"] = "stored" if index.tokens is None else "rebuilt"
     sys.stdout.write(jsonl([stats]))
     return 0
 

@@ -33,18 +33,19 @@ STOPWORDS: frozenset[str] = _load_stopwords()
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _WS_RE = re.compile(r"\s+")
 
-# Entries in each memo of _NormalForms.  Stemming is pure and corpora repeat a
-# small vocabulary, so each token is stemmed once while memoised; the stages
-# ask stem_set about the same question, choice and fact texts again and again.
+# Entries in stem_set's text memo, which is cleared when it fills: the
+# stages ask stem_set about the same question, choice and fact texts again
+# and again, but the texts a process meets have no ceiling.
 STEM_CACHE_SIZE = 1 << 16
 
 
 class _NormalForms(dict):
     """Raw lowercase token -> its normalized stem, or "" for a token that
     normalizes to nothing, filled on demand under one stopword set and one
-    stemmer.  ``sets`` maps a text to its stem_set under the same two.
-    Each memo is cleared when it reaches STEM_CACHE_SIZE entries, so its
-    memory stays bounded on any input."""
+    stemmer, so each token is stemmed once.  It is never cleared: it grows
+    to the vocabulary of the text the process has read, which any index
+    over that text holds too.  ``sets`` maps a text to its stem_set under
+    the same two, cleared when it reaches STEM_CACHE_SIZE entries."""
 
     def __init__(self, stopwords: frozenset[str], stemmer) -> None:
         super().__init__()
@@ -56,8 +57,6 @@ class _NormalForms(dict):
         form = "" if token in self.stopwords else self.stemmer(token)
         if form in self.stopwords:
             form = ""
-        if len(self) >= STEM_CACHE_SIZE:
-            self.clear()
         self[token] = form
         return form
 
@@ -96,9 +95,9 @@ def tokenize_normalize(text: str) -> TokenBag:
 
 class TokenTable(dict):
     """Raw lowercase token -> normal form of every token one index build
-    met, as a memo for _count_tokens.  Unlike the bounded memo it is filled
-    from, it is never cleared, so after the build it is the corpus's whole
-    tokenizer table."""
+    met, in first-seen order, as a memo for _count_tokens.  Filled from the
+    shared memo, so a token the process has met is not stemmed again;
+    after the build it is the corpus's own tokenizer table."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -111,9 +110,9 @@ class TokenTable(dict):
 
 def stem_set(text: str) -> frozenset[str]:
     """Distinct normalized stems of a string, memoised per text beside the
-    token memo (same bound, rebuilt with it), so each stage can ask again
-    rather than keep its own copy.  A concurrent caller at worst tokenizes
-    a text again."""
+    token memo (rebuilt with it, bounded by STEM_CACHE_SIZE), so each stage
+    can ask again rather than keep its own copy.  A concurrent caller at
+    worst tokenizes a text again."""
     sets = _current_forms().sets
     stems = sets.get(text)
     if stems is None:

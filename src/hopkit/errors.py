@@ -24,9 +24,7 @@ class SplitSizeError(HopkitError):
     pass
 
 
-def read_jsonl(
-    path: str | Path, parse: Callable[[dict], object], key: Callable | None = None
-) -> list:
+def read_jsonl(path: str | Path, parse: Callable[[dict], object], key: Callable) -> list:
     """``parse(row)`` for every row of a JSON-lines file, in file order.
 
     Lines end at LF, so CRLF files read the same.  Blank lines are skipped;
@@ -34,8 +32,8 @@ def read_jsonl(
     (nesting too deep to decode included), a row that is not an object, and
     a KeyError, TypeError, ValueError or OverflowError from ``parse`` become
     a HopkitError naming path:line, so a parse function only has to say
-    what is wrong with the row.  With ``key``, a row whose
-    ``key(parse(row))`` repeats an earlier row's is a bad row too.
+    what is wrong with the row.  A row whose ``key(parse(row))`` repeats
+    an earlier row's is a bad row too.
     """
     parsed = []
     first_line: dict = {}
@@ -46,11 +44,10 @@ def read_jsonl(
                 if not line.strip():
                     continue
                 value = parse(require_type(json.loads(line), dict, "row"))
-                if key is not None:
-                    row_key = key(value)
-                    if row_key in first_line:
-                        raise ValueError(f"id {row_key!r} repeats line {first_line[row_key]}")
-                    first_line[row_key] = lineno
+                row_key = key(value)
+                if row_key in first_line:
+                    raise ValueError(f"id {row_key!r} repeats line {first_line[row_key]}")
+                first_line[row_key] = lineno
                 parsed.append(value)
             except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                 raise HopkitError(

@@ -376,12 +376,9 @@ def _compressed_body(index: InvertedIndex) -> Iterator[bytes]:
 
 
 def load_snapshot(path: str | Path) -> InvertedIndex:
-    return read_snapshot(path)[0]
-
-
-def read_snapshot(path: str | Path) -> tuple[InvertedIndex, bool]:
-    """The index a snapshot holds, and whether its stored postings were kept
-    (False when they were rebuilt under the loading tokenizer)."""
+    """The index a snapshot holds.  Its ``tokens`` is None when the stored
+    postings were kept, and the loading tokenizer's table when they were
+    rebuilt from the texts (see above)."""
     try:
         counts, strings, doc_len, offsets, ids, tfs = _read_sections(path)
     except (struct.error, UnicodeDecodeError, zlib.error) as exc:
@@ -400,7 +397,7 @@ def read_snapshot(path: str | Path) -> tuple[InvertedIndex, bool]:
     loaded = list(map(_current_forms().__getitem__, tokens))
     if (pattern != _TOKEN_RE.pattern or unidata_version != unicodedata.unidata_version
             or loaded != forms):
-        return build_index(corpus), False
+        return build_index(corpus)
     # The terms are the loading memo's own strings; the table's copies and
     # the file's buffers are gone before the postings' dicts are built.
     del tokens, forms
@@ -424,7 +421,7 @@ def read_snapshot(path: str | Path) -> tuple[InvertedIndex, bool]:
             postings[term] = plist.items()
     except IndexError:
         raise SnapshotError(f"{path}: doc id out of range in the postings") from None
-    return InvertedIndex(corpus, postings, doc_len.tolist(), None), True
+    return InvertedIndex(corpus, postings, doc_len.tolist(), None)
 
 
 def _read_sections(path) -> tuple:

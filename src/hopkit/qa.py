@@ -65,12 +65,6 @@ class MCQuestion:
         raise AssertionError("unreachable: answer key validated in __post_init__")
 
 
-@dataclass(frozen=True)
-class ScorerVerdict:
-    per_choice: dict[str, float]
-    chosen: str
-
-
 class Scorer(Protocol):
     """Per-choice real score, higher is better.
 
@@ -157,20 +151,10 @@ def checked_score(scorer: Scorer, question: MCQuestion, text: str) -> float:
     return value
 
 
-def answer(scorer: Scorer, question: MCQuestion) -> ScorerVerdict:
-    """Argmax choice; ties break to the earliest label."""
-    per_choice: dict[str, float] = {}
-    best_label = None
-    best_score = -math.inf
-    for choice in question.choices:
-        value = checked_score(scorer, question, choice.text)
-        per_choice[choice.label] = value
-        if value > best_score:
-            best_score = value
-            best_label = choice.label
-    if best_label is None:
-        raise HopkitError(f"question {question.id} has no choices")
-    return ScorerVerdict(per_choice, best_label)
+def answer(scorer: Scorer, question: MCQuestion) -> str:
+    """The label of the argmax choice; ties break to the earliest label."""
+    best = max(question.choices, key=lambda choice: checked_score(scorer, question, choice.text))
+    return best.label
 
 
 def eval_accuracy(scorer: Scorer, dataset) -> float:
@@ -178,7 +162,7 @@ def eval_accuracy(scorer: Scorer, dataset) -> float:
     questions = list(dataset)
     if not questions:
         return 0.0
-    correct = sum(answer(scorer, q).chosen == q.answer_key for q in questions)
+    correct = sum(answer(scorer, q) == q.answer_key for q in questions)
     return correct / len(questions)
 
 

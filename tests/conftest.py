@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import hopkit.corpus
 from hopkit.corpus import STOPWORDS, Corpus, load_corpus, tokenize_normalize
 from hopkit.index import MAGIC, build_index
+from hopkit.porter import stem
 from hopkit.qa import Choice, MCQuestion, question_to_json
 from hopkit.splitter import SeedFact
 
@@ -64,6 +66,20 @@ class SnapshotParts:
                              + b"".join(a.tobytes() for a in arrays)
                              + b"".join(s + b"\n" for s in self.strings), 1)
         return MAGIC + hashlib.sha256(body).digest() + body
+
+
+@pytest.fixture
+def stem_calls(monkeypatch) -> list[str]:
+    """The words stemmed from here on: hopkit.corpus.stem is rebound to a
+    recording wrapper, so the token memo starts empty around it."""
+    calls: list[str] = []
+
+    def recording(word: str) -> str:
+        calls.append(word)
+        return stem(word)
+
+    monkeypatch.setattr(hopkit.corpus, "stem", recording)
+    return calls
 
 
 @pytest.fixture(scope="session")

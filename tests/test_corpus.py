@@ -328,12 +328,18 @@ class TestIngestMatchesOracles:
         assert tokenize_normalize("wind heat") == Counter({"wind": 1, "heat": 1})
         assert stem_set("wind heat") == {"wind", "heat"}
 
-    def test_memo_stays_bounded(self, monkeypatch):
+    def test_memo_stays_bounded(self, monkeypatch, stem_calls):
         monkeypatch.setattr(hopkit.corpus, "STEM_CACHE_SIZE", 8)
         text = " ".join(f"zork{chr(97 + i)}{chr(97 + j)}" for i in range(5) for j in range(10))
         text += " doing the running"
         assert list(tokenize_normalize(text).items()) == list(reference_tokenize(text).items())
-        assert len(hopkit.corpus._normal_forms) <= 8
+        # the token memo is never cleared: every token stays, each stemmed
+        # once, and asking again stems nothing
+        assert hopkit.corpus._normal_forms.keys() == set(text.split())
+        assert sorted(stem_calls) == sorted(set(text.split()) - STOPWORDS)
+        stem_calls.clear()
+        assert tokenize_normalize(text) == reference_tokenize(text)
+        assert stem_calls == []
         for word in text.split():
             assert stem_set(word) == frozenset(reference_tokenize(word))
             assert len(hopkit.corpus._normal_forms.sets) <= 8

@@ -22,7 +22,6 @@ from hopkit.index import (
     bm25_term_score,
     build_index,
     load_snapshot,
-    read_snapshot,
     search,
     write_snapshot,
 )
@@ -664,8 +663,8 @@ class TestSnapshot:
         built = build_index(corpus)
         path = tmp_path_factory.mktemp("snapshot") / "index.hopidx"
         write_snapshot(built, path)
-        loaded, stored = read_snapshot(path)
-        assert stored
+        loaded = load_snapshot(path)
+        assert loaded.tokens is None
         assert_same_index(loaded, built)
         # the loaded index keeps no table; writing it rebuilds one
         write_snapshot(loaded, path.with_name("again.hopidx"))
@@ -691,11 +690,11 @@ class TestSnapshot:
             else:
                 cut = rng.randint(1, 6)
                 patch.setattr(hopkit.corpus, "stem", lambda word: word[:cut])
-            loaded, stored = read_snapshot(path)
+            loaded = load_snapshot(path)
             rebuilt = build_index(Corpus.from_texts(loaded.corpus.texts, "digest"))
         assert_same_index(loaded, rebuilt)
         # the stored postings are kept exactly when no token's form moved
-        assert stored == (rebuilt.tokens == built.tokens)
+        assert (loaded.tokens is None) == (rebuilt.tokens == built.tokens)
 
     def test_tf_above_255(self, tmp_path):
         corpus = Corpus.from_texts([" ".join(["wind"] * 300 + ["heat"]) + ".", "wind heat."])
@@ -703,23 +702,39 @@ class TestSnapshot:
         path = tmp_path / "index.hopidx"
         write_snapshot(built, path)
         assert SnapshotParts(path.read_bytes()).header[4:] == [2, 4]
-        loaded, stored = read_snapshot(path)
-        assert stored
+        loaded = load_snapshot(path)
+        assert loaded.tokens is None
         assert dict(loaded.postings["wind"]) == {0: 300, 1: 1}
         assert_same_index(loaded, built)
 
     def test_wide_doc_ids_and_a_table_past_the_memo_bound(self, tmp_path):
-        # more sentences than a 2-byte doc id holds, and more distinct tokens
-        # than the shared memo keeps, so it is cleared while building and
-        # while checking the table
+        # more sentences than a 2-byte doc id holds, and a tokenizer table of
+        # more than STEM_CACHE_SIZE tokens, which the token memo keeps whole
         corpus = Corpus.from_texts([f"wind w{i}." for i in range(1 << 16 | 1)])
         built = build_index(corpus)
         assert len(built.tokens) > STEM_CACHE_SIZE
         path = tmp_path / "index.hopidx"
         write_snapshot(built, path)
         assert SnapshotParts(path.read_bytes()).header[4:] == [4, 1]
-        loaded, stored = read_snapshot(path)
-        assert stored
+        loaded = load_snapshot(path)
+        assert loaded.tokens is None
+        assert_same_index(loaded, built)
+
+    def test_reloads_past_the_memo_bound_stem_nothing(self, tmp_path, stem_calls):
+        # a build, then two loads in one process, through one token memo of
+        # more than STEM_CACHE_SIZE tokens: every token is stemmed once
+        n = 1 << 14
+        corpus = Corpus.from_texts([f"w{i} x{i} y{i} z{i} v{i}." for i in range(n)])
+        built = build_index(corpus)
+        assert len(built.tokens) == 5 * n > STEM_CACHE_SIZE
+        assert len(stem_calls) == 5 * n
+        path = tmp_path / "index.hopidx"
+        write_snapshot(built, path)
+        stem_calls.clear()
+        for _ in range(2):
+            loaded = load_snapshot(path)
+            assert loaded.tokens is None
+            assert stem_calls == []
         assert_same_index(loaded, built)
 
     @pytest.mark.parametrize("kind, message", [

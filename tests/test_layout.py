@@ -1,5 +1,6 @@
-"""Source-layout checks: no code in src/ exists only for the tests, and every
-output file and JSON-lines text goes through the one writer and formatter."""
+"""Source-layout checks: no code or state in src/ exists only for the tests,
+and every output file and JSON-lines text goes through the one writer and
+formatter."""
 
 import ast
 from pathlib import Path
@@ -12,16 +13,22 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def test_every_src_function_has_a_caller_outside_tests():
-    """Every module-level def or class in src/hopkit is named somewhere
-    outside its own definition, and every non-dunder method is reached
-    through an attribute.  Callers are src/hopkit and perfbench; the
-    package's __init__.py only re-exports, so it calls nothing."""
+def _src_and_callers() -> tuple[dict, dict]:
+    """The parsed src/hopkit modules, and the modules that may use them:
+    src/hopkit and perfbench, without the package's __init__.py, which
+    only re-exports."""
     trees = {path: _parse(path) for path in sorted(SRC.glob("*.py"))}
     callers = dict(trees)
     callers.pop(SRC / "__init__.py")
     callers.update((path, _parse(path)) for path in sorted((ROOT / "perfbench").glob("*.py")))
+    return trees, callers
 
+
+def test_every_src_function_has_a_caller_outside_tests():
+    """Every module-level def or class in src/hopkit is named somewhere
+    outside its own definition, and every non-dunder method is reached
+    through an attribute."""
+    trees, callers = _src_and_callers()
     names, attributes = [], []
     for tree in callers.values():
         for node in ast.walk(tree):
@@ -49,6 +56,27 @@ def test_every_src_function_has_a_caller_outside_tests():
                         and not referenced(method, attributes)):
                     unreached.append(f"{path.stem}.{top.name}.{method.name}")
     assert not unreached, f"no caller outside tests: {unreached}"
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(getattr(decorator.func if isinstance(decorator, ast.Call) else decorator,
+                       "id", None) == "dataclass" for decorator in cls.decorator_list)
+
+
+def test_every_dataclass_field_is_read_outside_tests():
+    """Every field of a src/hopkit dataclass is read through an attribute
+    somewhere in the callers, its own class's methods included (the check
+    above keeps those reached), so no field is filled only for the tests."""
+    trees, callers = _src_and_callers()
+    attributes = {node.attr for tree in callers.values() for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
+    unread = [f"{path.stem}.{cls.name}.{statement.target.id}"
+              for path, tree in trees.items()
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+              for statement in cls.body
+              if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name)
+              and statement.target.id not in attributes]
+    assert not unread, f"dataclass fields nothing outside tests reads: {unread}"
 
 
 def _calls_outside_write_snapshot(path: Path):

@@ -131,14 +131,11 @@ class TestIRScoreQuery:
 class TestAnswer:
     def test_argmax(self):
         question = make_question("q", "stem", "a1", ["a2"])
-        verdict = answer(FixedScorer({("q", "a1"): 1.0, ("q", "a2"): 2.0}), question)
-        assert verdict.chosen == "B"
-        assert verdict.per_choice == {"A": 1.0, "B": 2.0}
+        assert answer(FixedScorer({("q", "a1"): 1.0, ("q", "a2"): 2.0}), question) == "B"
 
     def test_all_zero_ties_to_first_label(self):
         question = make_question("q", "stem", "a1", ["a2", "a3"])
-        verdict = answer(FixedScorer({}), question)
-        assert verdict.chosen == "A"
+        assert answer(FixedScorer({}), question) == "A"
 
     def test_fig1_ir_answer(self, mini_index):
         question = make_question(
@@ -146,18 +143,18 @@ class TestAnswer:
             ["erosion prevention", "transfer of electrons", "reduce acidity of food"],
             answer_pos=0,
         )
-        verdict = answer(IRScorer(mini_index), question)
-        assert {c.label: c.text for c in question.choices}[verdict.chosen] == FIG1_ANSWER
+        chosen = answer(IRScorer(mini_index), question)
+        assert {c.label: c.text for c in question.choices}[chosen] == FIG1_ANSWER
 
     def test_scale_invariance_of_argmax(self):
         rng = random.Random(3)
         for _ in range(50):
             question = make_question("q", "stem", "a1", ["a2", "a3", "a4"])
             table = {("q", f"a{i}"): rng.uniform(-5, 5) for i in range(1, 5)}
-            chosen = answer(FixedScorer(table), question).chosen
+            chosen = answer(FixedScorer(table), question)
             c = rng.uniform(0.01, 100.0)
             scaled = {k: v * c for k, v in table.items()}
-            assert answer(FixedScorer(scaled), question).chosen == chosen
+            assert answer(FixedScorer(scaled), question) == chosen
 
     def test_non_finite_score_rejected(self):
         question = make_question("q", "stem", "a1", ["a2"])
@@ -325,7 +322,7 @@ class TestFileScorer:
             '{"id": "q1", "label": "B", "score": 0.75}\n'
         )
         scorer = FileScorer(path)
-        assert answer(scorer, question).chosen == "B"
+        assert answer(scorer, question) == "B"
 
     def test_text_rows_cover_candidates(self, tmp_path):
         question = make_question("q1", "stem", "a1", ["a2"])
