@@ -122,7 +122,7 @@ def cmd_index_build(args) -> int:
 
 def cmd_index_stats(args) -> int:
     index = load_snapshot(_resolve_snapshot(args.index))
-    lengths = sorted(map(len, index.postings.values()))
+    lengths = sorted(index.df.values())
     stats = {
         "format": MAGIC.rstrip(b"\0").decode("ascii"),
         "n_docs": index.n_docs,

@@ -1,10 +1,14 @@
 """In-process inverted index with BM25 ranking.
 
 The index is rebuild-only: corpora are static per experiment, so there are
-no incremental updates.  After build its postings and statistics never
-change.  The per-term max-impact memo that pruned searches read is derived
-state, filled on first use; a fill stores the value any search would
-compute, so concurrent searches stay safe without synchronization.
+no incremental updates.  After build or load its terms, document
+frequencies and statistics never change.  Two kinds of state are filled on
+first use: a loaded index builds a term's postings dict from the
+snapshot's packed arrays when the term is first read, and pruned searches
+fill a per-term max-impact memo.  A fill stores the value any reader would
+compute, so concurrent searches stay safe without synchronization: two
+threads that fill one term at once each get an equal value, and one of
+them is kept.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from array import array
 from collections import defaultdict
 from collections.abc import ItemsView, Iterable, Iterator
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, islice, repeat
 from operator import methodcaller, mul, sub
 from pathlib import Path
 
@@ -57,31 +61,34 @@ class InvertedIndex:
     ascending id order: it iterates as (doc id, tf) pairs, and its dict's
     key view intersects with sets in C.  The postings are the only store
     of term frequencies: which terms a document holds is answered by key
-    membership, ``doc_id in postings[term].mapping``.  ``tokens`` is the
-    tokenizer table a build made the postings under: every distinct raw
-    lowercase token of the corpus and its normal form ("" for none).  An
-    index loaded with its stored postings keeps no table (None).
+    membership, ``doc_id in postings[term].mapping``.  ``df`` maps every
+    term to its document frequency, the length of its postings; ask it,
+    not ``postings``, whether a term is indexed.  A built index holds
+    every term's dict; a loaded one builds a term's dict when the term is
+    first read (see _PackedPostings).  ``tokens`` is the tokenizer table a
+    build made the postings under: every distinct raw lowercase token of
+    the corpus and its normal form ("" for none).  An index loaded with
+    its stored postings keeps no table (None).
     """
 
     def __init__(
         self,
         corpus: Corpus,
         postings: dict[str, ItemsView[int, int]],
+        df: dict[str, int],
         doc_len: list[int],
         tokens: dict[str, str] | None,
     ):
         self.corpus = corpus
         self.postings = postings
+        self.df = df
         self.doc_len = doc_len
         self.tokens = tokens
         self.n_docs = len(doc_len)
         self.avg_len = sum(doc_len) / self.n_docs if self.n_docs else 0.0
         # Derived state, not in the snapshot: one log per distinct term.
-        self._idf = {
-            term: math.log(1.0 + (self.n_docs - len(plist) + 0.5) / (len(plist) + 0.5))
-            for term, plist in postings.items()
-            if plist
-        }
+        self._idf = {term: math.log(1.0 + (self.n_docs - n + 0.5) / (n + 0.5))
+                     for term, n in df.items()}
         # Derived state filled on first use: a term's largest contribution.
         self._max_impact: dict[str, float] = {}
 
@@ -102,6 +109,51 @@ class InvertedIndex:
         return impact
 
 
+class _PackedPostings(dict):
+    """A loaded index's postings.  Every term's doc ids and tfs stay in the
+    snapshot's packed arrays until the term is first read; then its dict
+    is built, in the stored (ascending) id order with the shared doc-id
+    ints, and kept, so reading a built term is a plain dict lookup.
+    ``in``, ``len`` and iteration answer from ``df`` and build nothing;
+    ``items``, ``values`` and ``==`` build every term first.  Other dict
+    methods see only the terms built so far."""
+
+    def __init__(self, df: dict[str, int], starts: dict[str, int], docs: list[int],
+                 ids: array, tfs: array):
+        super().__init__()
+        self.df, self.starts, self.docs, self.ids, self.tfs = df, starts, docs, ids, tfs
+
+    def __missing__(self, term: str) -> ItemsView[int, int]:
+        start = self.starts[term]
+        end = start + self.df[term]
+        plist = dict(zip(map(self.docs.__getitem__, self.ids[start:end]),
+                         self.tfs[start:end])).items()
+        self[term] = plist
+        return plist
+
+    def __contains__(self, term) -> bool:
+        return term in self.df
+
+    def __len__(self) -> int:
+        return len(self.df)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.df)
+
+    def items(self):
+        return self._whole().items()
+
+    def values(self):
+        return self._whole().values()
+
+    def __eq__(self, other) -> bool:
+        return self._whole() == other
+
+    def _whole(self) -> dict[str, ItemsView[int, int]]:
+        """Every term's postings, in sorted term order."""
+        return {term: self[term] for term in self.df}
+
+
 def build_index(corpus: Corpus) -> InvertedIndex:
     tokens = TokenTable()
     docs_of: defaultdict[str, dict[int, int]] = defaultdict(dict)
@@ -112,7 +164,8 @@ def build_index(corpus: Corpus) -> InvertedIndex:
         for term, tf in bag.items():
             docs_of[term][doc_id] = tf
     postings = {term: docs.items() for term, docs in docs_of.items()}
-    return InvertedIndex(corpus, postings, doc_len, tokens)
+    df = {term: len(docs) for term, docs in docs_of.items()}
+    return InvertedIndex(corpus, postings, df, doc_len, tokens)
 
 
 def bm25_term_score(tf: int, idf: float, dl: int, avg_len: float) -> float:
@@ -163,26 +216,42 @@ def search(
     above the floor and is scored, so ties still break by id.
 
     A negation_filter drops hits whose surface words include one of its
-    words.  Such a search asks for wanted = top_n hits and doubles wanted
-    until top_n survive the filter, or until fewer than wanted were
-    scored, when every survivor was: exact, as the kept hits are a prefix
-    of the filtered full ranking.
+    words.  The rounds then take theta over the hits the filter keeps, so
+    the floor falls until top_n kept hits are found and one search scores
+    each candidate at most once.  Only the best-scored documents are
+    checked against the filter, a few per round, best first.
     """
     if top_n <= 0:
         return []
     terms = sorted(set(query))
     if must_contain_any is None:
         must_contain_any = (frozenset(terms),) * 2
-    wanted = top_n
-    while True:
-        scores = _score_constrained(index, terms, *must_contain_any, wanted)
-        ranked = heapq.nsmallest(wanted, [(-score, doc_id) for doc_id, score in scores.items()])
-        if negation_filter:
-            ranked = [hit for hit in ranked if negation_filter.isdisjoint(
-                _TOKEN_RE.findall(index.corpus[hit[1]].lower()))]
-        if len(ranked) >= top_n or len(scores) < wanted:
-            return [SearchHit(doc_id, -neg_score) for neg_score, doc_id in ranked[:top_n]]
-        wanted *= 2
+    keep = None
+    if negation_filter:
+        def keep(doc_id: int) -> bool:
+            return negation_filter.isdisjoint(_TOKEN_RE.findall(index.corpus[doc_id].lower()))
+    scores = _score_constrained(index, terms, *must_contain_any, top_n, keep)
+    if not scores:
+        return []
+    return [SearchHit(doc_id, -neg_score) for neg_score, doc_id in _best(scores, top_n, keep)]
+
+
+def _best(scores: dict[int, float], n: int, keep) -> list[tuple[float, int]]:
+    """The n best (-score, doc id) pairs of scores, best first, of the
+    documents keep admits (every document when keep is None).  A document
+    keep rejects is deleted from scores, so no later call asks about it."""
+    ranked = [(-score, doc_id) for doc_id, score in scores.items()]
+    if keep is None:
+        return heapq.nsmallest(n, ranked)
+    heapq.heapify(ranked)
+    best = []
+    while ranked and len(best) < n:
+        hit = heapq.heappop(ranked)
+        if keep(hit[1]):
+            best.append(hit)
+        else:
+            del scores[hit[1]]
+    return best
 
 
 def _score_constrained(
@@ -191,17 +260,18 @@ def _score_constrained(
     side_a: frozenset[str],
     side_b: frozenset[str],
     top_n: int,
+    keep=None,
 ) -> dict[int, float]:
     """Scores of at least the documents meeting both sides that can rank
-    in the top_n (see search)."""
-    postings = index.postings
+    in the top_n of those keep admits (see search)."""
+    postings, df = index.postings, index.df
+    if df.keys().isdisjoint(side_a) or df.keys().isdisjoint(side_b):
+        return {}  # no document holds a term of one side
     # Each side's terms' key views: a document holds a term of the side
     # when it is in one of them.
-    keys_a = [postings[term].mapping.keys() for term in side_a if term in postings]
-    keys_b = [postings[term].mapping.keys() for term in side_b if term in postings]
+    keys_a = [postings[term].mapping.keys() for term in side_a if term in df]
+    keys_b = [postings[term].mapping.keys() for term in side_b if term in df]
     total_a, total_b = sum(map(len, keys_a)), sum(map(len, keys_b))
-    if not total_a or not total_b:
-        return {}
     if total_b < total_a:
         side_a, side_b, keys_a, keys_b, total_a = side_b, side_a, keys_b, keys_a, total_b
 
@@ -223,7 +293,7 @@ def _score_constrained(
         if not survivors:
             return {}
     weighted = [(term, index.idf(term), postings[term].mapping) for term in terms
-                if term in postings]
+                if term in df]
     if not weighted:
         return {}  # no document holds a query term
     doc_len, avg_len = index.doc_len, index.avg_len
@@ -286,10 +356,14 @@ def _score_constrained(
         score(reached)
         if floor <= impacts[-1]:
             return scores  # every document holding a query term is reached
-        if len(scores) < top_n:
+        if keep is None:
+            best = heapq.nlargest(top_n, scores.values())
+        else:
+            best = [-neg_score for neg_score, _ in _best(scores, top_n, keep)]
+        if len(best) < top_n:
             floor /= 2.0
             continue
-        theta = heapq.nlargest(top_n, scores.values())[-1] * (1.0 - 1e-9)
+        theta = best[-1] * (1.0 - 1e-9)
         if theta >= floor:
             return scores
         floor = theta
@@ -313,7 +387,9 @@ def _score_constrained(
 # same pattern and Unicode version and maps every stored raw token to its
 # stored form: equal tokens and equal forms give equal postings.  Otherwise
 # it rebuilds them from the texts with build_index, so a loaded index
-# always agrees with the tokenizer that loads it.  A snapshot is written to
+# always agrees with the tokenizer that loads it.  Kept postings stay in
+# their packed arrays, checked whole at load; a term's dict is built when
+# the term is first read (_PackedPostings).  A snapshot is written to
 # a temporary file beside its target and then renamed over it, so a failed
 # write leaves any earlier snapshot at that path whole.
 
@@ -399,7 +475,7 @@ def load_snapshot(path: str | Path) -> InvertedIndex:
             or loaded != forms):
         return build_index(corpus)
     # The terms are the loading memo's own strings; the table's copies and
-    # the file's buffers are gone before the postings' dicts are built.
+    # the file's buffers are gone before the postings are checked.
     del tokens, forms
     terms = sorted(set(loaded).difference(("",)))
     del loaded
@@ -408,20 +484,24 @@ def load_snapshot(path: str | Path) -> InvertedIndex:
         raise SnapshotError(f"{path}: term offsets disagree with the tokenizer table")
     if min(lengths, default=1) < 1:
         raise SnapshotError(f"{path}: term offsets not strictly increasing")
-    if min(tfs, default=1) < 1 or sum(tfs) != sum(doc_len):
+    if 0 in tfs or sum(tfs) != sum(doc_len):
         raise SnapshotError(f"{path}: term frequencies disagree with the sentence lengths")
-    # One int object per doc id, shared by every posting of the document.
-    docs, tf_values = map(ids_of_docs.__getitem__, ids), iter(tfs)
-    postings = {}
+    # Every doc id is checked here, in one C-level pass over the array, so a
+    # bad snapshot fails at load though a term's dict is built only when
+    # read: each term's ids map to the shared doc-id ints (raising
+    # IndexError past the last sentence), and their set must be as long.
+    doc_of = ids_of_docs.__getitem__
+    per_term = map(ids.__getitem__, map(slice, offsets, islice(offsets, 1, None)))
     try:
-        for term, length in zip(terms, lengths):
-            plist = dict(zip(islice(docs, length), islice(tf_values, length)))
-            if len(plist) != length:
-                raise SnapshotError(f"{path}: repeated doc id in the postings of {term!r}")
-            postings[term] = plist.items()
+        distinct = list(map(len, map(set, map(map, repeat(doc_of), per_term))))
     except IndexError:
         raise SnapshotError(f"{path}: doc id out of range in the postings") from None
-    return InvertedIndex(corpus, postings, doc_len.tolist(), None)
+    if distinct != lengths:
+        term = next(term for term, n, length in zip(terms, distinct, lengths) if n != length)
+        raise SnapshotError(f"{path}: repeated doc id in the postings of {term!r}")
+    df = dict(zip(terms, lengths))
+    postings = _PackedPostings(df, dict(zip(terms, offsets)), ids_of_docs, ids, tfs)
+    return InvertedIndex(corpus, postings, df, doc_len.tolist(), None)
 
 
 def _read_sections(path) -> tuple:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import hopkit.corpus
 import hopkit.index
+import hopkit.retrieval
 from hopkit.corpus import STEM_CACHE_SIZE, STOPWORDS, Corpus
 from hopkit.errors import SnapshotError
 from hopkit.index import (
@@ -25,6 +26,7 @@ from hopkit.index import (
     search,
     write_snapshot,
 )
+from hopkit.retrieval import two_step
 
 from conftest import (
     STEM_WORDS,
@@ -321,8 +323,8 @@ class TestSearch:
         assert [(h.sentence_id, h.score) for h in hits] == naive_search(corpus, terms, 1)
 
     def test_negation_filter_widens_until_a_hit_survives(self, monkeypatch):
-        # the three best sentences are negated, so top-1 searches for 1, 2
-        # and 4 hits before one survives the filter
+        # the three best sentences are negated, so the floor falls past
+        # them until a hit survives the filter, within one scoring pass
         negated = ["wind heat air not.", "air wind heat not.", "heat air wind not."]
         corpus = Corpus.from_texts(
             [*negated, "wind heat air rock.", *one_full_match_corpus().texts[1:]])
@@ -343,7 +345,7 @@ class TestSearch:
         assert [sid for sid, _ in ranked[:3]] == [0, 1, 2]
         want = [(sid, score) for sid, score in ranked if not corpus[sid].endswith(" not.")]
         assert [(h.sentence_id, h.score) for h in hits] == want[:top_n]
-        assert calls <= math.ceil(math.log2(index.n_docs / top_n)) + 1
+        assert calls == 1
 
     @given(
         corpus=small_corpora(min_sentences=10),
@@ -736,6 +738,51 @@ class TestSnapshot:
             assert loaded.tokens is None
             assert stem_calls == []
         assert_same_index(loaded, built)
+
+    @given(seed=st.integers(0, 2**32 - 1), n_sentences=st.integers(0, 120), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_terms_read_in_any_order_equal_build(self, tmp_path_factory, seed, n_sentences,
+                                                 data):
+        # a loaded index builds a term's dict when the term is first read:
+        # searches read some terms, then every term is read in a drawn order
+        corpus, _ = random_corpus(random.Random(seed), n_sentences)
+        built = build_index(corpus)
+        path = tmp_path_factory.mktemp("snapshot") / "index.hopidx"
+        write_snapshot(built, path)
+        loaded = load_snapshot(path)
+        terms = sorted(built.postings)
+        words = st.sampled_from([*terms, "absent"])
+        for _ in range(data.draw(st.integers(0, 4))):
+            query = data.draw(st.lists(words, min_size=1, max_size=6))
+            sides = data.draw(st.none() | st.tuples(st.frozensets(words, max_size=4),
+                                                    st.frozensets(words, max_size=4)))
+            top_n = data.draw(st.integers(1, 30))
+            assert search(loaded, query, top_n, sides) == search(built, query, top_n, sides)
+        for term in data.draw(st.permutations(terms)):
+            assert list(loaded.postings[term]) == list(built.postings[term])
+            assert loaded.idf(term) == built.idf(term)
+        assert loaded.df == built.df
+
+    def test_a_load_builds_only_the_terms_its_searches_read(self, tmp_path, monkeypatch):
+        rng = random.Random(31)
+        corpus, vocab = random_corpus(rng, 300)
+        path = tmp_path / "index.hopidx"
+        write_snapshot(build_index(corpus), path)
+        loaded = load_snapshot(path)
+        assert not dict.keys(loaded.postings)  # nothing is built yet
+        queries = []
+
+        def recording(index, query, *args, **kwargs):
+            queries.append(frozenset(query))
+            return search(index, query, *args, **kwargs)
+
+        monkeypatch.setattr(hopkit.retrieval, "search", recording)
+        two_step(loaded, *random_query(rng, vocab))
+        built = set(dict.keys(loaded.postings))
+        assert len(queries) > 1
+        assert queries[0] & set(loaded.df) <= built  # the first hop reads its query
+        assert built <= set().union(*queries)
+        assert len(built) < len(loaded.postings)
 
     @pytest.mark.parametrize("kind, message", [
         ("doc id out of range", "doc id out of range"),
