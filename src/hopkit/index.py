@@ -22,6 +22,7 @@ import sys
 import unicodedata
 import zlib
 from array import array
+from bisect import bisect_right
 from collections import defaultdict
 from collections.abc import ItemsView, Iterable, Iterator
 from dataclasses import dataclass
@@ -110,23 +111,24 @@ class InvertedIndex:
 
 
 class _PackedPostings(dict):
-    """A loaded index's postings.  Every term's doc ids and tfs stay in the
-    snapshot's packed arrays until the term is first read; then its dict
-    is built, in the stored (ascending) id order with the shared doc-id
-    ints, and kept, so reading a built term is a plain dict lookup.
+    """A loaded index's postings.  Every term's doc-id gaps and tfs stay in
+    the snapshot's packed arrays until the term is first read; then its
+    dict is built and kept, so reading a built term is a plain dict lookup.
+    The gaps' running sums, in the stored (ascending) order, are each id
+    + 1, and ``docs[id + 1]`` is the shared int of doc id ``id``.
     ``in``, ``len`` and iteration answer from ``df`` and build nothing;
     ``items``, ``values`` and ``==`` build every term first.  Other dict
     methods see only the terms built so far."""
 
-    def __init__(self, df: dict[str, int], starts: dict[str, int], docs: list[int],
-                 ids: array, tfs: array):
+    def __init__(self, df: dict[str, int], starts: dict[str, int], docs: list,
+                 gaps: array, tfs: array):
         super().__init__()
-        self.df, self.starts, self.docs, self.ids, self.tfs = df, starts, docs, ids, tfs
+        self.df, self.starts, self.docs, self.gaps, self.tfs = df, starts, docs, gaps, tfs
 
     def __missing__(self, term: str) -> ItemsView[int, int]:
         start = self.starts[term]
         end = start + self.df[term]
-        plist = dict(zip(map(self.docs.__getitem__, self.ids[start:end]),
+        plist = dict(zip(map(self.docs.__getitem__, accumulate(self.gaps[start:end])),
                          self.tfs[start:end])).items()
         self[term] = plist
         return plist
@@ -373,11 +375,15 @@ def _score_constrained(
 # On-disk snapshot: the magic, the sha256 of the rest, then one zlib stream
 # (level 1) holding, little-endian:
 #   - a header of six u32: n_docs, n_terms, n_postings, n_tokens, and the
-#     byte widths of a stored doc id (2, or 4 past 65,536 sentences) and of
-#     a stored tf (1, or 4 when a sentence is 256 tokens or longer);
+#     byte widths of a stored doc-id gap (2, or 4 from 65,536 sentences on,
+#     since a gap reaches n_docs) and of a stored tf (1, or 4 when a
+#     sentence is 256 tokens or longer);
 #   - doc_len and the n_terms + 1 offsets of the terms' postings (u32 each),
-#     then every term's doc ids and tfs, ascending by doc id, the terms in
-#     sorted order;
+#     then every term's doc ids as gaps, the first id + 1 and each later
+#     one id - previous id, then every term's tfs; each term's postings
+#     ascend by doc id, the terms in sorted order.  So the ids of a term
+#     strictly ascend exactly when none of its gaps is 0, and the last
+#     lies within the corpus exactly when its gaps sum to at most n_docs;
 #   - UTF-8 strings, each ended by "\n": the source digest, the tokenizer's
 #     regex pattern and unicodedata version, the n_docs sentence texts, then
 #     the tokenizer table's n_tokens raw tokens and their n_tokens normal
@@ -393,7 +399,7 @@ def _score_constrained(
 # a temporary file beside its target and then renamed over it, so a failed
 # write leaves any earlier snapshot at that path whole.
 
-MAGIC = b"HOPIDX3\x00"
+MAGIC = b"HOPIDX4\x00"
 _HEADER = struct.Struct("<6I")
 _TYPECODES = {1: "B", 2: "H", 4: "I"}
 _STRINGS_PER_CHUNK = 4096
@@ -428,7 +434,9 @@ def _compressed_body(index: InvertedIndex) -> Iterator[bytes]:
     packer = zlib.compressobj(1)
     terms = sorted(index.postings)
     lists = [index.postings[term].mapping for term in terms]
-    ids = array("H" if index.n_docs <= 1 << 16 else "I", chain.from_iterable(lists))
+    # Each term's doc-id gaps, made in C: map(sub, ids, chain((-1,), ids)).
+    gaps = array("H" if index.n_docs < 1 << 16 else "I", chain.from_iterable(
+        map(map, repeat(sub), lists, map(chain, repeat((-1,)), lists))))
     tf_values = chain.from_iterable(map(methodcaller("values"), lists))
     # A tf is at most its sentence's length; bytes() packs small ints fastest.
     if max(index.doc_len, default=0) < 256:
@@ -436,13 +444,13 @@ def _compressed_body(index: InvertedIndex) -> Iterator[bytes]:
     else:
         tfs = array("I", tf_values)
     offsets = array("I", accumulate(map(len, lists), initial=0))
-    yield packer.compress(_HEADER.pack(index.n_docs, len(terms), len(ids), len(index.tokens),
-                                       ids.itemsize, tfs.itemsize))
-    for section in (array("I", index.doc_len), offsets, ids, tfs):
+    yield packer.compress(_HEADER.pack(index.n_docs, len(terms), len(gaps), len(index.tokens),
+                                       gaps.itemsize, tfs.itemsize))
+    for section in (array("I", index.doc_len), offsets, gaps, tfs):
         if sys.byteorder == "big":
             section.byteswap()
         yield packer.compress(section)
-    del lists, ids, tfs
+    del lists, gaps, tfs
     strings = [index.corpus.source_digest, _TOKEN_RE.pattern, unicodedata.unidata_version,
                *index.corpus.texts, *index.tokens, *index.tokens.values()]
     for start in range(0, len(strings), _STRINGS_PER_CHUNK):
@@ -456,7 +464,7 @@ def load_snapshot(path: str | Path) -> InvertedIndex:
     postings were kept, and the loading tokenizer's table when they were
     rebuilt from the texts (see above)."""
     try:
-        counts, strings, doc_len, offsets, ids, tfs = _read_sections(path)
+        counts, strings, doc_len, offsets, gaps, tfs = _read_sections(path)
     except (struct.error, UnicodeDecodeError, zlib.error) as exc:
         raise SnapshotError(f"{path}: malformed snapshot body: {exc}") from exc
     n_docs, n_terms, n_tokens = counts
@@ -465,8 +473,8 @@ def load_snapshot(path: str | Path) -> InvertedIndex:
     tokens = strings[3 + n_docs : 3 + n_docs + n_tokens]
     forms = strings[3 + n_docs + n_tokens :]
     del strings
-    ids_of_docs = list(range(n_docs))
-    by_text = dict(zip(texts, ids_of_docs))
+    docs = [None, *range(n_docs)]
+    by_text = dict(zip(texts, islice(docs, 1, None)))
     if len(by_text) != n_docs:
         raise SnapshotError(f"{path}: duplicate sentences in snapshot")
     corpus = Corpus(texts, source_digest, _by_text=by_text)
@@ -480,32 +488,34 @@ def load_snapshot(path: str | Path) -> InvertedIndex:
     terms = sorted(set(loaded).difference(("",)))
     del loaded
     lengths = list(map(sub, offsets[1:], offsets))
-    if len(terms) != n_terms or offsets[0] != 0 or offsets[-1] != len(ids):
+    if len(terms) != n_terms or offsets[0] != 0 or offsets[-1] != len(gaps):
         raise SnapshotError(f"{path}: term offsets disagree with the tokenizer table")
     if min(lengths, default=1) < 1:
         raise SnapshotError(f"{path}: term offsets not strictly increasing")
-    if 0 in tfs or sum(tfs) != sum(doc_len):
+    # With one-byte tfs, `in` on their bytes is a memchr; on the array it
+    # makes an int of every tf.
+    if 0 in (tfs.tobytes() if tfs.itemsize == 1 else tfs) or sum(tfs) != sum(doc_len):
         raise SnapshotError(f"{path}: term frequencies disagree with the sentence lengths")
-    # Every doc id is checked here, in one C-level pass over the array, so a
+    # Every doc id is checked here, in two C-level scans of the gaps, so a
     # bad snapshot fails at load though a term's dict is built only when
-    # read: each term's ids map to the shared doc-id ints (raising
-    # IndexError past the last sentence), and their set must be as long.
-    doc_of = ids_of_docs.__getitem__
-    per_term = map(ids.__getitem__, map(slice, offsets, islice(offsets, 1, None)))
-    try:
-        distinct = list(map(len, map(set, map(map, repeat(doc_of), per_term))))
-    except IndexError:
-        raise SnapshotError(f"{path}: doc id out of range in the postings") from None
-    if distinct != lengths:
-        term = next(term for term, n, length in zip(terms, distinct, lengths) if n != length)
-        raise SnapshotError(f"{path}: repeated doc id in the postings of {term!r}")
+    # read.  A gap of 0 is a first id of -1 or an id that does not ascend;
+    # a term's gap sum is its last id + 1.
+    if 0 in gaps:
+        at = gaps.index(0)
+        t = bisect_right(offsets, at) - 1
+        if at == offsets[t]:
+            raise SnapshotError(f"{path}: doc id out of range in the postings of {terms[t]!r}")
+        raise SnapshotError(f"{path}: repeated doc id in the postings of {terms[t]!r}")
+    per_term = map(gaps.__getitem__, map(slice, offsets, islice(offsets, 1, None)))
+    if max(map(sum, per_term), default=0) > n_docs:
+        raise SnapshotError(f"{path}: doc id out of range in the postings")
     df = dict(zip(terms, lengths))
-    postings = _PackedPostings(df, dict(zip(terms, offsets)), ids_of_docs, ids, tfs)
+    postings = _PackedPostings(df, dict(zip(terms, offsets)), docs, gaps, tfs)
     return InvertedIndex(corpus, postings, df, doc_len.tolist(), None)
 
 
 def _read_sections(path) -> tuple:
-    """((n_docs, n_terms, n_tokens), strings, doc_len, offsets, ids, tfs) of a
+    """((n_docs, n_terms, n_tokens), strings, doc_len, offsets, gaps, tfs) of a
     snapshot whose sections fill its body exactly.  The file's bytes and
     the decompressed body are dropped when this returns."""
     raw = Path(path).read_bytes()

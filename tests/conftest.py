@@ -30,11 +30,12 @@ FIG1_FC = "Differential heating of air can be harnessed for electricity producti
 
 
 class SnapshotParts:
-    """A HOPIDX3 snapshot's body, decompressed and cut into its sections, so
+    """A HOPIDX4 snapshot's body, decompressed and cut into its sections, so
     a test can change any of them and seal the body again.  ``header`` is
     [n_docs, n_terms, n_postings, n_tokens, id width, tf width]; the arrays
-    are doc_len, offsets, ids and tfs; ``strings`` holds the raw bytes of
-    each "\\n"-ended string."""
+    are doc_len, offsets, gaps (each term's first doc id + 1, then each id
+    less the one before) and tfs; ``strings`` holds the raw bytes of each
+    "\\n"-ended string."""
 
     HEADER = struct.Struct("<6I")
     TYPECODES = {1: "B", 2: "H", 4: "I"}
@@ -52,7 +53,7 @@ class SnapshotParts:
                 section.byteswap()
             self.arrays.append(section)
             at += width * count
-        self.doc_len, self.offsets, self.ids, self.tfs = self.arrays
+        self.doc_len, self.offsets, self.gaps, self.tfs = self.arrays
         assert body[-1:] == b"\n"
         self.strings = body[at:-1].split(b"\n")
 

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import shutil
+from bisect import bisect_right
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
@@ -95,7 +96,7 @@ class TestIndexStats:
         index = load_snapshot(snapshot_dir / "index.hopidx")
         lengths = sorted(map(len, index.postings.values()))
         assert stats == {
-            "format": "HOPIDX3", "n_docs": 22, "n_terms": len(lengths),
+            "format": "HOPIDX4", "n_docs": 22, "n_terms": len(lengths),
             "avg_len": round(index.avg_len, 9),
             # nearest-rank percentiles
             "posting_len_p50": lengths[math.ceil(0.50 * len(lengths)) - 1],
@@ -929,7 +930,7 @@ def bad_snapshot(draw, raw: bytes) -> bytes:
         return MAGIC + hashlib.sha256(new_body).digest() + new_body
 
     kind = draw(st.sampled_from([
-        "truncated", "trailing", "flipped", "version 1", "version 2", "junk",
+        "truncated", "trailing", "flipped", "version 1", "version 2", "version 3", "junk",
         "doc id out of range", "repeated doc id", "tf below 1", "offsets not increasing",
         "section lengths",
     ]))
@@ -953,7 +954,16 @@ def _repeat_a_doc_id(draw, parts) -> None:
     offsets = parts.offsets
     start = draw(st.sampled_from([offsets[t] for t in range(len(offsets) - 1)
                                   if offsets[t + 1] - offsets[t] >= 2]))
-    parts.ids[start + 1] = parts.ids[start]
+    parts.gaps[start + 1] = 0
+
+
+def _push_a_doc_id_out_of_range(draw, parts) -> None:
+    # raise one gap until its term's gaps, which sum to its last id + 1,
+    # pass the sentence count
+    at = draw(st.integers(0, len(parts.gaps) - 1))
+    t = bisect_right(parts.offsets, at) - 1
+    total = sum(parts.gaps[parts.offsets[t] : parts.offsets[t + 1]])
+    parts.gaps[at] += parts.header[0] + 1 - total + draw(st.integers(0, 9))
 
 
 def _swap_two_offsets(draw, parts) -> None:
@@ -967,9 +977,7 @@ def _set(section, at, value) -> None:
 
 # Sealed bodies whose sections are well formed but disagree with each other.
 CRAFTED_BODIES = {
-    "doc id out of range": lambda draw, parts: _set(
-        parts.ids, draw(st.integers(0, len(parts.ids) - 1)),
-        parts.header[0] + draw(st.integers(0, 9))),
+    "doc id out of range": _push_a_doc_id_out_of_range,
     "repeated doc id": _repeat_a_doc_id,
     "tf below 1": lambda draw, parts: _set(parts.tfs, draw(st.integers(0, len(parts.tfs) - 1)), 0),
     "offsets not increasing": _swap_two_offsets,

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import struct
+from array import array
 from collections import Counter
 
 import pytest
@@ -648,14 +649,23 @@ class TestSnapshot:
             with pytest.raises(SnapshotError, match="trailing bytes after the body"):
                 load_snapshot(path)
 
-    def test_version_2_snapshot_asks_for_a_rebuild(self, tmp_path):
-        # a texts-only snapshot as the previous format wrote it
+    def test_version_2_and_3_snapshots_ask_for_a_rebuild(self, tmp_path):
+        # a texts-only snapshot as HOPIDX2 wrote it
         body = struct.pack("<I", 1)
         for text in ("digest", "wind turbine spins fast."):
             body += struct.pack("<I", len(text)) + text.encode("utf-8")
         path = tmp_path / "index.hopidx"
         path.write_bytes(b"HOPIDX2\x00" + hashlib.sha256(body).digest() + body)
         with pytest.raises(SnapshotError, match="bad magic.*HOPIDX2.*rebuild.*hopkit index build"):
+            load_snapshot(path)
+        # a HOPIDX3 snapshot: these sections, with doc ids in place of gaps
+        write_snapshot(build_index(toy_corpus()), path)
+        parts = SnapshotParts(path.read_bytes())
+        for start, end in zip(parts.offsets, parts.offsets[1:]):
+            ids = [total - 1 for total in itertools.accumulate(parts.gaps[start:end])]
+            parts.gaps[start:end] = array(parts.gaps.typecode, ids)
+        path.write_bytes(b"HOPIDX3\x00" + parts.sealed()[len(MAGIC) :])
+        with pytest.raises(SnapshotError, match="bad magic.*HOPIDX3.*rebuild.*hopkit index build"):
             load_snapshot(path)
 
     @given(seed=st.integers(0, 2**32 - 1), n_sentences=st.integers(0, 120))
@@ -718,6 +728,21 @@ class TestSnapshot:
         path = tmp_path / "index.hopidx"
         write_snapshot(built, path)
         assert SnapshotParts(path.read_bytes()).header[4:] == [4, 1]
+        loaded = load_snapshot(path)
+        assert loaded.tokens is None
+        assert_same_index(loaded, built)
+
+    @pytest.mark.parametrize("n_docs, id_width", [((1 << 16) - 1, 2), (1 << 16, 4)])
+    def test_gap_width_follows_the_sentence_count(self, tmp_path, n_docs, id_width):
+        # the last sentence alone holds its term, whose one gap is n_docs:
+        # two bytes hold it only below 65,536 sentences
+        corpus = Corpus.from_texts([f"w{i}." for i in range(n_docs)])
+        built = build_index(corpus)
+        path = tmp_path / "index.hopidx"
+        write_snapshot(built, path)
+        parts = SnapshotParts(path.read_bytes())
+        assert parts.header[4] == id_width
+        assert max(parts.gaps) == n_docs
         loaded = load_snapshot(path)
         assert loaded.tokens is None
         assert_same_index(loaded, built)
@@ -786,6 +811,7 @@ class TestSnapshot:
 
     @pytest.mark.parametrize("kind, message", [
         ("doc id out of range", "doc id out of range"),
+        ("a zero first gap", "doc id out of range in the postings of 'wind'"),
         ("repeated doc id", "repeated doc id in the postings of 'wind'"),
         ("tf below 1", "term frequencies disagree"),
         ("tfs and lengths disagree", "term frequencies disagree"),
@@ -805,9 +831,12 @@ class TestSnapshot:
         terms = sorted(build_index(toy_corpus()).postings)
         wind = parts.offsets[terms.index("wind")]
         if kind == "doc id out of range":
-            parts.ids[wind + 1] = parts.header[0]
+            # the gaps sum to the last id + 1: raise them to n_docs + 1
+            parts.gaps[wind + 1] = parts.header[0] + 1 - parts.gaps[wind]
+        elif kind == "a zero first gap":
+            parts.gaps[wind] = 0  # a first id of -1
         elif kind == "repeated doc id":
-            parts.ids[wind + 1] = parts.ids[wind]
+            parts.gaps[wind + 1] = 0
         elif kind == "tf below 1":
             parts.tfs[wind], parts.tfs[wind + 1] = 0, parts.tfs[wind + 1] + 1
         elif kind == "tfs and lengths disagree":
