@@ -2,13 +2,13 @@
 
 The index is rebuild-only: corpora are static per experiment, so there are
 no incremental updates.  After build or load its terms, document
-frequencies and statistics never change.  Two kinds of state are filled on
-first use: a loaded index builds a term's postings dict from the
-snapshot's packed arrays when the term is first read, and pruned searches
-fill a per-term max-impact memo.  A fill stores the value any reader would
-compute, so concurrent searches stay safe without synchronization: two
-threads that fill one term at once each get an equal value, and one of
-them is kept.
+frequencies and statistics never change.  Built or loaded, an index holds
+its postings in the packed arrays a snapshot stores.  Two kinds of state
+are filled on first use: a term's postings dict is built from those arrays
+when the term is first read, and pruned searches fill a per-term
+max-impact memo.  A fill stores the value any reader would compute, so
+concurrent searches stay safe without synchronization: two threads that
+fill one term at once each get an equal value, and one of them is kept.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from collections import defaultdict
 from collections.abc import ItemsView, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
-from operator import methodcaller, mul, sub
+from operator import ge, methodcaller, mul, sub
 from pathlib import Path
 
 from .corpus import _TOKEN_RE, Corpus, TokenTable, _count_tokens, _current_forms
@@ -58,31 +58,34 @@ class SearchHit:
 class InvertedIndex:
     """Postings over a Corpus plus the statistics BM25 needs.
 
+    Built or loaded, its postings are the doc-id gaps and tfs a snapshot
+    stores (see the format comment below), in sorted term order.
     ``postings[term]`` is the items view of a dict from doc id to tf, in
-    ascending id order: it iterates as (doc id, tf) pairs, and its dict's
-    key view intersects with sets in C.  The postings are the only store
-    of term frequencies: which terms a document holds is answered by key
-    membership, ``doc_id in postings[term].mapping``.  ``df`` maps every
-    term to its document frequency, the length of its postings; ask it,
-    not ``postings``, whether a term is indexed.  A built index holds
-    every term's dict; a loaded one builds a term's dict when the term is
-    first read (see _PackedPostings).  ``tokens`` is the tokenizer table a
-    build made the postings under: every distinct raw lowercase token of
-    the corpus and its normal form ("" for none).  An index loaded with
-    its stored postings keeps no table (None).
+    ascending id order, built when the term is first read (see
+    _PackedPostings): it iterates as (doc id, tf) pairs, and its dict's
+    key view intersects with sets in C.  Which terms a document holds is
+    answered by key membership, ``doc_id in postings[term].mapping``.
+    ``df`` maps every term to its document frequency, in term order; ask
+    it, not ``postings``, whether a term is indexed.  ``tokens`` is the
+    tokenizer table a build made the postings under: every distinct raw
+    lowercase token of the corpus and its normal form ("" for none).  An
+    index loaded with its stored postings keeps none.
     """
 
     def __init__(
         self,
         corpus: Corpus,
-        postings: dict[str, ItemsView[int, int]],
-        df: dict[str, int],
+        terms: list[str],
+        offsets: array,
+        gaps: array,
+        tfs: array,
         doc_len: list[int],
         tokens: dict[str, str] | None,
     ):
         self.corpus = corpus
-        self.postings = postings
-        self.df = df
+        self.df = df = dict(zip(terms, map(sub, offsets[1:], offsets)))
+        docs = [None, *corpus._by_text.values()]  # the corpus's ints, not copies
+        self.postings = _PackedPostings(df, dict(zip(terms, offsets)), docs, gaps, tfs)
         self.doc_len = doc_len
         self.tokens = tokens
         self.n_docs = len(doc_len)
@@ -111,11 +114,11 @@ class InvertedIndex:
 
 
 class _PackedPostings(dict):
-    """A loaded index's postings.  Every term's doc-id gaps and tfs stay in
-    the snapshot's packed arrays until the term is first read; then its
-    dict is built and kept, so reading a built term is a plain dict lookup.
+    """An index's postings.  Every term's doc-id gaps and tfs stay in the
+    arrays a snapshot stores until the term is first read; then its dict
+    is built and kept, so reading a built term is a plain dict lookup.
     The gaps' running sums, in the stored (ascending) order, are each id
-    + 1, and ``docs[id + 1]`` is the shared int of doc id ``id``.
+    + 1, and ``docs[id + 1]`` is the corpus's own int for doc id ``id``.
     ``in``, ``len`` and iteration answer from ``df`` and build nothing;
     ``items``, ``values`` and ``==`` build every term first.  Other dict
     methods see only the terms built so far."""
@@ -157,6 +160,7 @@ class _PackedPostings(dict):
 
 
 def build_index(corpus: Corpus) -> InvertedIndex:
+    """Count each term's postings into a dict, then pack them as a snapshot does."""
     tokens = TokenTable()
     docs_of: defaultdict[str, dict[int, int]] = defaultdict(dict)
     doc_len = []
@@ -165,9 +169,20 @@ def build_index(corpus: Corpus) -> InvertedIndex:
         doc_len.append(sum(bag.values()))
         for term, tf in bag.items():
             docs_of[term][doc_id] = tf
-    postings = {term: docs.items() for term, docs in docs_of.items()}
-    df = {term: len(docs) for term, docs in docs_of.items()}
-    return InvertedIndex(corpus, postings, df, doc_len, tokens)
+    terms = sorted(docs_of)
+    lists = [docs_of[term] for term in terms]
+    # Each term's doc-id gaps, made in C: map(sub, ids, chain((-1,), ids)).
+    gaps = array("H" if len(doc_len) < 1 << 16 else "I", chain.from_iterable(
+        map(map, repeat(sub), lists, map(chain, repeat((-1,)), lists))))
+    tf_values = chain.from_iterable(map(methodcaller("values"), lists))
+    # A tf is at most its sentence's length; bytes() packs small ints fastest.
+    if max(doc_len, default=0) < 256:
+        tfs = array("B", bytes(tf_values))
+    else:
+        tfs = array("I", tf_values)
+    offsets = array("I", accumulate(map(len, lists), initial=0))
+    del docs_of, lists  # the dicts go before the index is made
+    return InvertedIndex(corpus, terms, offsets, gaps, tfs, doc_len, tokens)
 
 
 def bm25_term_score(tf: int, idf: float, dl: int, avg_len: float) -> float:
@@ -193,11 +208,11 @@ def search(
 
     Candidates come from one of two sources.  When the rarer side holds
     at most POOL_POSTINGS_PER_HIT postings per wanted hit per query term,
-    the survivors (the documents meeting both sides) are found by set
-    algebra over that side's postings.  Otherwise no survivor set is
-    built: the pruning rounds below reach documents through the query
-    terms' postings, and drop a reached document that fails a side (none
-    can when every query term is on both sides, as in a first hop).
+    the survivors (the documents meeting both sides) are that side's
+    documents found in the other side's postings.  Otherwise no survivor
+    set is built: the pruning rounds below reach documents through the
+    query terms' postings, and drop a reached document that fails a side
+    (none can when every query term is on both sides, as in a first hop).
     Scoring is term-at-a-time: for each query term in sorted order, its
     contribution is assigned to, or added to, each candidate holding it,
     the order in which the naive reference scan sums a document's terms,
@@ -286,12 +301,9 @@ def _score_constrained(
         pool = set().union(*keys_a)
         if side_a <= side_b:
             survivors = pool  # a pool document holds a term of side_a, so of side_b
-        elif len(pool) <= len(keys_b):
-            # A membership test per pooled document and side term costs
-            # less than an intersection per side term.
-            survivors = {doc_id for doc_id in pool if any(doc_id in held for held in keys_b)}
         else:
-            survivors = holding(keys_b, pool)
+            # The cap above bounds the pool, so these lookups stay few.
+            survivors = {doc_id for doc_id in pool if any(doc_id in held for held in keys_b)}
         if not survivors:
             return {}
     weighted = [(term, index.idf(term), postings[term].mapping) for term in terms
@@ -393,11 +405,13 @@ def _score_constrained(
 # same pattern and Unicode version and maps every stored raw token to its
 # stored form: equal tokens and equal forms give equal postings.  Otherwise
 # it rebuilds them from the texts with build_index, so a loaded index
-# always agrees with the tokenizer that loads it.  Kept postings stay in
-# their packed arrays, checked whole at load; a term's dict is built when
-# the term is first read (_PackedPostings).  A snapshot is written to
-# a temporary file beside its target and then renamed over it, so a failed
-# write leaves any earlier snapshot at that path whole.
+# always agrees with the tokenizer that loads it.  The gap and tf arrays
+# are an index's postings whether it was built or loaded: a load checks
+# the stored ones whole and keeps them, a write stores a built index's as
+# they are, and a term's dict is built when the term is first read
+# (_PackedPostings).  A snapshot is written to a temporary file beside its
+# target and then renamed over it, so a failed write leaves any earlier
+# snapshot at that path whole.
 
 MAGIC = b"HOPIDX4\x00"
 _HEADER = struct.Struct("<6I")
@@ -432,25 +446,15 @@ def _compressed_body(index: InvertedIndex) -> Iterator[bytes]:
     """The snapshot body as zlib chunks, made a section or a few thousand
     strings at a time, so no second copy of the corpus text is held."""
     packer = zlib.compressobj(1)
-    terms = sorted(index.postings)
-    lists = [index.postings[term].mapping for term in terms]
-    # Each term's doc-id gaps, made in C: map(sub, ids, chain((-1,), ids)).
-    gaps = array("H" if index.n_docs < 1 << 16 else "I", chain.from_iterable(
-        map(map, repeat(sub), lists, map(chain, repeat((-1,)), lists))))
-    tf_values = chain.from_iterable(map(methodcaller("values"), lists))
-    # A tf is at most its sentence's length; bytes() packs small ints fastest.
-    if max(index.doc_len, default=0) < 256:
-        tfs = array("B", bytes(tf_values))
-    else:
-        tfs = array("I", tf_values)
-    offsets = array("I", accumulate(map(len, lists), initial=0))
-    yield packer.compress(_HEADER.pack(index.n_docs, len(terms), len(gaps), len(index.tokens),
+    gaps, tfs = index.postings.gaps, index.postings.tfs
+    yield packer.compress(_HEADER.pack(index.n_docs, len(index.df), len(gaps), len(index.tokens),
                                        gaps.itemsize, tfs.itemsize))
+    offsets = array("I", accumulate(index.df.values(), initial=0))  # df is in term order
     for section in (array("I", index.doc_len), offsets, gaps, tfs):
         if sys.byteorder == "big":
+            section = array(section.typecode, section)  # the index keeps its own
             section.byteswap()
         yield packer.compress(section)
-    del lists, gaps, tfs
     strings = [index.corpus.source_digest, _TOKEN_RE.pattern, unicodedata.unidata_version,
                *index.corpus.texts, *index.tokens, *index.tokens.values()]
     for start in range(0, len(strings), _STRINGS_PER_CHUNK):
@@ -473,8 +477,7 @@ def load_snapshot(path: str | Path) -> InvertedIndex:
     tokens = strings[3 + n_docs : 3 + n_docs + n_tokens]
     forms = strings[3 + n_docs + n_tokens :]
     del strings
-    docs = [None, *range(n_docs)]
-    by_text = dict(zip(texts, islice(docs, 1, None)))
+    by_text = dict(zip(texts, range(n_docs)))
     if len(by_text) != n_docs:
         raise SnapshotError(f"{path}: duplicate sentences in snapshot")
     corpus = Corpus(texts, source_digest, _by_text=by_text)
@@ -487,10 +490,9 @@ def load_snapshot(path: str | Path) -> InvertedIndex:
     del tokens, forms
     terms = sorted(set(loaded).difference(("",)))
     del loaded
-    lengths = list(map(sub, offsets[1:], offsets))
     if len(terms) != n_terms or offsets[0] != 0 or offsets[-1] != len(gaps):
         raise SnapshotError(f"{path}: term offsets disagree with the tokenizer table")
-    if min(lengths, default=1) < 1:
+    if any(map(ge, offsets, islice(offsets, 1, None))):
         raise SnapshotError(f"{path}: term offsets not strictly increasing")
     # With one-byte tfs, `in` on their bytes is a memchr; on the array it
     # makes an int of every tf.
@@ -509,9 +511,7 @@ def load_snapshot(path: str | Path) -> InvertedIndex:
     per_term = map(gaps.__getitem__, map(slice, offsets, islice(offsets, 1, None)))
     if max(map(sum, per_term), default=0) > n_docs:
         raise SnapshotError(f"{path}: doc id out of range in the postings")
-    df = dict(zip(terms, lengths))
-    postings = _PackedPostings(df, dict(zip(terms, offsets)), docs, gaps, tfs)
-    return InvertedIndex(corpus, postings, df, doc_len.tolist(), None)
+    return InvertedIndex(corpus, terms, offsets, gaps, tfs, doc_len.tolist(), None)
 
 
 def _read_sections(path) -> tuple:

@@ -21,6 +21,7 @@ from hopkit.index import MAGIC, build_index
 from hopkit.porter import stem
 from hopkit.qa import Choice, MCQuestion, question_to_json
 from hopkit.splitter import SeedFact
+from oracles import reference_tokenize
 
 FIG1_QUESTION = "Differential heating of air can be harnessed for what?"
 FIG1_ANSWER = "electricity production"
@@ -67,6 +68,27 @@ class SnapshotParts:
                              + b"".join(a.tobytes() for a in arrays)
                              + b"".join(s + b"\n" for s in self.strings), 1)
         return MAGIC + hashlib.sha256(body).digest() + body
+
+
+def reference_packing(texts) -> list[list[int]]:
+    """[offsets, gaps, tfs, doc_len] of the sentences texts, in id order, as
+    a snapshot stores them, by a plain loop of reference_tokenize: the terms
+    sorted, each term's postings by ascending id, its first gap the first
+    id + 1 and each later one the id less the one before."""
+    bags = [reference_tokenize(text) for text in texts]
+    postings: dict[str, list[tuple[int, int]]] = {}
+    for doc_id, bag in enumerate(bags):
+        for term, tf in bag.items():
+            postings.setdefault(term, []).append((doc_id, tf))
+    offsets, gaps, tfs = [0], [], []
+    for term in sorted(postings):
+        previous = -1
+        for doc_id, tf in postings[term]:
+            gaps.append(doc_id - previous)
+            tfs.append(tf)
+            previous = doc_id
+        offsets.append(len(gaps))
+    return [offsets, gaps, tfs, [sum(bag.values()) for bag in bags]]
 
 
 @pytest.fixture

@@ -256,8 +256,9 @@ class TestIngestMatchesOracles:
     @settings(max_examples=200, deadline=None)
     def test_postings_match_reference_tokenizer(self, texts):
         # the postings hold what a plain loop of the reference tokenizer
-        # over the texts in id order gives: terms in first-seen order, each
-        # term's (id, tf) pairs in id order, and every document's length
+        # over the texts in id order gives: terms in sorted order, as a
+        # snapshot stores them, each term's (id, tf) pairs in id order, and
+        # every document's length
         corpus = Corpus.from_texts(texts)
         postings: dict[str, list[tuple[int, int]]] = {}
         doc_len = []
@@ -267,7 +268,7 @@ class TestIngestMatchesOracles:
             for term, tf in bag.items():
                 postings.setdefault(term, []).append((sid, tf))
         index = build_index(corpus)
-        assert [(term, list(plist)) for term, plist in index.postings.items()] == list(
+        assert [(term, list(plist)) for term, plist in index.postings.items()] == sorted(
             postings.items()
         )
         assert index.doc_len == doc_len

@@ -8,7 +8,7 @@ from array import array
 from collections import Counter
 
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import hopkit.corpus
@@ -35,6 +35,7 @@ from conftest import (
     query_words,
     random_corpus,
     random_query,
+    reference_packing,
     small_corpora,
 )
 from oracles import naive_search
@@ -51,6 +52,16 @@ def tied_corpora(draw) -> Corpus:
         copies = draw(st.integers(1, 10))
         texts += [" ".join(draw(st.permutations(words))) + "." for _ in range(copies)]
     return Corpus.from_texts(texts)
+
+
+# Sentences of words that stem or are stopwords beside words that are their
+# own stems, and sentences of 256 or more tokens, which make tfs 4 bytes.
+packing_texts = st.lists(
+    st.lists(st.sampled_from(STEM_WORDS + ("winds", "heating", "running", "the", "is", "doing")),
+             min_size=1, max_size=12).map(" ".join)
+    | st.builds(lambda word, n: " ".join([word] * n), st.sampled_from(STEM_WORDS),
+                st.integers(256, 300)),
+    max_size=12)
 
 
 def toy_corpus():
@@ -120,6 +131,25 @@ class TestBuild:
             df = len(plist)
             assert index.idf(term) == math.log(1.0 + (n - df + 0.5) / (df + 0.5))
         assert index.idf("notaterm") == 0.0
+
+    @example(texts=[" ".join(["wind"] * 300 + ["heat"]) + ".", "wind heat."])
+    @given(packing_texts)
+    @settings(max_examples=100, deadline=None)
+    def test_packed_postings_are_the_snapshot_sections(self, tmp_path_factory, texts):
+        # a built index holds the arrays its snapshot stores, and a plain
+        # reference packing derives the same
+        corpus = Corpus.from_texts(texts)
+        index = build_index(corpus)
+        path = tmp_path_factory.mktemp("packed") / "index.hopidx"
+        write_snapshot(index, path)
+        parts = SnapshotParts(path.read_bytes())
+        postings = index.postings
+        offsets = [*postings.starts.values(), len(postings.gaps)]
+        packed = [offsets, postings.gaps, postings.tfs, index.doc_len]
+        event(f"tf width {postings.tfs.itemsize}")
+        assert [postings.gaps.itemsize, postings.tfs.itemsize] == parts.header[4:]
+        assert list(map(list, packed)) == list(map(list, [*parts.arrays[1:], parts.doc_len]))
+        assert list(map(list, packed)) == reference_packing(corpus.texts)
 
     def test_empty_corpus(self):
         index = build_index(Corpus.from_texts([]))
@@ -740,9 +770,9 @@ class TestSnapshot:
         built = build_index(corpus)
         path = tmp_path / "index.hopidx"
         write_snapshot(built, path)
-        parts = SnapshotParts(path.read_bytes())
-        assert parts.header[4] == id_width
-        assert max(parts.gaps) == n_docs
+        for gaps in (SnapshotParts(path.read_bytes()).gaps, built.postings.gaps):
+            assert gaps.itemsize == id_width
+            assert max(gaps) == n_docs
         loaded = load_snapshot(path)
         assert loaded.tokens is None
         assert_same_index(loaded, built)
@@ -789,12 +819,12 @@ class TestSnapshot:
         assert loaded.df == built.df
 
     def test_a_load_builds_only_the_terms_its_searches_read(self, tmp_path, monkeypatch):
+        # so does a build, whose snapshot write reads no term's dict either
         rng = random.Random(31)
         corpus, vocab = random_corpus(rng, 300)
         path = tmp_path / "index.hopidx"
-        write_snapshot(build_index(corpus), path)
-        loaded = load_snapshot(path)
-        assert not dict.keys(loaded.postings)  # nothing is built yet
+        built = build_index(corpus)
+        write_snapshot(built, path)
         queries = []
 
         def recording(index, query, *args, **kwargs):
@@ -802,12 +832,16 @@ class TestSnapshot:
             return search(index, query, *args, **kwargs)
 
         monkeypatch.setattr(hopkit.retrieval, "search", recording)
-        two_step(loaded, *random_query(rng, vocab))
-        built = set(dict.keys(loaded.postings))
-        assert len(queries) > 1
-        assert queries[0] & set(loaded.df) <= built  # the first hop reads its query
-        assert built <= set().union(*queries)
-        assert len(built) < len(loaded.postings)
+        question = random_query(rng, vocab)
+        for index in (built, load_snapshot(path)):
+            assert not dict.keys(index.postings)  # nothing is built yet
+            queries.clear()
+            two_step(index, *question)
+            read = set(dict.keys(index.postings))
+            assert len(queries) > 1
+            assert queries[0] & set(index.df) <= read  # the first hop reads its query
+            assert read <= set().union(*queries)
+            assert len(read) < len(index.postings)
 
     @pytest.mark.parametrize("kind, message", [
         ("doc id out of range", "doc id out of range"),

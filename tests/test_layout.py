@@ -1,6 +1,6 @@
 """Source-layout checks: no code or state in src/ exists only for the tests,
-and every output file and JSON-lines text goes through the one writer and
-formatter."""
+every output file and JSON-lines text goes through the one writer and
+formatter, and every index comes from the one build or load."""
 
 import ast
 from pathlib import Path
@@ -79,15 +79,15 @@ def test_every_dataclass_field_is_read_outside_tests():
     assert not unread, f"dataclass fields nothing outside tests reads: {unread}"
 
 
-def _calls_outside_write_snapshot(path: Path):
-    """Every call in a src/hopkit module, except those inside index.py's
-    write_snapshot, the snapshot's atomic writer."""
+def _calls_outside(path: Path, functions: set[str]):
+    """Every call in a module, except those inside the named top-level
+    functions of src/hopkit/index.py."""
     tree = _parse(path)
     skipped = set()
-    if path.name == "index.py":
+    if path == SRC / "index.py":
         for top in tree.body:
-            if isinstance(top, ast.FunctionDef) and top.name == "write_snapshot":
-                skipped = {id(node) for node in ast.walk(top)}
+            if isinstance(top, ast.FunctionDef) and top.name in functions:
+                skipped |= {id(node) for node in ast.walk(top)}
     return [node for node in ast.walk(tree)
             if isinstance(node, ast.Call) and id(node) not in skipped]
 
@@ -115,7 +115,7 @@ def test_every_file_is_written_by_the_one_writer():
     index snapshot's temp-file-and-rename writer is the one exception."""
     writes = [f"{path.name}:{call.lineno}"
               for path in sorted(SRC.glob("*.py")) if path.name != "errors.py"
-              for call in _calls_outside_write_snapshot(path) if _writes_a_file(call)]
+              for call in _calls_outside(path, {"write_snapshot"}) if _writes_a_file(call)]
     assert not writes, f"files written outside errors.write_output: {writes}"
 
 
@@ -150,3 +150,16 @@ def test_every_json_lines_text_comes_from_the_one_formatter():
             if any(map(_is_json_row, parts)) and any(map(_is_newline, parts)):
                 rows.append(f"{path.name}:{node.lineno}")
     assert not rows, f"JSON lines built outside errors.jsonl: {sorted(set(rows))}"
+
+
+def test_every_index_is_built_or_loaded():
+    """Outside index.build_index and index.load_snapshot, nothing in src/,
+    perfbench/ or tests/ calls InvertedIndex(...), so every index holds its
+    postings in the one packed form those two make."""
+    paths = [*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    calls = [f"{path.relative_to(ROOT)}:{call.lineno}"
+             for path in sorted(paths)
+             for call in _calls_outside(path, {"build_index", "load_snapshot"})
+             if "InvertedIndex" in (getattr(call.func, "id", None),
+                                    getattr(call.func, "attr", None))]
+    assert not calls, f"InvertedIndex constructed outside build_index and load_snapshot: {calls}"
