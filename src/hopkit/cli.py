@@ -133,7 +133,6 @@ def cmd_index_stats(args) -> int:
     for name, pct in (("p50", 50), ("p90", 90), ("p99", 99), ("max", 100)):
         stats[f"posting_len_{name}"] = lengths[(pct * len(lengths) - 1) // 100] if lengths else 0
     stats["source_digest"] = index.corpus.source_digest
-    stats["postings"] = "stored" if index.tokens is None else "rebuilt"
     sys.stdout.write(jsonl([stats]))
     return 0
 

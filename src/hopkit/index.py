@@ -1,14 +1,15 @@
 """In-process inverted index with BM25 ranking.
 
 The index is rebuild-only: corpora are static per experiment, so there are
-no incremental updates.  After build or load its terms, document
-frequencies and statistics never change.  Built or loaded, an index holds
-its postings in the packed arrays a snapshot stores.  Two kinds of state
-are filled on first use: a term's postings dict is built from those arrays
-when the term is first read, and pruned searches fill a per-term
-max-impact memo.  A fill stores the value any reader would compute, so
-concurrent searches stay safe without synchronization: two threads that
-fill one term at once each get an equal value, and one of them is kept.
+no incremental updates.  An index comes from build_index, or from a
+snapshot loaded exactly as stored.  Its terms, document frequencies and
+statistics never change, and its postings are the packed arrays a snapshot
+stores.  Two kinds of state are filled on first use: a term's postings
+dict is built from those arrays when the term is first read, and pruned
+searches fill a per-term max-impact memo.  A fill stores the value any
+reader would compute, so concurrent searches stay safe without
+synchronization: two threads that fill one term at once each get an equal
+value, and one of them is kept.
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ class InvertedIndex:
     ``df`` maps every term to its document frequency, in term order; ask
     it, not ``postings``, whether a term is indexed.  ``tokens`` is the
     tokenizer table a build made the postings under: every distinct raw
-    lowercase token of the corpus and its normal form ("" for none).  An
-    index loaded with its stored postings keeps none.
+    lowercase token of the corpus and its normal form ("" for none).  A
+    loaded index keeps none.
     """
 
     def __init__(
@@ -119,9 +120,8 @@ class _PackedPostings(dict):
     is built and kept, so reading a built term is a plain dict lookup.
     The gaps' running sums, in the stored (ascending) order, are each id
     + 1, and ``docs[id + 1]`` is the corpus's own int for doc id ``id``.
-    ``in``, ``len`` and iteration answer from ``df`` and build nothing;
-    ``items``, ``values`` and ``==`` build every term first.  Other dict
-    methods see only the terms built so far."""
+    ``in``, ``len`` and iteration answer from ``df`` and build nothing.
+    Other dict methods see only the terms built so far."""
 
     def __init__(self, df: dict[str, int], starts: dict[str, int], docs: list,
                  gaps: array, tfs: array):
@@ -144,19 +144,6 @@ class _PackedPostings(dict):
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.df)
-
-    def items(self):
-        return self._whole().items()
-
-    def values(self):
-        return self._whole().values()
-
-    def __eq__(self, other) -> bool:
-        return self._whole() == other
-
-    def _whole(self) -> dict[str, ItemsView[int, int]]:
-        """Every term's postings, in sorted term order."""
-        return {term: self[term] for term in self.df}
 
 
 def build_index(corpus: Corpus) -> InvertedIndex:
@@ -401,17 +388,14 @@ def _score_constrained(
 #     the tokenizer table's n_tokens raw tokens and their n_tokens normal
 #     forms ("" for none).  The terms are the table's distinct non-empty
 #     forms, so they are not stored.
-# A load keeps the stored postings only when the loading tokenizer has the
-# same pattern and Unicode version and maps every stored raw token to its
-# stored form: equal tokens and equal forms give equal postings.  Otherwise
-# it rebuilds them from the texts with build_index, so a loaded index
-# always agrees with the tokenizer that loads it.  The gap and tf arrays
-# are an index's postings whether it was built or loaded: a load checks
-# the stored ones whole and keeps them, a write stores a built index's as
-# they are, and a term's dict is built when the term is first read
-# (_PackedPostings).  A snapshot is written to a temporary file beside its
-# target and then renamed over it, so a failed write leaves any earlier
-# snapshot at that path whole.
+# A load refuses a snapshot, as it refuses a stale magic, unless the loading
+# tokenizer has the same pattern and Unicode version and maps every stored
+# raw token to its stored form: equal tokens and equal forms give equal
+# postings, so a loaded index agrees with the tokenizer that reads it.  A
+# load checks the stored arrays whole and keeps them; only a built index,
+# which holds the table, is written.  A snapshot is written to a temporary
+# file beside its target and then renamed over it, so a failed write leaves
+# any earlier snapshot at that path whole.
 
 MAGIC = b"HOPIDX4\x00"
 _HEADER = struct.Struct("<6I")
@@ -420,11 +404,10 @@ _STRINGS_PER_CHUNK = 4096
 
 
 def write_snapshot(index: InvertedIndex, path: str | Path) -> None:
-    """Write index to path.  A loaded index keeps no tokenizer table, so it
-    is rebuilt from its texts first, and the snapshot holds a table and
-    postings made by one tokenizer."""
+    """Write a built index to path.  A loaded index keeps no tokenizer
+    table, so it cannot be written."""
     if index.tokens is None:
-        index = build_index(index.corpus)
+        raise ValueError("a loaded index keeps no tokenizer table; write a built one")
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     try:
@@ -464,32 +447,37 @@ def _compressed_body(index: InvertedIndex) -> Iterator[bytes]:
 
 
 def load_snapshot(path: str | Path) -> InvertedIndex:
-    """The index a snapshot holds.  Its ``tokens`` is None when the stored
-    postings were kept, and the loading tokenizer's table when they were
-    rebuilt from the texts (see above)."""
+    """The index a snapshot holds, with its stored postings (see above)."""
     try:
         counts, strings, doc_len, offsets, gaps, tfs = _read_sections(path)
     except (struct.error, UnicodeDecodeError, zlib.error) as exc:
         raise SnapshotError(f"{path}: malformed snapshot body: {exc}") from exc
     n_docs, n_terms, n_tokens = counts
     source_digest, pattern, unidata_version = strings[:3]
+    if pattern != _TOKEN_RE.pattern:
+        raise _refused(path, f"its token pattern {pattern!r} is not {_TOKEN_RE.pattern!r}")
+    if unidata_version != unicodedata.unidata_version:
+        raise _refused(path, f"its Unicode version {unidata_version} is not "
+                             f"{unicodedata.unidata_version}")
     texts = strings[3 : 3 + n_docs]
     tokens = strings[3 + n_docs : 3 + n_docs + n_tokens]
     forms = strings[3 + n_docs + n_tokens :]
     del strings
-    by_text = dict(zip(texts, range(n_docs)))
-    if len(by_text) != n_docs:
-        raise SnapshotError(f"{path}: duplicate sentences in snapshot")
-    corpus = Corpus(texts, source_digest, _by_text=by_text)
     loaded = list(map(_current_forms().__getitem__, tokens))
-    if (pattern != _TOKEN_RE.pattern or unidata_version != unicodedata.unidata_version
-            or loaded != forms):
-        return build_index(corpus)
+    if loaded != forms:
+        token, stored, current = next((t, s, c) for t, s, c in zip(tokens, forms, loaded)
+                                      if s != c)
+        raise _refused(path, f"it stores the token {token!r} as {stored!r}, "
+                             f"which now normalizes to {current!r}")
     # The terms are the loading memo's own strings; the table's copies and
     # the file's buffers are gone before the postings are checked.
     del tokens, forms
     terms = sorted(set(loaded).difference(("",)))
     del loaded
+    by_text = dict(zip(texts, range(n_docs)))
+    if len(by_text) != n_docs:
+        raise SnapshotError(f"{path}: duplicate sentences in snapshot")
+    corpus = Corpus(texts, source_digest, _by_text=by_text)
     if len(terms) != n_terms or offsets[0] != 0 or offsets[-1] != len(gaps):
         raise SnapshotError(f"{path}: term offsets disagree with the tokenizer table")
     if any(map(ge, offsets, islice(offsets, 1, None))):
@@ -514,16 +502,18 @@ def load_snapshot(path: str | Path) -> InvertedIndex:
     return InvertedIndex(corpus, terms, offsets, gaps, tfs, doc_len.tolist(), None)
 
 
+def _refused(path, reason: str) -> SnapshotError:
+    """The error for a snapshot this version reads only once it is rebuilt."""
+    return SnapshotError(f"{path}: {reason}; rebuild it with `hopkit index build`")
+
+
 def _read_sections(path) -> tuple:
     """((n_docs, n_terms, n_tokens), strings, doc_len, offsets, gaps, tfs) of a
     snapshot whose sections fill its body exactly.  The file's bytes and
     the decompressed body are dropped when this returns."""
     raw = Path(path).read_bytes()
     if raw[: len(MAGIC)] != MAGIC:
-        raise SnapshotError(
-            f"{path}: not a {MAGIC!r} index snapshot (bad magic {raw[: len(MAGIC)]!r}); "
-            f"rebuild it with `hopkit index build`"
-        )
+        raise _refused(path, f"not a {MAGIC!r} index snapshot (bad magic {raw[: len(MAGIC)]!r})")
     stream = memoryview(raw)[len(MAGIC) + 32 :]
     if hashlib.sha256(stream).digest() != raw[len(MAGIC) : len(MAGIC) + 32]:
         raise SnapshotError(f"{path}: checksum mismatch, snapshot corrupt")

@@ -70,6 +70,12 @@ class SnapshotParts:
         return MAGIC + hashlib.sha256(body).digest() + body
 
 
+def whole_postings(index) -> dict[str, list[tuple[int, int]]]:
+    """Every term's (doc id, tf) pairs, read through index.postings[term]
+    one term at a time in df (sorted term) order."""
+    return {term: list(index.postings[term]) for term in index.df}
+
+
 def reference_packing(texts) -> list[list[int]]:
     """[offsets, gaps, tfs, doc_len] of the sentences texts, in id order, as
     a snapshot stores them, by a plain loop of reference_tokenize: the terms

@@ -8,6 +8,7 @@ from bisect import bisect_right
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from conftest import (
     make_question,
     save_questions,
     synth_vocab,
+    whole_postings,
 )
 from oracles import brute_build_problem
 
@@ -94,7 +96,7 @@ class TestIndexStats:
         assert out.count("\n") == 1
         stats = json.loads(out)
         index = load_snapshot(snapshot_dir / "index.hopidx")
-        lengths = sorted(map(len, index.postings.values()))
+        lengths = sorted(map(len, whole_postings(index).values()))
         assert stats == {
             "format": "HOPIDX4", "n_docs": 22, "n_terms": len(lengths),
             "avg_len": round(index.avg_len, 9),
@@ -103,19 +105,29 @@ class TestIndexStats:
             "posting_len_p90": lengths[math.ceil(0.90 * len(lengths)) - 1],
             "posting_len_p99": lengths[math.ceil(0.99 * len(lengths)) - 1],
             "posting_len_max": max(lengths),
-            "source_digest": index.corpus.source_digest, "postings": "stored",
+            "source_digest": index.corpus.source_digest,
         }
 
-    def test_stats_when_the_postings_are_rebuilt(self, snapshot_dir, capsys, monkeypatch):
+    def test_stats_refuses_another_tokenizer(self, snapshot_dir, capsys, monkeypatch):
         # under another stopword list the stored table no longer holds
         monkeypatch.setattr(hopkit.corpus, "STOPWORDS", hopkit.corpus.STOPWORDS | {"wind"})
         capsys.readouterr()
-        assert main(["index", "stats", "--index", str(snapshot_dir / "index.hopidx")]) == 0
-        stats = json.loads(capsys.readouterr().out)
-        assert stats["postings"] == "rebuilt"
-        rebuilt = load_snapshot(snapshot_dir / "index.hopidx")
-        assert "wind" not in rebuilt.postings
-        assert stats["n_terms"] == len(rebuilt.postings)
+        code = main(["index", "stats", "--index", str(snapshot_dir / "index.hopidx")])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = assert_domain_error(code, captured.err)["message"]
+        assert "'wind'" in message and message.endswith("rebuild it with `hopkit index build`")
+
+    def test_readme_example_is_the_output(self, snapshot_dir, capsys):
+        # the README's example line is what the command prints for a copy
+        # of the packaged demo corpus, byte for byte
+        readme = Path(__file__).parents[1] / "README.md"
+        examples = [line for line in readme.read_text("utf-8").splitlines()
+                    if line.startswith('{"format": ')]
+        assert len(examples) == 1
+        capsys.readouterr()
+        assert main(["index", "stats", "--index", str(snapshot_dir)]) == 0
+        assert capsys.readouterr().out == examples[0] + "\n"
 
     def test_stats_of_an_empty_index(self, tmp_path, capsys):
         corpus = tmp_path / "empty.txt"
@@ -823,9 +835,11 @@ COMMANDS = {
     "split solve --exact": lambda f: ["split", "solve", "--facts", f["facts"], "--exact",
                                       "--out", f["split"]],
     "validate": lambda f: ["validate", "--dataset", f["dataset"]],
+    "index stats": lambda f: ["index", "stats", "--index", f["snapshot"]],
 }
 READS = [
-    ("retrieve", "snapshot"), ("eval recall", "snapshot"), ("eval recall", "dataset"),
+    ("retrieve", "snapshot"), ("eval recall", "snapshot"), ("index stats", "snapshot"),
+    ("distract rank", "snapshot"), ("eval recall", "dataset"),
     ("eval accuracy", "dataset"), ("eval accuracy", "scores"), ("stats overlap", "dataset"),
     ("distract gen", "dataset"), ("distract rank", "dataset"), ("distract rank", "pools"),
     ("distract assemble", "dataset"), ("distract assemble", "ranked"),
@@ -932,7 +946,8 @@ def bad_snapshot(draw, raw: bytes) -> bytes:
     kind = draw(st.sampled_from([
         "truncated", "trailing", "flipped", "version 1", "version 2", "version 3", "junk",
         "doc id out of range", "repeated doc id", "tf below 1", "offsets not increasing",
-        "section lengths",
+        "section lengths", "another token pattern", "another unicode version",
+        "another normal form",
     ]))
     if kind in CRAFTED_BODIES:
         parts = SnapshotParts(raw)
@@ -975,6 +990,12 @@ def _set(section, at, value) -> None:
     section[at] = value
 
 
+def _move_a_normal_form(draw, parts) -> None:
+    # the last n_tokens strings are the tokenizer table's normal forms
+    at = draw(st.integers(len(parts.strings) - parts.header[3], len(parts.strings) - 1))
+    parts.strings[at] += draw(st.sampled_from([b"x", b"\xc3\xa9"]))
+
+
 # Sealed bodies whose sections are well formed but disagree with each other.
 CRAFTED_BODIES = {
     "doc id out of range": _push_a_doc_id_out_of_range,
@@ -983,6 +1004,12 @@ CRAFTED_BODIES = {
     "offsets not increasing": _swap_two_offsets,
     "section lengths": lambda draw, parts: _set(
         parts.header, at := draw(st.integers(0, 3)), parts.header[at] + draw(st.integers(1, 5))),
+    # well formed, but written by another tokenizer
+    "another token pattern": lambda draw, parts: _set(
+        parts.strings, 1, draw(st.sampled_from([b"[a-z]+", parts.strings[1] + b"|\\d"]))),
+    "another unicode version": lambda draw, parts: _set(
+        parts.strings, 2, draw(st.sampled_from([b"9.0.0", b"99.0.0", b""]))),
+    "another normal form": _move_a_normal_form,
 }
 
 

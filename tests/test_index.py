@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import struct
+import unicodedata
 from array import array
 from collections import Counter
 
@@ -37,6 +38,7 @@ from conftest import (
     random_query,
     reference_packing,
     small_corpora,
+    whole_postings,
 )
 from oracles import naive_search
 
@@ -97,7 +99,7 @@ class TestBuild:
         rng = random.Random(7)
         corpus, _ = random_corpus(rng, 120)
         index = build_index(corpus)
-        for plist in index.postings.values():
+        for plist in whole_postings(index).values():
             ids = [doc_id for doc_id, _ in plist]
             assert ids == sorted(ids)
             assert len(ids) == len(set(ids))
@@ -108,7 +110,7 @@ class TestBuild:
         corpus, _ = random_corpus(rng, 80)
         index = build_index(corpus)
         totals = [0] * index.n_docs
-        for plist in index.postings.values():
+        for plist in whole_postings(index).values():
             for doc_id, tf in plist:
                 totals[doc_id] += tf
         assert totals == index.doc_len
@@ -127,7 +129,7 @@ class TestBuild:
     def test_idf_table_is_the_formula(self, corpus):
         index = build_index(corpus)
         n = index.n_docs
-        for term, plist in index.postings.items():
+        for term, plist in whole_postings(index).items():
             df = len(plist)
             assert index.idf(term) == math.log(1.0 + (n - df + 0.5) / (df + 0.5))
         assert index.idf("notaterm") == 0.0
@@ -532,10 +534,9 @@ class TestSearch:
 def assert_same_index(loaded, built) -> None:
     """Equal postings (each term's (doc id, tf) pairs in the same order),
     statistics, idf table and corpus."""
-    assert sorted(loaded.postings) == sorted(built.postings)
-    for term, plist in built.postings.items():
-        assert type(loaded.postings[term]) is type(plist)
-        assert list(loaded.postings[term]) == list(plist)
+    assert whole_postings(loaded) == whole_postings(built)
+    for term in built.df:
+        assert type(loaded.postings[term]) is type(built.postings[term])
     assert loaded.doc_len == built.doc_len
     assert (loaded.n_docs, loaded.avg_len) == (built.n_docs, built.avg_len)
     assert loaded._idf == built._idf
@@ -565,7 +566,7 @@ class TestSnapshot:
         assert loaded.n_docs == index.n_docs
         assert loaded.doc_len == index.doc_len
         assert loaded.avg_len == index.avg_len
-        assert loaded.postings == index.postings
+        assert whole_postings(loaded) == whole_postings(index)
         assert loaded.corpus.texts == corpus.texts
         q, a = random_query(rng, vocab)
         query = Counter(q.split() + a.split())
@@ -643,16 +644,25 @@ class TestSnapshot:
         with pytest.raises(SnapshotError, match="malformed snapshot body"):
             load_snapshot(path)
 
-    def test_load_rebuilds_with_the_loading_tokenizer(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("kind", ["token form", "pattern", "unicode version"])
+    def test_load_refuses_another_tokenizer(self, tmp_path, monkeypatch, kind):
+        # a snapshot written under another stopword list, token pattern or
+        # Unicode database is refused like a stale magic, never rebuilt
         path = tmp_path / "index.hopidx"
         write_snapshot(build_index(toy_corpus()), path)
-        monkeypatch.setattr(hopkit.corpus, "STOPWORDS", hopkit.corpus.STOPWORDS | {"wind"})
-        loaded = load_snapshot(path)
-        rebuilt = build_index(toy_corpus())
-        assert "wind" not in loaded.postings
-        assert loaded.corpus.texts == rebuilt.corpus.texts
-        assert loaded.postings == rebuilt.postings
-        assert (loaded.doc_len, loaded.avg_len) == (rebuilt.doc_len, rebuilt.avg_len)
+        parts = SnapshotParts(path.read_bytes())
+        if kind == "token form":
+            monkeypatch.setattr(hopkit.corpus, "STOPWORDS", hopkit.corpus.STOPWORDS | {"wind"})
+            message = "the token 'wind' as 'wind', which now normalizes to ''"
+        elif kind == "pattern":
+            parts.strings[1] = b"[a-z]+"
+            message = r"token pattern '\[a-z\]\+' is not '.+'"
+        else:
+            parts.strings[2] = b"9.9.9"
+            message = f"Unicode version 9.9.9 is not {unicodedata.unidata_version}"
+        path.write_bytes(parts.sealed())
+        with pytest.raises(SnapshotError, match=f"{message}; rebuild it with `hopkit index build`"):
+            load_snapshot(path)
 
     def test_version_1_snapshot_asks_for_a_rebuild(self, tmp_path):
         path = tmp_path / "index.hopidx"
@@ -708,15 +718,20 @@ class TestSnapshot:
         loaded = load_snapshot(path)
         assert loaded.tokens is None
         assert_same_index(loaded, built)
-        # the loaded index keeps no table; writing it rebuilds one
-        write_snapshot(loaded, path.with_name("again.hopidx"))
-        assert path.with_name("again.hopidx").read_bytes() == path.read_bytes()
+        # the loaded index keeps no table, so it is not written; a build
+        # over its corpus writes the same bytes
+        again = path.with_name("again.hopidx")
+        with pytest.raises(ValueError, match="no tokenizer table"):
+            write_snapshot(loaded, again)
+        assert not again.exists()
+        write_snapshot(build_index(loaded.corpus), again)
+        assert again.read_bytes() == path.read_bytes()
 
     @given(seed=st.integers(0, 2**32 - 1),
            rebinding=st.sampled_from(["add stopwords", "drop stopwords", "stemmer"]))
     @settings(max_examples=60, deadline=None)
-    def test_load_under_a_rebound_tokenizer_equals_build(self, tmp_path_factory, seed,
-                                                          rebinding):
+    def test_load_under_a_rebound_tokenizer_keeps_or_refuses(self, tmp_path_factory, seed,
+                                                              rebinding):
         rng = random.Random(seed)
         corpus, vocab = corpus_with_stopwords(rng, rng.randint(1, 60))
         built = build_index(corpus)
@@ -732,11 +747,17 @@ class TestSnapshot:
             else:
                 cut = rng.randint(1, 6)
                 patch.setattr(hopkit.corpus, "stem", lambda word: word[:cut])
+            rebuilt = build_index(Corpus.from_texts(corpus.texts, "digest"))
+            # the snapshot is refused exactly when a token's form moved
+            kept = rebuilt.tokens == built.tokens
+            event("kept" if kept else "refused")
+            if not kept:
+                with pytest.raises(SnapshotError, match="rebuild it with `hopkit index build`"):
+                    load_snapshot(path)
+                return
             loaded = load_snapshot(path)
-            rebuilt = build_index(Corpus.from_texts(loaded.corpus.texts, "digest"))
+        assert loaded.tokens is None
         assert_same_index(loaded, rebuilt)
-        # the stored postings are kept exactly when no token's form moved
-        assert (loaded.tokens is None) == (rebuilt.tokens == built.tokens)
 
     def test_tf_above_255(self, tmp_path):
         corpus = Corpus.from_texts([" ".join(["wind"] * 300 + ["heat"]) + ".", "wind heat."])
