@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import re
 from collections import Counter, _count_elements
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -207,19 +208,19 @@ class Corpus:
 
     A sentence's id is its position in ``texts``, so ids are dense 0..n-1;
     texts are unique in normal form (control characters replaced,
-    whitespace collapsed).  The corpus keeps no tokens: an index built over
-    it holds the only term frequencies.
+    whitespace collapsed).  A corpus made from text holds its texts in a
+    list and its text -> id map from the start.  A corpus loaded from an
+    index snapshot holds a sequence that inflates a block of texts when one
+    of them is first read, and builds its map, reading every text and
+    checking that none repeats, on the first id_of_text.  The corpus keeps
+    no tokens: an index built over it holds the only term frequencies.
     Safe to share across concurrent readers.
     """
 
-    texts: list[str]
+    texts: Sequence[str]
     source_digest: str = ""
     rejections: Counter = field(default_factory=Counter)
-    _by_text: dict[str, int] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self._by_text:
-            self._by_text = {_normal_form(text): sid for sid, text in enumerate(self.texts)}
+    _by_text: dict[str, int] | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.texts)
@@ -229,6 +230,8 @@ class Corpus:
 
     def id_of_text(self, text: str) -> int | None:
         """Resolve a sentence by its text in the corpus's normal form, or None."""
+        if self._by_text is None:
+            self._by_text = self.texts.ids()  # a loaded corpus, mapped on first use
         return self._by_text.get(_normal_form(text))
 
     @classmethod

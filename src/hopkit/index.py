@@ -4,12 +4,13 @@ The index is rebuild-only: corpora are static per experiment, so there are
 no incremental updates.  An index comes from build_index, or from a
 snapshot loaded exactly as stored.  Its terms, document frequencies and
 statistics never change, and its postings are the packed arrays a snapshot
-stores.  Two kinds of state are filled on first use: a term's postings
-dict is built from those arrays when the term is first read, and pruned
-searches fill a per-term max-impact memo.  A fill stores the value any
-reader would compute, so concurrent searches stay safe without
-synchronization: two threads that fill one term at once each get an equal
-value, and one of them is kept.
+stores.  Three kinds of state are filled on first use: a term's postings
+dict is built from those arrays when the term is first read, pruned
+searches fill a per-term max-impact memo, and a loaded corpus inflates a
+block of sentence texts when one of its sentences is first read.  A fill
+stores the value any reader would compute, so concurrent searches stay
+safe without synchronization: two threads that fill one term or block at
+once each get an equal value, and one of them is kept.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import zlib
 from array import array
 from bisect import bisect_right
 from collections import defaultdict
-from collections.abc import ItemsView, Iterable, Iterator
+from collections.abc import ItemsView, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat
 from operator import ge, methodcaller, mul, sub
@@ -85,11 +86,10 @@ class InvertedIndex:
     ):
         self.corpus = corpus
         self.df = df = dict(zip(terms, map(sub, offsets[1:], offsets)))
-        docs = [None, *corpus._by_text.values()]  # the corpus's ints, not copies
-        self.postings = _PackedPostings(df, dict(zip(terms, offsets)), docs, gaps, tfs)
+        self.n_docs = len(doc_len)
+        self.postings = _PackedPostings(df, dict(zip(terms, offsets)), self.n_docs, gaps, tfs)
         self.doc_len = doc_len
         self.tokens = tokens
-        self.n_docs = len(doc_len)
         self.avg_len = sum(doc_len) / self.n_docs if self.n_docs else 0.0
         # Derived state, not in the snapshot: one log per distinct term.
         self._idf = {term: math.log(1.0 + (self.n_docs - n + 0.5) / (n + 0.5))
@@ -114,26 +114,31 @@ class InvertedIndex:
         return impact
 
 
-class _PackedPostings(dict):
+class _PackedPostings:
     """An index's postings.  Every term's doc-id gaps and tfs stay in the
     arrays a snapshot stores until the term is first read; then its dict
-    is built and kept, so reading a built term is a plain dict lookup.
-    The gaps' running sums, in the stored (ascending) order, are each id
-    + 1, and ``docs[id + 1]`` is the corpus's own int for doc id ``id``.
-    ``in``, ``len`` and iteration answer from ``df`` and build nothing.
-    Other dict methods see only the terms built so far."""
+    is built and kept.  The gaps' running sums, in the stored (ascending)
+    order, are each id + 1, and ``docs[id + 1]`` is the one int every
+    term's dict holds for doc id ``id``.  ``in``, ``len`` and iteration
+    answer from ``df`` and build nothing.  It is no dict, so no other
+    mapping method can answer from the terms built so far."""
 
-    def __init__(self, df: dict[str, int], starts: dict[str, int], docs: list,
+    def __init__(self, df: dict[str, int], starts: dict[str, int], n_docs: int,
                  gaps: array, tfs: array):
-        super().__init__()
-        self.df, self.starts, self.docs, self.gaps, self.tfs = df, starts, docs, gaps, tfs
+        self.df, self.starts, self.gaps, self.tfs = df, starts, gaps, tfs
+        self.docs = [None, *range(n_docs)]
+        self._built: dict[str, ItemsView[int, int]] = {}
 
-    def __missing__(self, term: str) -> ItemsView[int, int]:
+    def __getitem__(self, term: str) -> ItemsView[int, int]:
+        try:
+            return self._built[term]
+        except KeyError:
+            pass
         start = self.starts[term]
         end = start + self.df[term]
-        plist = dict(zip(map(self.docs.__getitem__, accumulate(self.gaps[start:end])),
-                         self.tfs[start:end])).items()
-        self[term] = plist
+        plist = self._built[term] = dict(zip(
+            map(self.docs.__getitem__, accumulate(self.gaps[start:end])),
+            self.tfs[start:end])).items()
         return plist
 
     def __contains__(self, term) -> bool:
@@ -371,36 +376,54 @@ def _score_constrained(
 
 
 # ---------------------------------------------------------------------------
-# On-disk snapshot: the magic, the sha256 of the rest, then one zlib stream
-# (level 1) holding, little-endian:
-#   - a header of six u32: n_docs, n_terms, n_postings, n_tokens, and the
+# On-disk snapshot: the magic, the sha256 of the rest, one zlib stream
+# (level 1), then the sentence texts in blocks.  The stream holds,
+# little-endian:
+#   - a header of seven u32: n_docs, n_terms, n_postings, n_tokens, the
 #     byte widths of a stored doc-id gap (2, or 4 from 65,536 sentences on,
 #     since a gap reaches n_docs) and of a stored tf (1, or 4 when a
-#     sentence is 256 tokens or longer);
+#     sentence is 256 tokens or longer), and the sentences per text block;
 #   - doc_len and the n_terms + 1 offsets of the terms' postings (u32 each),
 #     then every term's doc ids as gaps, the first id + 1 and each later
 #     one id - previous id, then every term's tfs; each term's postings
 #     ascend by doc id, the terms in sorted order.  So the ids of a term
 #     strictly ascend exactly when none of its gaps is 0, and the last
 #     lies within the corpus exactly when its gaps sum to at most n_docs;
+#   - the n_blocks + 1 byte offsets (u32) of the text blocks in the bytes
+#     after the stream, n_blocks = ceil(n_docs / sentences per block): the
+#     first is 0 and the last is where the file ends;
 #   - UTF-8 strings, each ended by "\n": the source digest, the tokenizer's
-#     regex pattern and unicodedata version, the n_docs sentence texts, then
-#     the tokenizer table's n_tokens raw tokens and their n_tokens normal
-#     forms ("" for none).  The terms are the table's distinct non-empty
-#     forms, so they are not stored.
+#     regex pattern and unicodedata version, then the tokenizer table's
+#     n_tokens raw tokens and their n_tokens normal forms ("" for none).
+#     The terms are the table's distinct non-empty forms, so they are not
+#     stored.
+# Each text block is a zlib stream (level 1) of the "\n"-ended UTF-8 texts
+# of that many consecutive sentences, the last block of the rest.  Every
+# block after the first is compressed with the first block's text (its
+# last 32 KB) as a preset dictionary (RFC 1950's FDICT), so a small block
+# compresses about as well as one stream, and a block's Adler-32 catches
+# altered bytes that a bare deflate stream could inflate to other text.
 # A load refuses a snapshot, as it refuses a stale magic, unless the loading
 # tokenizer has the same pattern and Unicode version and maps every stored
 # raw token to its stored form: equal tokens and equal forms give equal
 # postings, so a loaded index agrees with the tokenizer that reads it.  A
-# load checks the stored arrays whole and keeps them; only a built index,
-# which holds the table, is written.  A snapshot is written to a temporary
-# file beside its target and then renamed over it, so a failed write leaves
-# any earlier snapshot at that path whole.
+# load checks the stream's arrays and the block offsets whole and keeps
+# them.  A text block is inflated and checked when one of its sentences is
+# first read, and the texts are checked to be distinct when the first text
+# is mapped to its id (see _BlockTexts).  Only a built index, which holds
+# the table, is written.  A snapshot is written to a temporary file beside
+# its target and then renamed over it, so a failed write leaves any
+# earlier snapshot at that path whole.
 
-MAGIC = b"HOPIDX4\x00"
-_HEADER = struct.Struct("<6I")
+MAGIC = b"HOPIDX5\x00"
+_HEADER = struct.Struct("<7I")
 _TYPECODES = {1: "B", 2: "H", 4: "I"}
-_STRINGS_PER_CHUNK = 4096
+# Sentences per text block.  A retrieve reads a few sentences and inflates
+# their blocks only.  With the first block as their dictionary, blocks of
+# 512 made the benchmark's snapshots smaller than one stream of the texts;
+# blocks of 256 made one of them larger.
+TEXT_BLOCK = 512
+_WINDOW = 1 << 15  # the most of a preset dictionary zlib uses
 
 
 def write_snapshot(index: InvertedIndex, path: str | Path) -> None:
@@ -414,7 +437,7 @@ def write_snapshot(index: InvertedIndex, path: str | Path) -> None:
         with open(tmp, "xb") as handle:
             handle.write(MAGIC + bytes(32))
             digest = hashlib.sha256()
-            for chunk in _compressed_body(index):
+            for chunk in _snapshot_body(index):
                 digest.update(chunk)
                 handle.write(chunk)
             handle.seek(len(MAGIC))
@@ -425,31 +448,45 @@ def write_snapshot(index: InvertedIndex, path: str | Path) -> None:
         raise
 
 
-def _compressed_body(index: InvertedIndex) -> Iterator[bytes]:
-    """The snapshot body as zlib chunks, made a section or a few thousand
-    strings at a time, so no second copy of the corpus text is held."""
+def _snapshot_body(index: InvertedIndex) -> Iterator[bytes]:
+    """The snapshot after its sha256: the zlib stream's chunks, made a
+    section at a time, then the text blocks."""
+    blocks = _text_blocks(index.corpus.texts)
     packer = zlib.compressobj(1)
     gaps, tfs = index.postings.gaps, index.postings.tfs
     yield packer.compress(_HEADER.pack(index.n_docs, len(index.df), len(gaps), len(index.tokens),
-                                       gaps.itemsize, tfs.itemsize))
+                                       gaps.itemsize, tfs.itemsize, TEXT_BLOCK))
     offsets = array("I", accumulate(index.df.values(), initial=0))  # df is in term order
-    for section in (array("I", index.doc_len), offsets, gaps, tfs):
+    block_ends = array("I", accumulate(map(len, blocks), initial=0))
+    for section in (array("I", index.doc_len), offsets, gaps, tfs, block_ends):
         if sys.byteorder == "big":
             section = array(section.typecode, section)  # the index keeps its own
             section.byteswap()
         yield packer.compress(section)
     strings = [index.corpus.source_digest, _TOKEN_RE.pattern, unicodedata.unidata_version,
-               *index.corpus.texts, *index.tokens, *index.tokens.values()]
-    for start in range(0, len(strings), _STRINGS_PER_CHUNK):
-        chunk = strings[start : start + _STRINGS_PER_CHUNK]
-        yield packer.compress(("\n".join(chunk) + "\n").encode("utf-8"))
+               *index.tokens, *index.tokens.values()]
+    yield packer.compress(("\n".join(strings) + "\n").encode("utf-8"))
     yield packer.flush()
+    yield from blocks
+
+
+def _text_blocks(texts: list[str]) -> list[bytes]:
+    """The texts in blocks of TEXT_BLOCK sentences, each its own zlib stream,
+    made a block at a time, so no second copy of the corpus text is held."""
+    blocks, primed = [], None
+    for start in range(0, len(texts), TEXT_BLOCK):
+        text = ("\n".join(texts[start : start + TEXT_BLOCK]) + "\n").encode("utf-8")
+        packer = zlib.compressobj(1) if primed is None else primed.copy()
+        blocks.append(packer.compress(text) + packer.flush())
+        if primed is None:  # copied for every later block, its dictionary set once
+            primed = zlib.compressobj(1, zdict=text[-_WINDOW:])
+    return blocks
 
 
 def load_snapshot(path: str | Path) -> InvertedIndex:
     """The index a snapshot holds, with its stored postings (see above)."""
     try:
-        counts, strings, doc_len, offsets, gaps, tfs = _read_sections(path)
+        counts, strings, doc_len, offsets, gaps, tfs, texts = _read_sections(path)
     except (struct.error, UnicodeDecodeError, zlib.error) as exc:
         raise SnapshotError(f"{path}: malformed snapshot body: {exc}") from exc
     n_docs, n_terms, n_tokens = counts
@@ -459,9 +496,8 @@ def load_snapshot(path: str | Path) -> InvertedIndex:
     if unidata_version != unicodedata.unidata_version:
         raise _refused(path, f"its Unicode version {unidata_version} is not "
                              f"{unicodedata.unidata_version}")
-    texts = strings[3 : 3 + n_docs]
-    tokens = strings[3 + n_docs : 3 + n_docs + n_tokens]
-    forms = strings[3 + n_docs + n_tokens :]
+    tokens = strings[3 : 3 + n_tokens]
+    forms = strings[3 + n_tokens :]
     del strings
     loaded = list(map(_current_forms().__getitem__, tokens))
     if loaded != forms:
@@ -474,10 +510,6 @@ def load_snapshot(path: str | Path) -> InvertedIndex:
     del tokens, forms
     terms = sorted(set(loaded).difference(("",)))
     del loaded
-    by_text = dict(zip(texts, range(n_docs)))
-    if len(by_text) != n_docs:
-        raise SnapshotError(f"{path}: duplicate sentences in snapshot")
-    corpus = Corpus(texts, source_digest, _by_text=by_text)
     if len(terms) != n_terms or offsets[0] != 0 or offsets[-1] != len(gaps):
         raise SnapshotError(f"{path}: term offsets disagree with the tokenizer table")
     if any(map(ge, offsets, islice(offsets, 1, None))):
@@ -499,7 +531,8 @@ def load_snapshot(path: str | Path) -> InvertedIndex:
     per_term = map(gaps.__getitem__, map(slice, offsets, islice(offsets, 1, None)))
     if max(map(sum, per_term), default=0) > n_docs:
         raise SnapshotError(f"{path}: doc id out of range in the postings")
-    return InvertedIndex(corpus, terms, offsets, gaps, tfs, doc_len.tolist(), None)
+    return InvertedIndex(Corpus(texts, source_digest), terms, offsets, gaps, tfs,
+                         doc_len.tolist(), None)
 
 
 def _refused(path, reason: str) -> SnapshotError:
@@ -507,10 +540,74 @@ def _refused(path, reason: str) -> SnapshotError:
     return SnapshotError(f"{path}: {reason}; rebuild it with `hopkit index build`")
 
 
+class _BlockTexts(Sequence):
+    """A loaded corpus's sentence texts, kept in the snapshot's text blocks
+    until read (see the format comment above).  A block is inflated,
+    checked and split when one of its sentences is first read, and its
+    texts are kept.  It must inflate to exactly its bytes, as UTF-8, and
+    hold exactly its sentences, or SnapshotError is raised.  ``==``
+    compares by identity, since a Sequence defines no other, so no answer
+    comes from the blocks read so far."""
+
+    def __init__(self, path, n_docs: int, size: int, ends: array, region: bytes):
+        self.path, self.n_docs, self.size, self.ends, self.region = (
+            path, n_docs, size, ends, region)
+        self._blocks: dict[int, list[str]] = {}
+        self._zdict = b""  # the first block's text, once it is read
+
+    def __len__(self) -> int:
+        return self.n_docs
+
+    def __getitem__(self, sid):
+        try:  # a sentence of a block already read
+            return self._blocks[sid // self.size][sid % self.size]
+        except (KeyError, IndexError, TypeError):
+            pass
+        if isinstance(sid, slice):
+            return [self[i] for i in range(self.n_docs)[sid]]
+        block, at = divmod(range(self.n_docs)[sid], self.size)
+        return self._block(block)[at]
+
+    def __iter__(self) -> Iterator[str]:
+        return chain.from_iterable(map(self._block, range(len(self.ends) - 1)))
+
+    def ids(self) -> dict[str, int]:
+        """Each text's id, read from every block; the texts must be distinct."""
+        by_text = dict(zip(self, range(self.n_docs)))
+        if len(by_text) != self.n_docs:
+            raise SnapshotError(f"{self.path}: duplicate sentences in snapshot")
+        return by_text
+
+    def _block(self, block: int) -> list[str]:
+        texts = self._blocks.get(block)
+        if texts is not None:
+            return texts
+        if block:
+            self._block(0)  # its text is the dictionary of every later block
+            unpacker = zlib.decompressobj(zdict=self._zdict)
+        else:
+            unpacker = zlib.decompressobj()
+        count = min(self.size, self.n_docs - block * self.size)
+        try:
+            data = unpacker.decompress(self.region[self.ends[block] : self.ends[block + 1]])
+            texts = str(data, "utf-8").split("\n")
+        except (zlib.error, UnicodeDecodeError) as exc:
+            raise SnapshotError(f"{self.path}: malformed text block {block}: {exc}") from exc
+        if not unpacker.eof or unpacker.unused_data or texts.pop() or len(texts) != count:
+            raise SnapshotError(f"{self.path}: text block {block} does not hold exactly "
+                                f"its {count} sentences")
+        if not block:
+            self._zdict = data[-_WINDOW:]
+        self._blocks[block] = texts
+        return texts
+
+
 def _read_sections(path) -> tuple:
-    """((n_docs, n_terms, n_tokens), strings, doc_len, offsets, gaps, tfs) of a
-    snapshot whose sections fill its body exactly.  The file's bytes and
-    the decompressed body are dropped when this returns."""
+    """((n_docs, n_terms, n_tokens), strings, doc_len, offsets, gaps, tfs,
+    texts) of a snapshot whose sections fill its zlib stream exactly and
+    whose text blocks fill the rest of the file.  The file's bytes and the
+    decompressed stream are dropped when this returns; the texts keep the
+    blocks' bytes."""
     raw = Path(path).read_bytes()
     if raw[: len(MAGIC)] != MAGIC:
         raise _refused(path, f"not a {MAGIC!r} index snapshot (bad magic {raw[: len(MAGIC)]!r})")
@@ -521,14 +618,16 @@ def _read_sections(path) -> tuple:
     body = memoryview(unpacker.decompress(stream))
     if not unpacker.eof:
         raise SnapshotError(f"{path}: snapshot body truncated")
-    if unpacker.unused_data:
-        raise SnapshotError(f"{path}: {len(unpacker.unused_data)} trailing bytes after the body")
-    n_docs, n_terms, n_postings, n_tokens, id_width, tf_width = _HEADER.unpack_from(body)
+    region = unpacker.unused_data
+    (n_docs, n_terms, n_postings, n_tokens, id_width, tf_width,
+     block_size) = _HEADER.unpack_from(body)
     if id_width not in _TYPECODES or tf_width not in _TYPECODES:
         raise SnapshotError(f"{path}: id or tf width ({id_width}, {tf_width}) not 1, 2 or 4")
-    widths = (4, 4, id_width, tf_width)
-    ends = list(accumulate(map(mul, widths, (n_docs, n_terms + 1, n_postings, n_postings)),
-                           initial=_HEADER.size))
+    if block_size < 1:
+        raise SnapshotError(f"{path}: text blocks of {block_size} sentences")
+    widths = (4, 4, id_width, tf_width, 4)
+    counts = (n_docs, n_terms + 1, n_postings, n_postings, -(-n_docs // block_size) + 1)
+    ends = list(accumulate(map(mul, widths, counts), initial=_HEADER.size))
     if ends[-1] > len(body):
         raise SnapshotError(f"{path}: section lengths disagree with the body's {len(body)} bytes")
     sections = []
@@ -539,6 +638,14 @@ def _read_sections(path) -> tuple:
             section.byteswap()
         sections.append(section)
     strings = str(body[ends[-1] :], "utf-8").split("\n")
-    if len(strings) != 4 + n_docs + 2 * n_tokens or strings.pop():
+    if len(strings) != 4 + 2 * n_tokens or strings.pop():
         raise SnapshotError(f"{path}: section lengths disagree with the body's {len(body)} bytes")
-    return (n_docs, n_terms, n_tokens), strings, *sections
+    block_ends = sections.pop()
+    if block_ends[0] != 0 or any(map(ge, block_ends, islice(block_ends, 1, None))):
+        raise SnapshotError(f"{path}: text block offsets not strictly increasing from 0")
+    if block_ends[-1] > len(region):
+        raise SnapshotError(f"{path}: snapshot text blocks truncated")
+    if block_ends[-1] < len(region):
+        raise SnapshotError(f"{path}: {len(region) - block_ends[-1]} trailing bytes after the body")
+    texts = _BlockTexts(path, n_docs, block_size, block_ends, region)
+    return (n_docs, n_terms, n_tokens), strings, *sections, texts

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 import struct
@@ -31,42 +32,70 @@ FIG1_FC = "Differential heating of air can be harnessed for electricity producti
 
 
 class SnapshotParts:
-    """A HOPIDX4 snapshot's body, decompressed and cut into its sections, so
-    a test can change any of them and seal the body again.  ``header`` is
-    [n_docs, n_terms, n_postings, n_tokens, id width, tf width]; the arrays
-    are doc_len, offsets, gaps (each term's first doc id + 1, then each id
-    less the one before) and tfs; ``strings`` holds the raw bytes of each
-    "\\n"-ended string."""
+    """A HOPIDX5 snapshot cut into its sections, so a test can change any of
+    them and seal the snapshot again.  ``header`` is [n_docs, n_terms,
+    n_postings, n_tokens, id width, tf width, sentences per text block];
+    the arrays are doc_len, offsets, gaps (each term's first doc id + 1,
+    then each id less the one before) and tfs; ``strings`` holds the raw
+    bytes of each "\\n"-ended string of the zlib stream, and ``blocks`` the
+    inflated bytes of each text block: its sentences, each ended by "\\n".
+    Sealing compresses the blocks again and stores their offsets."""
 
-    HEADER = struct.Struct("<6I")
+    HEADER = struct.Struct("<7I")
     TYPECODES = {1: "B", 2: "H", 4: "I"}
 
     def __init__(self, raw: bytes):
-        body = zlib.decompress(raw[len(MAGIC) + 32 :])
+        unpacker = zlib.decompressobj()
+        body = unpacker.decompress(raw[len(MAGIC) + 32 :])
         self.header = list(self.HEADER.unpack_from(body))
-        n_docs, n_terms, n_postings, _, id_width, tf_width = self.header
+        n_docs, n_terms, n_postings, _, id_width, tf_width, size = self.header
         at = self.HEADER.size
-        self.arrays = []
+        sections = []
         for width, count in ((4, n_docs), (4, n_terms + 1), (id_width, n_postings),
-                             (tf_width, n_postings)):
+                             (tf_width, n_postings), (4, -(-n_docs // size) + 1)):
             section = array(self.TYPECODES[width], body[at : at + width * count])
             if sys.byteorder == "big":
                 section.byteswap()
-            self.arrays.append(section)
+            sections.append(section)
             at += width * count
+        *self.arrays, ends = sections
         self.doc_len, self.offsets, self.gaps, self.tfs = self.arrays
         assert body[-1:] == b"\n"
         self.strings = body[at:-1].split(b"\n")
+        region = unpacker.unused_data
+        assert ends[-1] == len(region)
+        self.blocks = []
+        for start, end in zip(ends, ends[1:]):
+            unpacker = (zlib.decompressobj(zdict=self.blocks[0][-(1 << 15) :]) if self.blocks
+                        else zlib.decompressobj())
+            self.blocks.append(unpacker.decompress(region[start:end]))
 
-    def sealed(self) -> bytes:
-        """The snapshot file: the magic, the sha256 of the body, the body."""
-        arrays = [array(a.typecode, a) for a in self.arrays]
+    def deflated(self) -> list[bytes]:
+        """Each block compressed as a snapshot stores it: every block after
+        the first with the first's text as its preset dictionary."""
+        deflated = []
+        for at, block in enumerate(self.blocks):
+            packer = (zlib.compressobj(1, zdict=self.blocks[0][-(1 << 15) :]) if at
+                      else zlib.compressobj(1))
+            deflated.append(packer.compress(block) + packer.flush())
+        return deflated
+
+    def sealed(self, deflated: list[bytes] | None = None, ends=None) -> bytes:
+        """The snapshot file: the magic, the sha256 of the rest, the zlib
+        stream, then the compressed blocks (by default, deflated()) at the
+        given offsets (by default, one after the other from 0)."""
+        if deflated is None:
+            deflated = self.deflated()
+        if ends is None:
+            ends = itertools.accumulate(map(len, deflated), initial=0)
+        arrays = [array(a.typecode, a) for a in (*self.arrays, array("I", ends))]
         if sys.byteorder == "big":
             for section in arrays:
                 section.byteswap()
         body = zlib.compress(self.HEADER.pack(*self.header)
                              + b"".join(a.tobytes() for a in arrays)
                              + b"".join(s + b"\n" for s in self.strings), 1)
+        body += b"".join(deflated)
         return MAGIC + hashlib.sha256(body).digest() + body
 
 

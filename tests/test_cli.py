@@ -11,18 +11,20 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from hopkit.cli import build_parser, main
 from hopkit.distractor import AdversarialConfig
 from hopkit.errors import jsonl
-from hopkit.index import MAGIC, load_snapshot
+from hopkit.corpus import load_corpus
+from hopkit.index import MAGIC, build_index, load_snapshot, write_snapshot
 from hopkit.qa import IRScorer, load_questions
 from hopkit.retrieval import RetrievalParams
 from hopkit.splitter import SplitProblem, load_facts_jsonl, problem_to_json, solve_heuristic
 
 import hopkit.corpus
+import hopkit.index
 from conftest import (
     FIG1_ANSWER,
     FIG1_FL,
@@ -98,7 +100,7 @@ class TestIndexStats:
         index = load_snapshot(snapshot_dir / "index.hopidx")
         lengths = sorted(map(len, whole_postings(index).values()))
         assert stats == {
-            "format": "HOPIDX4", "n_docs": 22, "n_terms": len(lengths),
+            "format": "HOPIDX5", "n_docs": 22, "n_terms": len(lengths),
             "avg_len": round(index.avg_len, 9),
             # nearest-rank percentiles
             "posting_len_p50": lengths[math.ceil(0.50 * len(lengths)) - 1],
@@ -944,7 +946,8 @@ def bad_snapshot(draw, raw: bytes) -> bytes:
         return MAGIC + hashlib.sha256(new_body).digest() + new_body
 
     kind = draw(st.sampled_from([
-        "truncated", "trailing", "flipped", "version 1", "version 2", "version 3", "junk",
+        "truncated", "trailing", "flipped", "version 1", "version 2", "version 3", "version 4",
+        "junk",
         "doc id out of range", "repeated doc id", "tf below 1", "offsets not increasing",
         "section lengths", "another token pattern", "another unicode version",
         "another normal form",
@@ -1132,6 +1135,104 @@ class TestInputContract:
         assert "Traceback" not in err
         assert assert_domain_error(code, err)["message"].startswith("iterations must be ")
         assert not (tmp_path / "split").exists()
+
+
+# The commands that read a snapshot, and the flags of the files they write.
+SNAPSHOT_OUTPUTS = {"retrieve": ["--out"], "eval recall": ["--out", "--audit"],
+                    "distract rank": ["--out"], "index stats": []}
+
+
+def bad_block(draw, parts) -> tuple[bytes, int | None]:
+    """Snapshot bytes, sealed again, whose stream is intact but one of whose
+    text blocks is not; and, for a duplicate sentence, the id of the
+    sentence that now repeats another."""
+    kind = draw(st.sampled_from(["deflate bytes altered", "one sentence short",
+                                 "one sentence long", "invalid utf-8", "duplicate sentence"]))
+    size = parts.header[6]
+    at = draw(st.integers(0, len(parts.blocks) - 1))
+    lines = parts.blocks[at].split(b"\n")[:-1]
+    if kind == "deflate bytes altered":
+        deflated = parts.deflated()
+        block = bytearray(deflated[at])
+        block[draw(st.integers(0, len(block) - 1))] ^= draw(st.integers(1, 255))
+        deflated[at] = bytes(block)
+        return parts.sealed(deflated), None
+    replaced = None
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "one sentence short":
+        del lines[i]
+    elif kind == "one sentence long":
+        lines.insert(i, draw(st.sampled_from([b"", b"wind turbine spins fast.", lines[0]])))
+    elif kind == "invalid utf-8":
+        cut = draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:cut] + b"\xff" + lines[i][cut:]
+    else:
+        replaced = at * size + i
+        source = draw(st.integers(0, parts.header[0] - 1).filter(lambda sid: sid != replaced))
+        lines[i] = parts.blocks[source // size].split(b"\n")[source % size]
+    parts.blocks[at] = b"".join(line + b"\n" for line in lines)
+    return parts.sealed(), replaced
+
+
+def run_writing(command: str, files: dict, out_dir: Path) -> tuple:
+    """(exit code, stderr, stdout, {flag: the bytes written, or None}) of a
+    snapshot command whose output flags name files in an empty out_dir."""
+    shutil.rmtree(out_dir, ignore_errors=True)
+    outputs = {flag: out_dir / flag.strip("-") for flag in SNAPSHOT_OUTPUTS[command]}
+    argv = [*COMMANDS[command](files), *(a for item in outputs.items() for a in item)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([str(arg) for arg in argv])
+    written = {flag: path.read_bytes() if path.exists() else None
+               for flag, path in outputs.items()}
+    return code, err.getvalue(), out.getvalue(), written
+
+
+@pytest.fixture(scope="module")
+def block_files(contract_files, tmp_path_factory):
+    """contract_files with the corpus in a snapshot of text blocks of 4
+    sentences, and what each snapshot command writes from it."""
+    root = tmp_path_factory.mktemp("blocks")
+    files = dict(contract_files, snapshot=root / "index.hopidx")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hopkit.index, "TEXT_BLOCK", 4)
+        corpus = load_corpus(contract_files["snapshot"].parents[1] / "corpus.txt")
+        write_snapshot(build_index(corpus), files["snapshot"])
+    intact = {command: run_writing(command, files, root / "out") for command in SNAPSHOT_OUTPUTS}
+    assert all(result[0] == 0 for result in intact.values())
+    return files, intact
+
+
+@pytest.mark.parametrize("command", sorted(SNAPSHOT_OUTPUTS))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_a_bad_text_block_fails_a_command_that_reads_it(block_files, command, data):
+    # exit 1 with one JSON error line and no output, or exit 0 with what
+    # the intact snapshot gives; eval recall maps every text to its id, so
+    # it reads every block and always fails
+    files, intact = block_files
+    raw, replaced = bad_block(data.draw, SnapshotParts(files["snapshot"].read_bytes()))
+    bad = files["snapshot"].with_name("bad.hopidx")
+    bad.write_bytes(raw)
+    read = set()
+    real = hopkit.index._BlockTexts.__getitem__
+
+    def recording(texts, sid):
+        read.add(sid)
+        return real(texts, sid)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hopkit.index._BlockTexts, "__getitem__", recording)
+        code, err, out, written = run_writing(command, dict(files, snapshot=bad),
+                                              bad.parent / "out")
+    event(f"exit {code}")
+    if code or command == "eval recall":
+        assert_domain_error(code, err)
+        assert out == "" and set(written.values()) <= {None}
+    elif replaced not in read:
+        # a sentence read by its id is the text stored for it: a resealed
+        # copy of another sentence shows only when the texts are mapped
+        assert (code, err, out, written) == intact[command]
 
 
 @pytest.mark.parametrize("command, flag", [

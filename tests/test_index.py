@@ -4,7 +4,10 @@ import itertools
 import math
 import random
 import struct
+import sys
+import threading
 import unicodedata
+import zlib
 from array import array
 from collections import Counter
 
@@ -149,7 +152,7 @@ class TestBuild:
         offsets = [*postings.starts.values(), len(postings.gaps)]
         packed = [offsets, postings.gaps, postings.tfs, index.doc_len]
         event(f"tf width {postings.tfs.itemsize}")
-        assert [postings.gaps.itemsize, postings.tfs.itemsize] == parts.header[4:]
+        assert [postings.gaps.itemsize, postings.tfs.itemsize] == parts.header[4:6]
         assert list(map(list, packed)) == list(map(list, [*parts.arrays[1:], parts.doc_len]))
         assert list(map(list, packed)) == reference_packing(corpus.texts)
 
@@ -540,8 +543,8 @@ def assert_same_index(loaded, built) -> None:
     assert loaded.doc_len == built.doc_len
     assert (loaded.n_docs, loaded.avg_len) == (built.n_docs, built.avg_len)
     assert loaded._idf == built._idf
-    assert loaded.corpus.texts == built.corpus.texts
-    assert loaded.corpus._by_text == built.corpus._by_text
+    assert list(loaded.corpus.texts) == built.corpus.texts
+    assert loaded.corpus.texts.ids() == built.corpus._by_text
     assert loaded.corpus.source_digest == built.corpus.source_digest
 
 
@@ -567,7 +570,7 @@ class TestSnapshot:
         assert loaded.doc_len == index.doc_len
         assert loaded.avg_len == index.avg_len
         assert whole_postings(loaded) == whole_postings(index)
-        assert loaded.corpus.texts == corpus.texts
+        assert list(loaded.corpus.texts) == corpus.texts
         q, a = random_query(rng, vocab)
         query = Counter(q.split() + a.split())
         assert search(loaded, query, 10) == search(index, query, 10)
@@ -607,7 +610,7 @@ class TestSnapshot:
             write_snapshot(bigger, path)
         assert path.read_bytes() == old
         assert sorted(p.name for p in tmp_path.iterdir()) == ["index.hopidx"]
-        assert load_snapshot(path).corpus.texts == toy_corpus().texts
+        assert list(load_snapshot(path).corpus.texts) == toy_corpus().texts
 
     def test_failed_rename_leaves_no_temporary_file(self, tmp_path, monkeypatch):
         path = tmp_path / "index.hopidx"
@@ -639,10 +642,19 @@ class TestSnapshot:
         path = tmp_path / "index.hopidx"
         write_snapshot(build_index(toy_corpus()), path)
         parts = SnapshotParts(path.read_bytes())
-        parts.strings[3] = parts.strings[3].replace(b"turbine", b"turb\xffne")
+        # a stored token is checked at load
+        token = parts.strings[3]
+        parts.strings[3] = b"turb\xffne"
         path.write_bytes(parts.sealed())
         with pytest.raises(SnapshotError, match="malformed snapshot body"):
             load_snapshot(path)
+        # a sentence text when its block is first read
+        parts.strings[3] = token
+        parts.blocks[0] = parts.blocks[0].replace(b"turbine", b"turb\xffne")
+        path.write_bytes(parts.sealed())
+        loaded = load_snapshot(path)
+        with pytest.raises(SnapshotError, match="malformed text block 0"):
+            loaded.corpus[2]
 
     @pytest.mark.parametrize("kind", ["token form", "pattern", "unicode version"])
     def test_load_refuses_another_tokenizer(self, tmp_path, monkeypatch, kind):
@@ -672,13 +684,18 @@ class TestSnapshot:
             load_snapshot(path)
 
     def test_duplicate_sentences_with_valid_checksum(self, tmp_path):
+        # the texts are checked to be distinct when the first is mapped to
+        # its id: the load and reading a sentence succeed
         path = tmp_path / "index.hopidx"
         write_snapshot(build_index(toy_corpus()), path)
         parts = SnapshotParts(path.read_bytes())
-        parts.strings[4] = parts.strings[3]  # the second sentence is the first
+        first, _, *rest = parts.blocks[0].split(b"\n")
+        parts.blocks[0] = b"\n".join([first, first, *rest])  # the second is the first
         path.write_bytes(parts.sealed())
+        loaded = load_snapshot(path)
+        assert loaded.corpus[1] == loaded.corpus[0] == "wind turbine spins fast."
         with pytest.raises(SnapshotError, match="duplicate sentences"):
-            load_snapshot(path)
+            loaded.corpus.id_of_text("solar panel output rises.")
 
     def test_trailing_bytes_with_valid_checksum(self, tmp_path):
         path = tmp_path / "index.hopidx"
@@ -706,6 +723,21 @@ class TestSnapshot:
             parts.gaps[start:end] = array(parts.gaps.typecode, ids)
         path.write_bytes(b"HOPIDX3\x00" + parts.sealed()[len(MAGIC) :])
         with pytest.raises(SnapshotError, match="bad magic.*HOPIDX3.*rebuild.*hopkit index build"):
+            load_snapshot(path)
+
+    def test_version_4_snapshot_asks_for_a_rebuild(self, tmp_path):
+        # a HOPIDX4 snapshot: a header of six u32, these arrays without the
+        # text block offsets, and the texts among the stream's strings
+        path = tmp_path / "index.hopidx"
+        write_snapshot(build_index(toy_corpus()), path)
+        parts = SnapshotParts(path.read_bytes())
+        texts = b"".join(parts.blocks).split(b"\n")[:-1]
+        strings = [*parts.strings[:3], *texts, *parts.strings[3:]]
+        body = zlib.compress(struct.pack("<6I", *parts.header[:6])
+                             + b"".join(a.tobytes() for a in parts.arrays)
+                             + b"".join(s + b"\n" for s in strings), 1)
+        path.write_bytes(b"HOPIDX4\x00" + hashlib.sha256(body).digest() + body)
+        with pytest.raises(SnapshotError, match="bad magic.*HOPIDX4.*rebuild.*hopkit index build"):
             load_snapshot(path)
 
     @given(seed=st.integers(0, 2**32 - 1), n_sentences=st.integers(0, 120))
@@ -764,7 +796,7 @@ class TestSnapshot:
         built = build_index(corpus)
         path = tmp_path / "index.hopidx"
         write_snapshot(built, path)
-        assert SnapshotParts(path.read_bytes()).header[4:] == [2, 4]
+        assert SnapshotParts(path.read_bytes()).header[4:6] == [2, 4]
         loaded = load_snapshot(path)
         assert loaded.tokens is None
         assert dict(loaded.postings["wind"]) == {0: 300, 1: 1}
@@ -778,7 +810,7 @@ class TestSnapshot:
         assert len(built.tokens) > STEM_CACHE_SIZE
         path = tmp_path / "index.hopidx"
         write_snapshot(built, path)
-        assert SnapshotParts(path.read_bytes()).header[4:] == [4, 1]
+        assert SnapshotParts(path.read_bytes()).header[4:6] == [4, 1]
         loaded = load_snapshot(path)
         assert loaded.tokens is None
         assert_same_index(loaded, built)
@@ -855,14 +887,122 @@ class TestSnapshot:
         monkeypatch.setattr(hopkit.retrieval, "search", recording)
         question = random_query(rng, vocab)
         for index in (built, load_snapshot(path)):
-            assert not dict.keys(index.postings)  # nothing is built yet
+            assert not index.postings._built  # nothing is built yet
             queries.clear()
             two_step(index, *question)
-            read = set(dict.keys(index.postings))
+            read = set(index.postings._built)
             assert len(queries) > 1
             assert queries[0] & set(index.df) <= read  # the first hop reads its query
             assert read <= set().union(*queries)
             assert len(read) < len(index.postings)
+
+    @example(seed=0, n_sentences=0, size=3)
+    @example(seed=0, n_sentences=14, size=7)
+    @given(seed=st.integers(0, 2**32 - 1), n_sentences=st.integers(0, 40),
+           size=st.integers(1, 7))
+    @settings(max_examples=60, deadline=None)
+    def test_text_blocks_read_in_any_order_equal_build(self, tmp_path_factory, seed,
+                                                       n_sentences, size):
+        corpus, vocab = random_corpus(random.Random(seed), n_sentences)
+        corpus = Corpus.from_texts(corpus.texts, "digest")
+        path = tmp_path_factory.mktemp("blocks") / "index.hopidx"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hopkit.index, "TEXT_BLOCK", size)
+            write_snapshot(build_index(corpus), path)
+            event("empty" if not n_sentences else
+                  "partial last block" if n_sentences % size else "whole blocks")
+            loaded = load_snapshot(path).corpus
+            assert len(loaded) == n_sentences
+            order = list(range(n_sentences))
+            random.Random(seed).shuffle(order)
+            for sid in order:
+                assert loaded[sid] == corpus[sid]
+            assert set(loaded.texts._blocks) == set(range(-(-n_sentences // size)))
+            assert loaded._by_text is None
+            for text in [*corpus.texts, "absent words here.", *vocab[:3]]:
+                assert loaded.id_of_text(text) == corpus.id_of_text(text)
+            again = path.with_name("again.hopidx")
+            write_snapshot(build_index(Corpus.from_texts(list(loaded.texts), "digest")), again)
+            assert again.read_bytes() == path.read_bytes()
+
+    def test_a_retrieve_inflates_only_the_blocks_it_reads(self, tmp_path, monkeypatch):
+        # two_step reads the text of each first hop; the first block is
+        # read too, as every later block's dictionary
+        rng = random.Random(37)
+        corpus, vocab = random_corpus(rng, 300)
+        path = tmp_path / "index.hopidx"
+        monkeypatch.setattr(hopkit.index, "TEXT_BLOCK", 8)
+        write_snapshot(build_index(corpus), path)
+        first_hops = []
+
+        def recording(index, query, *args, **kwargs):
+            hits = search(index, query, *args, **kwargs)
+            if not first_hops:
+                first_hops.append([hit.sentence_id for hit in hits])
+            return hits
+
+        monkeypatch.setattr(hopkit.retrieval, "search", recording)
+        loaded = load_snapshot(path)
+        texts = loaded.corpus.texts
+        assert not texts._blocks
+        two_step(loaded, *random_query(rng, vocab))
+        read = {0} | {sid // 8 for sid in first_hops[0]}
+        assert set(texts._blocks) == read
+        assert len(read) < 300 // 8
+
+    def test_concurrent_first_reads_equal_build(self, tmp_path, monkeypatch):
+        # threads fill the same text blocks, terms and text map at once;
+        # each fill stores what any reader would compute, so every read
+        # agrees with the build
+        corpus, _ = random_corpus(random.Random(41), 200)
+        built = build_index(corpus)
+        path = tmp_path / "index.hopidx"
+        monkeypatch.setattr(hopkit.index, "TEXT_BLOCK", 3)
+        write_snapshot(built, path)
+        loaded = load_snapshot(path)
+        terms = list(built.df)
+        failures = []
+
+        def reader(seed: int) -> None:
+            rng = random.Random(seed)
+            try:
+                for sid in rng.sample(range(len(corpus)), len(corpus)):
+                    assert loaded.corpus[sid] == corpus[sid]
+                    term = rng.choice(terms)
+                    assert list(loaded.postings[term]) == list(built.postings[term])
+                assert loaded.corpus.id_of_text(corpus[seed]) == seed
+            except Exception as exc:  # handed to the main thread
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+    def test_postings_and_texts_answer_no_partial_mapping(self, tmp_path):
+        # no mapping method answers from the terms or blocks read so far
+        path = tmp_path / "index.hopidx"
+        built = build_index(toy_corpus())
+        write_snapshot(built, path)
+        loaded = load_snapshot(path)
+        for index in (built, loaded):
+            list(index.postings["wind"])
+            with pytest.raises(AttributeError):
+                index.postings.get("wind")
+            with pytest.raises(AttributeError):
+                index.postings.items()
+            assert index.postings != {"wind": index.postings["wind"]}
+        assert loaded.corpus[0] == "wind turbine spins fast."
+        assert loaded.corpus.texts != ["wind turbine spins fast."]
+        assert loaded.corpus.texts != built.corpus.texts
 
     @pytest.mark.parametrize("kind, message", [
         ("doc id out of range", "doc id out of range"),
@@ -877,6 +1017,9 @@ class TestSnapshot:
         ("more sentences than stored", "section lengths disagree"),
         ("a string past the last", "section lengths disagree"),
         ("bad id width", "width"),
+        ("text blocks of 0 sentences", "text blocks of 0 sentences"),
+        ("a text block of no bytes", "text block offsets not strictly increasing from 0"),
+        ("text blocks from byte 1", "text block offsets not strictly increasing from 0"),
     ])
     def test_crafted_body_with_valid_checksum(self, tmp_path, kind, message):
         # toy_corpus: "wind" is in sentences 0 and 1, "power" twice in 1
@@ -885,6 +1028,7 @@ class TestSnapshot:
         parts = SnapshotParts(path.read_bytes())
         terms = sorted(build_index(toy_corpus()).postings)
         wind = parts.offsets[terms.index("wind")]
+        deflated = ends = None
         if kind == "doc id out of range":
             # the gaps sum to the last id + 1: raise them to n_docs + 1
             parts.gaps[wind + 1] = parts.header[0] + 1 - parts.gaps[wind]
@@ -909,9 +1053,17 @@ class TestSnapshot:
             parts.header[0] += 1
         elif kind == "a string past the last":
             parts.strings.append(b"wind")
-        else:
+        elif kind == "bad id width":
             parts.header[4] = 3
-        path.write_bytes(parts.sealed())
+        elif kind == "text blocks of 0 sentences":
+            parts.header[6] = 0
+        elif kind == "a text block of no bytes":
+            deflated = [b"", *parts.deflated()[1:]]
+        else:
+            deflated = parts.deflated()
+            ends = list(itertools.accumulate(map(len, deflated), initial=1))
+            deflated[0] = b"\x00" + deflated[0]
+        path.write_bytes(parts.sealed(deflated, ends))
         with pytest.raises(SnapshotError, match=message):
             load_snapshot(path)
 

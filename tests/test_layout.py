@@ -1,6 +1,7 @@
 """Source-layout checks: no code or state in src/ exists only for the tests,
 every output file and JSON-lines text goes through the one writer and
-formatter, and every index comes from the one build or load."""
+formatter, every index comes from the one build or load, and only the
+build, the write and the text map read a corpus's texts whole."""
 
 import ast
 from pathlib import Path
@@ -79,8 +80,8 @@ def test_every_dataclass_field_is_read_outside_tests():
     assert not unread, f"dataclass fields nothing outside tests reads: {unread}"
 
 
-def _calls_outside(path: Path, functions: set[str]):
-    """Every call in a module, except those inside the named top-level
+def _nodes_outside(path: Path, functions: set[str]):
+    """Every node of a module, except those inside the named top-level
     functions of src/hopkit/index.py."""
     tree = _parse(path)
     skipped = set()
@@ -88,8 +89,13 @@ def _calls_outside(path: Path, functions: set[str]):
         for top in tree.body:
             if isinstance(top, ast.FunctionDef) and top.name in functions:
                 skipped |= {id(node) for node in ast.walk(top)}
-    return [node for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and id(node) not in skipped]
+    return [node for node in ast.walk(tree) if id(node) not in skipped]
+
+
+def _calls_outside(path: Path, functions: set[str]):
+    """Every call in a module, except those inside the named top-level
+    functions of src/hopkit/index.py."""
+    return [node for node in _nodes_outside(path, functions) if isinstance(node, ast.Call)]
 
 
 def _writes_a_file(call: ast.Call) -> bool:
@@ -163,3 +169,16 @@ def test_every_index_is_built_or_loaded():
              if "InvertedIndex" in (getattr(call.func, "id", None),
                                     getattr(call.func, "attr", None))]
     assert not calls, f"InvertedIndex constructed outside build_index and load_snapshot: {calls}"
+
+
+def test_only_the_build_the_write_and_the_map_read_every_text():
+    """Outside corpus.py, index.build_index and index._snapshot_body, nothing
+    in src/ reads a corpus's ``texts``: a loaded corpus inflates its text
+    blocks as they are read, so a search or retrieve path that read
+    ``texts`` could inflate every block unnoticed.  A sentence is read by
+    id, ``corpus[id]``, and a text mapped with ``corpus.id_of_text``."""
+    reads = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "corpus.py"
+             for node in _nodes_outside(path, {"build_index", "_snapshot_body"})
+             if isinstance(node, ast.Attribute) and node.attr == "texts"]
+    assert not reads, f"corpus texts read outside the build, the write and the map: {reads}"

@@ -4,12 +4,15 @@ and stability of normalized keys over the frozen lexicon."""
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopkit.corpus import tokenize_normalize
 from hopkit.porter import (
     _apply_rules,
     _STEP2_RULES,
     _STEP3_RULES,
+    _STEP4_SUFFIXES,
     _step1a,
     _step1b,
     _step1c,
@@ -18,6 +21,7 @@ from hopkit.porter import (
     stem,
 )
 
+import porter_reference
 from oracles import reference_tokenize
 
 DATA = Path(__file__).parent / "data"
@@ -157,3 +161,20 @@ def test_memoised_tokenize_matches_reference(stem_calls):
         stemmed = len(stem_calls)
         assert tokenize_normalize(word) == want  # second call is served by the token memo
         assert len(stem_calls) == stemmed
+
+
+# Words from the letters of the step 2-4 suffixes, often ending in one of
+# those suffixes, so each step's skip check meets both of its answers.
+_SUFFIXES = sorted({suffix for suffix, _ in _STEP2_RULES + _STEP3_RULES} | set(_STEP4_SUFFIXES))
+_SUFFIX_LETTERS = "".join(sorted(set("".join(_SUFFIXES)) | set("ysw")))
+suffix_words = st.builds(
+    lambda stem_part, suffix: stem_part + suffix,
+    st.text(_SUFFIX_LETTERS, max_size=10),
+    st.sampled_from(["", *_SUFFIXES]),
+)
+
+
+@given(suffix_words)
+@settings(max_examples=2000, deadline=None)
+def test_stem_equals_the_reference_that_runs_every_rule_loop(word):
+    assert stem(word) == porter_reference.stem(word)
