@@ -11,11 +11,12 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
-from .corpus import load_corpus, write_rejection_report
+from .corpus import Memo, load_corpus, write_rejection_report
 from .distractor import (
     AdversarialConfig,
     assemble_8way,
@@ -263,14 +264,11 @@ class _ScoreMap:
     pruning and ranking both read the kept value.  The scorer's name carries
     over, so checked_score reports a bad value as the scorer would."""
 
-    def __init__(self, scorer):
-        self.scorer = scorer
+    def __init__(self, scorer, question):
         self.name = scorer.name
-        self.scores: dict[str, float] = {}
+        self.scores = Memo(partial(scorer.score, question))
 
     def score(self, question, text: str) -> float:
-        if text not in self.scores:
-            self.scores[text] = self.scorer.score(question, text)
         return self.scores[text]
 
 
@@ -284,7 +282,7 @@ def cmd_distract_rank(args) -> int:
     for qid in sorted(pools):
         question = dataset[qid]
         candidates = pools[qid]
-        score_maps = [_ScoreMap(scorer) for scorer in scorers]
+        score_maps = [_ScoreMap(scorer, question) for scorer in scorers]
         if args.prune_top:
             candidates = prune_by_scorer(score_maps[0], question, candidates, args.prune_top)
         ranked = multi_adversary_rank(score_maps, question, candidates)

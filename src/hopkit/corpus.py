@@ -40,26 +40,39 @@ _WS_RE = re.compile(r"\s+")
 STEM_CACHE_SIZE = 1 << 16
 
 
-class _NormalForms(dict):
+class Memo(dict):
+    """key -> fill(key), filled on the key's first read and kept: the one
+    memo of every state hopkit fills on first use.  A fill stores the value
+    any reader would compute, so readers in several threads need no lock:
+    two that fill one key at once each get an equal value, and one of them
+    is kept.  A fill that raises stores nothing."""
+
+    def __init__(self, fill) -> None:
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+class _NormalForms(Memo):
     """Raw lowercase token -> its normalized stem, or "" for a token that
-    normalizes to nothing, filled on demand under one stopword set and one
-    stemmer, so each token is stemmed once.  It is never cleared: it grows
-    to the vocabulary of the text the process has read, which any index
-    over that text holds too.  ``sets`` maps a text to its stem_set under
-    the same two, cleared when it reaches STEM_CACHE_SIZE entries."""
+    normalizes to nothing, under one stopword set and one stemmer, so each
+    token is stemmed once.  It is never cleared: it grows to the vocabulary
+    of the text the process has read, which any index over that text holds
+    too.  ``sets`` maps a text to its stem_set under the same two, cleared
+    when it reaches STEM_CACHE_SIZE entries."""
 
     def __init__(self, stopwords: frozenset[str], stemmer) -> None:
-        super().__init__()
+        super().__init__(self._normalize)
         self.stopwords = stopwords
         self.stemmer = stemmer
         self.sets: dict[str, frozenset[str]] = {}
 
-    def __missing__(self, token: str) -> str:
+    def _normalize(self, token: str) -> str:
         form = "" if token in self.stopwords else self.stemmer(token)
-        if form in self.stopwords:
-            form = ""
-        self[token] = form
-        return form
+        return "" if form in self.stopwords else form
 
 
 _normal_forms = _NormalForms(STOPWORDS, stem)
@@ -76,7 +89,7 @@ def _current_forms() -> _NormalForms:
 
 def _count_tokens(text: str, forms: dict[str, str], bag: dict) -> dict:
     """Count text's normalized tokens into bag: the one tokenizer.  Each raw
-    lowercase token is mapped through forms, a memo of _NormalForms values
+    lowercase token is mapped through forms, a Memo of _NormalForms values
     ("" for a token that normalizes to nothing).  _count_elements is the C
     loop Counter.update runs, without Counter's Python-level dispatch."""
     _count_elements(bag, filter(None, map(forms.__getitem__, _TOKEN_RE.findall(text.lower()))))
@@ -92,21 +105,6 @@ def tokenize_normalize(text: str) -> TokenBag:
     the stemmer is rebound.
     """
     return _count_tokens(text, _current_forms(), Counter())
-
-
-class TokenTable(dict):
-    """Raw lowercase token -> normal form of every token one index build
-    met, in first-seen order, as a memo for _count_tokens.  Filled from the
-    shared memo, so a token the process has met is not stemmed again;
-    after the build it is the corpus's own tokenizer table."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.forms = _current_forms()
-
-    def __missing__(self, token: str) -> str:
-        form = self[token] = self.forms[token]
-        return form
 
 
 def stem_set(text: str) -> frozenset[str]:
@@ -210,9 +208,10 @@ class Corpus:
     texts are unique in normal form (control characters replaced,
     whitespace collapsed).  A corpus made from text holds its texts in a
     list and its text -> id map from the start.  A corpus loaded from an
-    index snapshot holds a sequence that inflates a block of texts when one
-    of them is first read, and builds its map, reading every text and
-    checking that none repeats, on the first id_of_text.  The corpus keeps
+    index snapshot holds a sequence whose Memo inflates a block of texts
+    when one of them is first read, and builds its map, reading every text,
+    checking that none repeats and mapping each to the doc-id int its
+    index's postings hold, on the first id_of_text.  The corpus keeps
     no tokens: an index built over it holds the only term frequencies.
     Safe to share across concurrent readers.
     """

@@ -4,13 +4,12 @@ The index is rebuild-only: corpora are static per experiment, so there are
 no incremental updates.  An index comes from build_index, or from a
 snapshot loaded exactly as stored.  Its terms, document frequencies and
 statistics never change, and its postings are the packed arrays a snapshot
-stores.  Three kinds of state are filled on first use: a term's postings
-dict is built from those arrays when the term is first read, pruned
-searches fill a per-term max-impact memo, and a loaded corpus inflates a
-block of sentence texts when one of its sentences is first read.  A fill
-stores the value any reader would compute, so concurrent searches stay
-safe without synchronization: two threads that fill one term or block at
-once each get an equal value, and one of them is kept.
+stores.  What is filled on first use is filled through a corpus.Memo,
+whose rule makes concurrent searches safe without a lock: a term's
+postings dict, built from those arrays when the term is first read; a
+term's max impact, which pruned searches read; and a loaded corpus's
+blocks of sentence texts, each inflated when one of its sentences is
+first read.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from itertools import accumulate, chain, islice, repeat
 from operator import ge, methodcaller, mul, sub
 from pathlib import Path
 
-from .corpus import _TOKEN_RE, Corpus, TokenTable, _count_tokens, _current_forms
+from .corpus import _TOKEN_RE, Corpus, Memo, _count_tokens, _current_forms
 from .errors import SnapshotError
 
 K1 = 1.2
@@ -95,7 +94,7 @@ class InvertedIndex:
         self._idf = {term: math.log(1.0 + (self.n_docs - n + 0.5) / (n + 0.5))
                      for term, n in df.items()}
         # Derived state filled on first use: a term's largest contribution.
-        self._max_impact: dict[str, float] = {}
+        self._max_impact = Memo(self._impact)
 
     def idf(self, term: str) -> float:
         """BM25 idf of a term; 0.0 for a term no document holds."""
@@ -103,15 +102,12 @@ class InvertedIndex:
 
     def max_impact(self, term: str) -> float:
         """The largest bm25_term_score of an indexed term over its postings."""
-        impact = self._max_impact.get(term)
-        if impact is None:
-            idf, doc_len, avg_len = self.idf(term), self.doc_len, self.avg_len
-            impact = max(
-                bm25_term_score(tf, idf, doc_len[doc_id], avg_len)
-                for doc_id, tf in self.postings[term]
-            )
-            self._max_impact[term] = impact
-        return impact
+        return self._max_impact[term]
+
+    def _impact(self, term: str) -> float:
+        idf, doc_len, avg_len = self.idf(term), self.doc_len, self.avg_len
+        return max(bm25_term_score(tf, idf, doc_len[doc_id], avg_len)
+                   for doc_id, tf in self.postings[term])
 
 
 class _PackedPostings:
@@ -127,19 +123,16 @@ class _PackedPostings:
                  gaps: array, tfs: array):
         self.df, self.starts, self.gaps, self.tfs = df, starts, gaps, tfs
         self.docs = [None, *range(n_docs)]
-        self._built: dict[str, ItemsView[int, int]] = {}
+        self._built = Memo(self._build)
 
     def __getitem__(self, term: str) -> ItemsView[int, int]:
-        try:
-            return self._built[term]
-        except KeyError:
-            pass
+        return self._built[term]
+
+    def _build(self, term: str) -> ItemsView[int, int]:
         start = self.starts[term]
         end = start + self.df[term]
-        plist = self._built[term] = dict(zip(
-            map(self.docs.__getitem__, accumulate(self.gaps[start:end])),
-            self.tfs[start:end])).items()
-        return plist
+        return dict(zip(map(self.docs.__getitem__, accumulate(self.gaps[start:end])),
+                        self.tfs[start:end])).items()
 
     def __contains__(self, term) -> bool:
         return term in self.df
@@ -153,7 +146,7 @@ class _PackedPostings:
 
 def build_index(corpus: Corpus) -> InvertedIndex:
     """Count each term's postings into a dict, then pack them as a snapshot does."""
-    tokens = TokenTable()
+    tokens = Memo(_current_forms().__getitem__)  # the tokenizer table, in first-seen order
     docs_of: defaultdict[str, dict[int, int]] = defaultdict(dict)
     doc_len = []
     for doc_id, text in enumerate(corpus.texts):
@@ -276,30 +269,37 @@ def _score_constrained(
     postings, df = index.postings, index.df
     if df.keys().isdisjoint(side_a) or df.keys().isdisjoint(side_b):
         return {}  # no document holds a term of one side
-    # Each side's terms' key views: a document holds a term of the side
-    # when it is in one of them.
-    keys_a = [postings[term].mapping.keys() for term in side_a if term in df]
-    keys_b = [postings[term].mapping.keys() for term in side_b if term in df]
-    total_a, total_b = sum(map(len, keys_a)), sum(map(len, keys_b))
+    # Each indexed term's {doc id: tf} dict is read once per search: the
+    # sides' terms here, any other query term once survivors are found.
+    # A document holds a term of a side when it is a key of one of the
+    # side's dicts.
+    terms_a = {term: postings[term].mapping for term in side_a if term in df}
+    terms_b = terms_a if side_b is side_a else {
+        term: terms_a[term] if term in terms_a else postings[term].mapping
+        for term in side_b if term in df}
+    tfs_a, tfs_b = list(terms_a.values()), list(terms_b.values())
+    total_a, total_b = sum(map(len, tfs_a)), sum(map(len, tfs_b))
     if total_b < total_a:
-        side_a, side_b, keys_a, keys_b, total_a = side_b, side_a, keys_b, keys_a, total_b
+        side_a, side_b, tfs_a, tfs_b, total_a = side_b, side_a, tfs_b, tfs_a, total_b
 
-    def holding(keys, docs) -> set[int]:
-        """The docs in one of keys."""
-        return set().union(*(held & docs for held in keys))
+    def holding(side_tfs, docs) -> set[int]:
+        """The docs that are keys of one of side_tfs."""
+        return set().union(*(tfs.keys() & docs for tfs in side_tfs))
 
     survivors = None  # not built: the impact rounds start from every document
     if total_a <= POOL_POSTINGS_PER_HIT * top_n * len(terms):
-        pool = set().union(*keys_a)
+        pool = set().union(*tfs_a)
         if side_a <= side_b:
             survivors = pool  # a pool document holds a term of side_a, so of side_b
         else:
             # The cap above bounds the pool, so these lookups stay few.
-            survivors = {doc_id for doc_id in pool if any(doc_id in held for held in keys_b)}
+            survivors = {doc_id for doc_id in pool if any(doc_id in tfs for tfs in tfs_b)}
         if not survivors:
             return {}
-    weighted = [(term, index.idf(term), postings[term].mapping) for term in terms
-                if term in df]
+    tfs_of = terms_a if terms_b is terms_a else terms_a | terms_b
+    weighted = [(term, index.idf(term),
+                 tfs_of[term] if term in tfs_of else postings[term].mapping)
+                for term in terms if term in df]
     if not weighted:
         return {}  # no document holds a query term
     doc_len, avg_len = index.doc_len, index.avg_len
@@ -322,10 +322,12 @@ def _score_constrained(
         score(survivors)
         return scores
     # Query terms by descending max impact, with the summed impact of each
-    # term and those after it.
-    ranked = sorted(((index.max_impact(term), term) for term, _, _ in weighted), reverse=True)
-    impacts = [impact for impact, _ in ranked]
-    term_docs = [postings[term].mapping.keys() for _, term in ranked]
+    # term and those after it.  Terms are distinct, so no two entries
+    # compare their dicts.
+    ranked = sorted(((index.max_impact(term), term, tfs) for term, _, tfs in weighted),
+                    reverse=True)
+    impacts = [impact for impact, _, _ in ranked]
+    term_docs = [tfs.keys() for _, _, tfs in ranked]
     tail = [0.0] * (len(ranked) + 1)
     for i in range(len(ranked) - 1, -1, -1):
         tail[i] = impacts[i] + tail[i + 1]
@@ -358,7 +360,7 @@ def _score_constrained(
         reached -= seen
         seen |= reached
         if check:
-            reached = holding(keys_b, holding(keys_a, reached))
+            reached = holding(tfs_b, holding(tfs_a, reached))
         score(reached)
         if floor <= impacts[-1]:
             return scores  # every document holding a query term is reached
@@ -470,12 +472,12 @@ def _snapshot_body(index: InvertedIndex) -> Iterator[bytes]:
     yield from blocks
 
 
-def _text_blocks(texts: list[str]) -> list[bytes]:
+def _text_blocks(texts: Sequence[str]) -> list[bytes]:
     """The texts in blocks of TEXT_BLOCK sentences, each its own zlib stream,
     made a block at a time, so no second copy of the corpus text is held."""
-    blocks, primed = [], None
-    for start in range(0, len(texts), TEXT_BLOCK):
-        text = ("\n".join(texts[start : start + TEXT_BLOCK]) + "\n").encode("utf-8")
+    blocks, primed, read = [], None, iter(texts)
+    for _ in range(0, len(texts), TEXT_BLOCK):
+        text = ("\n".join(islice(read, TEXT_BLOCK)) + "\n").encode("utf-8")
         packer = zlib.compressobj(1) if primed is None else primed.copy()
         blocks.append(packer.compress(text) + packer.flush())
         if primed is None:  # copied for every later block, its dictionary set once
@@ -531,8 +533,10 @@ def load_snapshot(path: str | Path) -> InvertedIndex:
     per_term = map(gaps.__getitem__, map(slice, offsets, islice(offsets, 1, None)))
     if max(map(sum, per_term), default=0) > n_docs:
         raise SnapshotError(f"{path}: doc id out of range in the postings")
-    return InvertedIndex(Corpus(texts, source_digest), terms, offsets, gaps, tfs,
-                         doc_len.tolist(), None)
+    index = InvertedIndex(Corpus(texts, source_digest), terms, offsets, gaps, tfs,
+                          doc_len.tolist(), None)
+    texts.docs = index.postings.docs
+    return index
 
 
 def _refused(path, reason: str) -> SnapshotError:
@@ -543,47 +547,42 @@ def _refused(path, reason: str) -> SnapshotError:
 class _BlockTexts(Sequence):
     """A loaded corpus's sentence texts, kept in the snapshot's text blocks
     until read (see the format comment above).  A block is inflated,
-    checked and split when one of its sentences is first read, and its
-    texts are kept.  It must inflate to exactly its bytes, as UTF-8, and
-    hold exactly its sentences, or SnapshotError is raised.  ``==``
-    compares by identity, since a Sequence defines no other, so no answer
-    comes from the blocks read so far."""
+    checked and split into its texts when one of its sentences is first
+    read; it must inflate to exactly its bytes, as UTF-8, and hold exactly
+    its sentences, or SnapshotError is raised.  ``docs`` is its index's
+    list of doc-id ints (see _PackedPostings), set by load_snapshot, so the
+    text map holds the ints the postings hold.  ``==`` compares by
+    identity, since a Sequence defines no other, so no answer comes from
+    the blocks read so far."""
 
     def __init__(self, path, n_docs: int, size: int, ends: array, region: bytes):
         self.path, self.n_docs, self.size, self.ends, self.region = (
             path, n_docs, size, ends, region)
-        self._blocks: dict[int, list[str]] = {}
+        self.docs: list | None = None  # set by load_snapshot
+        self._blocks = Memo(self._inflate)
         self._zdict = b""  # the first block's text, once it is read
 
     def __len__(self) -> int:
         return self.n_docs
 
-    def __getitem__(self, sid):
-        try:  # a sentence of a block already read
-            return self._blocks[sid // self.size][sid % self.size]
-        except (KeyError, IndexError, TypeError):
-            pass
-        if isinstance(sid, slice):
-            return [self[i] for i in range(self.n_docs)[sid]]
-        block, at = divmod(range(self.n_docs)[sid], self.size)
-        return self._block(block)[at]
+    def __getitem__(self, sid: int) -> str:
+        if not 0 <= sid < self.n_docs:
+            sid = range(self.n_docs)[sid]  # a negative id, or IndexError
+        return self._blocks[sid // self.size][sid % self.size]
 
     def __iter__(self) -> Iterator[str]:
-        return chain.from_iterable(map(self._block, range(len(self.ends) - 1)))
+        return chain.from_iterable(map(self._blocks.__getitem__, range(len(self.ends) - 1)))
 
     def ids(self) -> dict[str, int]:
         """Each text's id, read from every block; the texts must be distinct."""
-        by_text = dict(zip(self, range(self.n_docs)))
+        by_text = dict(zip(self, islice(self.docs, 1, None)))
         if len(by_text) != self.n_docs:
             raise SnapshotError(f"{self.path}: duplicate sentences in snapshot")
         return by_text
 
-    def _block(self, block: int) -> list[str]:
-        texts = self._blocks.get(block)
-        if texts is not None:
-            return texts
+    def _inflate(self, block: int) -> list[str]:
         if block:
-            self._block(0)  # its text is the dictionary of every later block
+            self._blocks[0]  # its text is the dictionary of every later block
             unpacker = zlib.decompressobj(zdict=self._zdict)
         else:
             unpacker = zlib.decompressobj()
@@ -598,7 +597,6 @@ class _BlockTexts(Sequence):
                                 f"its {count} sentences")
         if not block:
             self._zdict = data[-_WINDOW:]
-        self._blocks[block] = texts
         return texts
 
 

@@ -951,9 +951,9 @@ class TestSnapshot:
         assert len(read) < 300 // 8
 
     def test_concurrent_first_reads_equal_build(self, tmp_path, monkeypatch):
-        # threads fill the same text blocks, terms and text map at once;
-        # each fill stores what any reader would compute, so every read
-        # agrees with the build
+        # threads fill the same text blocks, terms, max impacts and text map
+        # at once; each fill stores what any reader would compute, so every
+        # read agrees with the build
         corpus, _ = random_corpus(random.Random(41), 200)
         built = build_index(corpus)
         path = tmp_path / "index.hopidx"
@@ -970,6 +970,7 @@ class TestSnapshot:
                     assert loaded.corpus[sid] == corpus[sid]
                     term = rng.choice(terms)
                     assert list(loaded.postings[term]) == list(built.postings[term])
+                    assert loaded.max_impact(term) == built.max_impact(term)
                 assert loaded.corpus.id_of_text(corpus[seed]) == seed
             except Exception as exc:  # handed to the main thread
                 failures.append(exc)
@@ -986,6 +987,19 @@ class TestSnapshot:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
+
+    def test_a_text_maps_to_the_id_its_postings_hold(self, tmp_path):
+        # a loaded corpus's text map and its index's term dicts share one
+        # int per doc id; ids past 256 are not CPython's cached small ints
+        corpus, _ = random_corpus(random.Random(43), 300)
+        path = tmp_path / "index.hopidx"
+        write_snapshot(build_index(corpus), path)
+        loaded = load_snapshot(path)
+        for sid in (0, 257, len(corpus) - 1):
+            term = next(iter(hopkit.corpus.tokenize_normalize(corpus[sid])))
+            doc_id = loaded.corpus.id_of_text(corpus[sid])
+            held = next(key for key in loaded.postings[term].mapping if key == sid)
+            assert doc_id is held
 
     def test_postings_and_texts_answer_no_partial_mapping(self, tmp_path):
         # no mapping method answers from the terms or blocks read so far

@@ -1,7 +1,8 @@
 """Source-layout checks: no code or state in src/ exists only for the tests,
 every output file and JSON-lines text goes through the one writer and
-formatter, every index comes from the one build or load, and only the
-build, the write and the text map read a corpus's texts whole."""
+formatter, every index comes from the one build or load, only the build,
+the write and the text map read a corpus's texts whole, and every state
+filled on first use fills through the one memo."""
 
 import ast
 from pathlib import Path
@@ -182,3 +183,15 @@ def test_only_the_build_the_write_and_the_map_read_every_text():
              for node in _nodes_outside(path, {"build_index", "_snapshot_body"})
              if isinstance(node, ast.Attribute) and node.attr == "texts"]
     assert not reads, f"corpus texts read outside the build, the write and the map: {reads}"
+
+
+def test_every_fill_on_first_use_goes_through_the_one_memo():
+    """In src/, only corpus.Memo defines __missing__: every state filled on
+    first use is a Memo, whose docstring holds the rule that makes a
+    concurrent fill safe, so no class keeps its own get / compute / store."""
+    missing = [f"{path.stem}.{cls.name}"
+               for path in sorted(SRC.glob("*.py"))
+               for cls in ast.walk(_parse(path)) if isinstance(cls, ast.ClassDef)
+               for method in cls.body
+               if isinstance(method, ast.FunctionDef) and method.name == "__missing__"]
+    assert missing == ["corpus.Memo"], f"__missing__ defined outside corpus.Memo: {missing}"
