@@ -7,9 +7,9 @@ statistics never change, and its postings are the packed arrays a snapshot
 stores.  What is filled on first use is filled through a corpus.Memo,
 whose rule makes concurrent searches safe without a lock: a term's
 postings dict, built from those arrays when the term is first read; a
-term's max impact, which pruned searches read; and a loaded corpus's
-blocks of sentence texts, each inflated when one of its sentences is
-first read.
+term's max impact and bitset, filled together from that dict when a
+pruned search first walks the term; and a loaded corpus's blocks of
+sentence texts, each inflated when one of its sentences is first read.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ from bisect import bisect_right
 from collections import defaultdict
 from collections.abc import ItemsView, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate, chain, islice, repeat
-from operator import ge, methodcaller, mul, sub
+from operator import ge, methodcaller, mul, or_, sub
 from pathlib import Path
 
 from .corpus import _TOKEN_RE, Corpus, Memo, _count_tokens, _current_forms
@@ -44,10 +45,13 @@ NEGATION_TOKENS = frozenset({"not", "except", "cannot"})
 # A pruned search builds the survivor set from its rarer side when that
 # side holds at most this many postings per wanted hit per query term.
 # Building it costs a C-level set insertion per posting.  Skipping it,
-# the impact rounds reach documents through every query term's postings,
-# and many of those fail the rarer side.  Timed per search on the
-# benchmark's corpora, the two broke even near 16.
-POOL_POSTINGS_PER_HIT = 16
+# the impact rounds intersect the query terms' bitsets, each filled once
+# per index.  Timed per search on the benchmark's corpora with filled
+# bitsets, the two broke even near 4: on dense-10k, a search with 4 to
+# 16 postings per hit per query term took 2.6 times as long through the
+# survivor set.  chain-100k's and construct-fold's searches hold at most
+# 0.1 and 0.3, so every one of them builds it.
+POOL_POSTINGS_PER_HIT = 4
 
 
 @dataclass(frozen=True)
@@ -93,8 +97,9 @@ class InvertedIndex:
         # Derived state, not in the snapshot: one log per distinct term.
         self._idf = {term: math.log(1.0 + (self.n_docs - n + 0.5) / (n + 0.5))
                      for term, n in df.items()}
-        # Derived state filled on first use: a term's largest contribution.
-        self._max_impact = Memo(self._impact)
+        # Derived state filled on first use, by pruned searches: a term's
+        # largest contribution and its bitset, filled together.
+        self._impact_bits = Memo(self._impact_and_bitset)
 
     def idf(self, term: str) -> float:
         """BM25 idf of a term; 0.0 for a term no document holds."""
@@ -102,12 +107,38 @@ class InvertedIndex:
 
     def max_impact(self, term: str) -> float:
         """The largest bm25_term_score of an indexed term over its postings."""
-        return self._max_impact[term]
+        return self._impact_bits[term][0]
 
-    def _impact(self, term: str) -> float:
+    def bitset(self, term: str) -> int:
+        """The documents holding an indexed term, as an int with bit d set
+        for each document d."""
+        return self._impact_bits[term][1]
+
+    def _impact_and_bitset(self, term: str) -> tuple[float, int]:
         idf, doc_len, avg_len = self.idf(term), self.doc_len, self.avg_len
-        return max(bm25_term_score(tf, idf, doc_len[doc_id], avg_len)
-                   for doc_id, tf in self.postings[term])
+        tfs = self.postings[term].mapping
+        impact = max(bm25_term_score(tf, idf, doc_len[doc_id], avg_len)
+                     for doc_id, tf in tfs.items())
+        return impact, _bitset(tfs, self.n_docs)
+
+
+def _bitset(doc_ids: Iterable[int], n_docs: int) -> int:
+    """The int with bit d set for each d of doc_ids, all below n_docs."""
+    octets = bytearray(n_docs // 8 + 1)
+    for doc_id in doc_ids:
+        octets[doc_id >> 3] |= 1 << (doc_id & 7)
+    return int.from_bytes(octets, "little")
+
+
+def _doc_ids(bits: int) -> list[int]:
+    """The ids whose bits are set in a non-negative bitset, descending."""
+    digits = bin(bits)
+    top = len(digits) - 1  # bit 0's digit
+    ids, at = [], digits.find("1")
+    while at >= 0:
+        ids.append(top - at)
+        at = digits.find("1", at + 1)
+    return ids
 
 
 class _PackedPostings:
@@ -195,9 +226,11 @@ def search(
     at most POOL_POSTINGS_PER_HIT postings per wanted hit per query term,
     the survivors (the documents meeting both sides) are that side's
     documents found in the other side's postings.  Otherwise no survivor
-    set is built: the pruning rounds below reach documents through the
-    query terms' postings, and drop a reached document that fails a side
-    (none can when every query term is on both sides, as in a first hop).
+    set is built: the pruning rounds below reach documents by
+    intersecting the query terms' bitsets (see InvertedIndex.bitset),
+    starting from the documents holding a term of each side; past a
+    survivor set too large to score whole, they start from its bitset.
+    Each round decodes the documents it reached to ids for scoring.
     Scoring is term-at-a-time: for each query term in sorted order, its
     contribution is assigned to, or added to, each candidate holding it,
     the order in which the naive reference scan sums a document's terms,
@@ -282,11 +315,7 @@ def _score_constrained(
     if total_b < total_a:
         side_a, side_b, tfs_a, tfs_b, total_a = side_b, side_a, tfs_b, tfs_a, total_b
 
-    def holding(side_tfs, docs) -> set[int]:
-        """The docs that are keys of one of side_tfs."""
-        return set().union(*(tfs.keys() & docs for tfs in side_tfs))
-
-    survivors = None  # not built: the impact rounds start from every document
+    survivors = None  # not built: the impact rounds find the documents meeting both sides
     if total_a <= POOL_POSTINGS_PER_HIT * top_n * len(terms):
         pool = set().union(*tfs_a)
         if side_a <= side_b:
@@ -315,53 +344,52 @@ def _score_constrained(
                 total = scores.get(doc_id)
                 scores[doc_id] = contrib if total is None else total + contrib
 
-    # A pruning round makes at least one key-set intersection per query
-    # term: with at most top_n survivors per query term, scoring them all
-    # costs no more.
+    # A pruning round makes at least one bitset intersection per query
+    # term and decodes what it reached: with at most top_n survivors per
+    # query term, scoring them all costs no more.
     if survivors is not None and len(survivors) <= top_n * len(weighted):
         score(survivors)
         return scores
-    # Query terms by descending max impact, with the summed impact of each
-    # term and those after it.  Terms are distinct, so no two entries
-    # compare their dicts.
-    ranked = sorted(((index.max_impact(term), term, tfs) for term, _, tfs in weighted),
-                    reverse=True)
-    impacts = [impact for impact, _, _ in ranked]
-    term_docs = [tfs.keys() for _, _, tfs in ranked]
+    # Query terms by descending max impact, with their bitsets and the
+    # summed impact of each term and those after it.
+    ranked = sorted(((index.max_impact(term), term) for term, _, _ in weighted), reverse=True)
+    impacts = [impact for impact, _ in ranked]
+    term_bits = [index.bitset(term) for _, term in ranked]
     tail = [0.0] * (len(ranked) + 1)
     for i in range(len(ranked) - 1, -1, -1):
         tail[i] = impacts[i] + tail[i + 1]
-    # A document reached from every document holds a query term; unless
-    # every query term is on both sides (first hops), it must be checked.
-    check = survivors is None and not (side_a.issuperset(terms) and side_b.issuperset(terms))
-    seen: set[int] = set()
+    # The rounds reach only documents meeting both sides: the survivors,
+    # or the documents holding a term of each side.
+    if survivors is not None:
+        start = _bitset(survivors, index.n_docs)
+    else:
+        start = reduce(or_, map(index.bitset, terms_a)) & reduce(or_, map(index.bitset, terms_b))
+    seen = 0
 
     floor = tail[0]
     while True:
         # Documents whose held terms' impacts sum to at least floor: each
-        # entry is (docs holding the terms taken so far, or None for every
-        # document before the first is taken; the next term to take or
-        # skip; the taken terms' summed impact).  That sum is below floor,
-        # so an entry past the last term stops at tail[-1] == 0.0.
-        reached: set[int] = set()
-        stack = [(survivors, 0, 0.0)]
+        # entry is (the bitset of the start's documents holding the terms
+        # taken so far; the next term to take or skip; the taken terms'
+        # summed impact).  That sum is below floor, so an entry past the
+        # last term stops at tail[-1] == 0.0.
+        reached = 0
+        stack = [(start, 0, 0.0)]
         while stack:
             docs, i, bound = stack.pop()
             if bound + tail[i] < floor:
                 continue
             stack.append((docs, i + 1, bound))
-            held = term_docs[i] if docs is None else term_docs[i] & docs
+            held = term_bits[i] & docs
             if not held:
                 continue
             if bound + impacts[i] >= floor:
-                reached.update(held)
+                reached |= held
             else:
                 stack.append((held, i + 1, bound + impacts[i]))
-        reached -= seen
+        reached &= ~seen
         seen |= reached
-        if check:
-            reached = holding(tfs_b, holding(tfs_a, reached))
-        score(reached)
+        score(_doc_ids(reached))
         if floor <= impacts[-1]:
             return scores  # every document holding a query term is reached
         if keep is None:

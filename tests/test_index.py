@@ -384,7 +384,7 @@ class TestSearch:
         assert calls == 1
 
     @given(
-        corpus=small_corpora(min_sentences=10),
+        corpus=small_corpora(max_sentences=100, min_sentences=10),
         query=st.lists(query_words, min_size=1, max_size=6),
         sides=st.tuples(st.frozensets(query_words, min_size=1, max_size=4),
                         st.frozensets(query_words, min_size=1, max_size=4)),
@@ -398,10 +398,14 @@ class TestSearch:
                                                      negate, data):
         # top_n is drawn on the side of the pool cut-off that walk names:
         # up to cut * top_n * len(terms) postings on the rarer side builds
-        # the survivor set, and more walks the impact rounds from every
-        # document, which needs the max impacts.  The cut-off only chooses
-        # the candidate source, so the hits must not depend on it; the
-        # cut of 1 puts the walk within reach of these small corpora.
+        # the survivor set, and more walks the impact rounds from the
+        # documents meeting both sides, which needs the max impacts and
+        # bitsets.  The cut-off only chooses the candidate source, so the
+        # hits must not depend on it; the cut of 1 puts the walk within
+        # reach of these small corpora, whose up to 100 sentences make
+        # bitsets of several 30-bit int digits.  The least top_n that
+        # builds the survivor set is drawn often: it is the likeliest to
+        # walk from the survivors.
         index = build_index(corpus)
         terms = set(query)
         rarer = min(sum(len(index.postings[t]) for t in side if t in index.postings)
@@ -413,7 +417,7 @@ class TestSearch:
         else:
             least = max(1, -(-rarer // per_hit))
             assume(least <= 40)
-            top_n = data.draw(st.integers(least, 40))
+            top_n = data.draw(st.just(least) | st.integers(least, 40))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(hopkit.index, "POOL_POSTINGS_PER_HIT", cut)
             got = search(index, query, top_n, must_contain_any=sides,
@@ -421,9 +425,68 @@ class TestSearch:
         want = [(sid, score) for sid, score in naive_search(corpus, query, None, sides)
                 if not (negate and corpus[sid].endswith(" not."))]
         assert [(h.sentence_id, h.score) for h in got] == want[:top_n]
-        if walk and not negate and not terms.isdisjoint(index.postings):
-            event("walk")
-            assert index._max_impact
+        # A walk, from every document or from a survivor set too large to
+        # score whole, fills the bitsets and max impacts of its query and
+        # side terms only; a scored survivor set fills none.
+        holding = [set().union(*(index.postings[t].mapping for t in side if t in index.postings))
+                   for side in sides]
+        survivors = holding[0] & holding[1]
+        weighted = len(terms & index.postings.df.keys())
+        if not weighted:
+            source = "none"
+        elif walk:
+            source = "walk"
+        elif not survivors:
+            source = "none"
+        elif len(survivors) > top_n * weighted:
+            source = "pool-then-walk"
+        else:
+            source = "pool"
+        event(source)
+        assert set(index._impact_bits) <= terms | sides[0] | sides[1]
+        assert bool(index._impact_bits) == (source in ("walk", "pool-then-walk"))
+
+    def test_walk_with_side_check_reaches_every_bitset_digit(self):
+        # The only sentences meeting both sides are ids 29, 30, 63, 64 and
+        # the last, which straddle the 30-bit digits of a CPython int and
+        # end the bitset; shorter sentences that fail a side outscore them,
+        # so the side check must drop those.  Each side holds more than
+        # POOL_POSTINGS_PER_HIT postings per hit per query term, so the
+        # search walks from the bitset of the documents meeting both sides.
+        n_docs = 800
+        both = {29, 30, 63, 64, n_docs - 1}
+        corpus = Corpus.from_texts(
+            f"wind heat air rock sand tree s{i}." if i in both else
+            f"{['wind rain', 'heat air'][i % 2]} s{i}." for i in range(n_docs))
+        index = build_index(corpus)
+        terms = ["air", "heat", "rain", "wind"]
+        sides = (frozenset({"wind"}), frozenset({"air", "heat"}))
+        assert naive_search(corpus, terms, 1)[0][0] not in both
+        rarer = min(sum(len(index.postings[term]) for term in side) for side in sides)
+        assert rarer > POOL_POSTINGS_PER_HIT * 6 * len(terms)
+        for top_n in (1, 2, 5, 6):
+            hits = search(index, Counter(terms), top_n, must_contain_any=sides)
+            want = naive_search(corpus, terms, top_n, must_contain_any=sides)
+            assert [(h.sentence_id, h.score) for h in hits] == want
+        assert {h.sentence_id for h in hits} == both
+        assert set(index._impact_bits) == set(terms)
+
+    def test_pool_then_walk_equals_naive_scan(self):
+        # "air" is in as many sentences as the cut-off admits for a top-1
+        # search over two terms, each also holding "heat": the survivor set
+        # is built from that side, but it holds more than top_n survivors
+        # per query term, so the walk starts from their bitset
+        terms, sides = ["air", "heat"], (frozenset({"air"}), frozenset({"heat"}))
+        n_air = POOL_POSTINGS_PER_HIT * len(terms)
+        corpus = Corpus.from_texts(
+            f"heat {'air ' * (1 + i % 3)}{'sand ' * i}cloud." if i % 7 == 0 else
+            f"heat wind s{i}." for i in range(7 * n_air))
+        index = build_index(corpus)
+        assert len(index.postings["air"]) == n_air > len(terms)
+        hits = search(index, Counter(terms), 1, must_contain_any=sides)
+        assert [(h.sentence_id, h.score) for h in hits] == naive_search(
+            corpus, terms, 1, must_contain_any=sides)
+        assert set(index._impact_bits) == set(terms)
 
     def test_rare_side_search_scores_only_its_pool(self, monkeypatch):
         # "air" is in one sentence and "wind" in all 41: the survivor set
@@ -449,7 +512,7 @@ class TestSearch:
             assert [len(index.postings[term]) for term in terms] == [1, 1, 40 + n_hits]
             calls = 0
             hits = search(index, terms, 1, must_contain_any=sides)
-            assert index._max_impact == {}
+            assert index._impact_bits == {}  # no max impact and no bitset
             assert calls <= len(terms)
             want = naive_search(corpus, terms, 1, must_contain_any=sides)
             assert len(want) == n_hits
@@ -971,6 +1034,7 @@ class TestSnapshot:
                     term = rng.choice(terms)
                     assert list(loaded.postings[term]) == list(built.postings[term])
                     assert loaded.max_impact(term) == built.max_impact(term)
+                    assert loaded.bitset(term) == built.bitset(term)
                 assert loaded.corpus.id_of_text(corpus[seed]) == seed
             except Exception as exc:  # handed to the main thread
                 failures.append(exc)
