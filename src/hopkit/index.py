@@ -42,15 +42,15 @@ B = 0.75
 # words can optionally be dropped (off by default).
 NEGATION_TOKENS = frozenset({"not", "except", "cannot"})
 
-# A pruned search builds the survivor set from its rarer side when that
-# side holds at most this many postings per wanted hit per query term.
-# Building it costs a C-level set insertion per posting.  Skipping it,
-# the impact rounds intersect the query terms' bitsets, each filled once
-# per index.  Timed per search on the benchmark's corpora with filled
-# bitsets, the two broke even near 4: on dense-10k, a search with 4 to
-# 16 postings per hit per query term took 2.6 times as long through the
-# survivor set.  chain-100k's and construct-fold's searches hold at most
-# 0.1 and 0.3, so every one of them builds it.
+# A search builds the survivor set from its rarer side, and scores it
+# whole, when that side holds at most this many postings per wanted hit
+# per query term.  Building it costs a C-level set insertion per posting.
+# Skipping it, the impact rounds intersect the query terms' bitsets, each
+# filled once per index.  Timed per search on the benchmark's corpora
+# with filled bitsets, the two broke even near 4: on dense-10k, a search
+# with 4 to 16 postings per hit per query term took 2.6 times as long
+# through the survivor set.  chain-100k's and construct-fold's searches
+# hold at most 0.1 and 0.3, so every one of them builds it.
 POOL_POSTINGS_PER_HIT = 4
 
 
@@ -119,15 +119,10 @@ class InvertedIndex:
         tfs = self.postings[term].mapping
         impact = max(bm25_term_score(tf, idf, doc_len[doc_id], avg_len)
                      for doc_id, tf in tfs.items())
-        return impact, _bitset(tfs, self.n_docs)
-
-
-def _bitset(doc_ids: Iterable[int], n_docs: int) -> int:
-    """The int with bit d set for each d of doc_ids, all below n_docs."""
-    octets = bytearray(n_docs // 8 + 1)
-    for doc_id in doc_ids:
-        octets[doc_id >> 3] |= 1 << (doc_id & 7)
-    return int.from_bytes(octets, "little")
+        octets = bytearray(self.n_docs // 8 + 1)
+        for doc_id in tfs:
+            octets[doc_id >> 3] |= 1 << (doc_id & 7)
+        return impact, int.from_bytes(octets, "little")
 
 
 def _doc_ids(bits: int) -> list[int]:
@@ -146,9 +141,9 @@ class _PackedPostings:
     arrays a snapshot stores until the term is first read; then its dict
     is built and kept.  The gaps' running sums, in the stored (ascending)
     order, are each id + 1, and ``docs[id + 1]`` is the one int every
-    term's dict holds for doc id ``id``.  ``in``, ``len`` and iteration
-    answer from ``df`` and build nothing.  It is no dict, so no other
-    mapping method can answer from the terms built so far."""
+    term's dict holds for doc id ``id``.  ``in`` answers from ``df`` and
+    builds nothing.  It is no dict, so no other mapping method can answer
+    from the terms built so far."""
 
     def __init__(self, df: dict[str, int], starts: dict[str, int], n_docs: int,
                  gaps: array, tfs: array):
@@ -167,12 +162,6 @@ class _PackedPostings:
 
     def __contains__(self, term) -> bool:
         return term in self.df
-
-    def __len__(self) -> int:
-        return len(self.df)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.df)
 
 
 def build_index(corpus: Corpus) -> InvertedIndex:
@@ -225,30 +214,30 @@ def search(
     Candidates come from one of two sources.  When the rarer side holds
     at most POOL_POSTINGS_PER_HIT postings per wanted hit per query term,
     the survivors (the documents meeting both sides) are that side's
-    documents found in the other side's postings.  Otherwise no survivor
-    set is built: the pruning rounds below reach documents by
-    intersecting the query terms' bitsets (see InvertedIndex.bitset),
-    starting from the documents holding a term of each side; past a
-    survivor set too large to score whole, they start from its bitset.
-    Each round decodes the documents it reached to ids for scoring.
-    Scoring is term-at-a-time: for each query term in sorted order, its
-    contribution is assigned to, or added to, each candidate holding it,
-    the order in which the naive reference scan sums a document's terms,
-    so reruns and that scan agree bit for bit.
+    documents found in the other side's postings, and every survivor is
+    scored.  Otherwise the search walks: no survivor set is built, and
+    the pruning rounds below reach documents by intersecting the query
+    terms' bitsets (see InvertedIndex.bitset), starting from the
+    documents holding a term of each side.  Each round decodes the
+    documents it reached to ids for scoring.  Scoring is term-at-a-time:
+    for each query term in sorted order, its contribution is assigned
+    to, or added to, each candidate holding it, the order in which the
+    naive reference scan sums a document's terms, so reruns and that
+    scan agree bit for bit.
 
-    Unless at most top_n survivors per query term were found, a search
-    scores only the candidates whose bound, the sum of the max impacts of
-    the query terms they hold, reaches a floor that falls until the
-    top_n-th best score theta found so far satisfies theta * (1 - 1e-9)
-    >= floor, or until the floor is at or below the smallest max impact,
-    when every candidate holding a query term has been reached.  This is
-    exact.  Every contribution is at most its term's max impact, and float
-    addition is monotone, so a score is at most its bound up to the
-    rounding of summing the same terms in another order: a relative error
-    far below 1e-9 for any real query.  An unscored candidate therefore
-    scores strictly below theta, and can neither enter the top_n nor tie
-    with a hit at theta; a candidate that does tie at theta has a bound
-    above the floor and is scored, so ties still break by id.
+    A walked search scores only the candidates whose bound, the sum of
+    the max impacts of the query terms they hold, reaches a floor that
+    falls until the top_n-th best score theta found so far satisfies
+    theta * (1 - 1e-9) >= floor, or until the floor is at or below the
+    smallest max impact, when every candidate holding a query term has
+    been reached.  This is exact.  Every contribution is at most its
+    term's max impact, and float addition is monotone, so a score is at
+    most its bound up to the rounding of summing the same terms in
+    another order: a relative error far below 1e-9 for any real query.
+    An unscored candidate therefore scores strictly below theta, and can
+    neither enter the top_n nor tie with a hit at theta; a candidate that
+    does tie at theta has a bound above the floor and is scored, so ties
+    still break by id.
 
     A negation_filter drops hits whose surface words include one of its
     words.  The rounds then take theta over the hits the filter keeps, so
@@ -300,37 +289,30 @@ def _score_constrained(
     """Scores of at least the documents meeting both sides that can rank
     in the top_n of those keep admits (see search)."""
     postings, df = index.postings, index.df
-    if df.keys().isdisjoint(side_a) or df.keys().isdisjoint(side_b):
-        return {}  # no document holds a term of one side
-    # Each indexed term's {doc id: tf} dict is read once per search: the
-    # sides' terms here, any other query term once survivors are found.
+    if any(map(df.keys().isdisjoint, (terms, side_a, side_b))):
+        return {}  # no document holds a query term, or a term of one side
     # A document holds a term of a side when it is a key of one of the
-    # side's dicts.
-    terms_a = {term: postings[term].mapping for term in side_a if term in df}
-    terms_b = terms_a if side_b is side_a else {
-        term: terms_a[term] if term in terms_a else postings[term].mapping
-        for term in side_b if term in df}
-    tfs_a, tfs_b = list(terms_a.values()), list(terms_b.values())
+    # side's {doc id: tf} dicts.
+    tfs_a = [postings[term].mapping for term in side_a if term in df]
+    tfs_b = tfs_a if side_b is side_a else [postings[term].mapping
+                                            for term in side_b if term in df]
     total_a, total_b = sum(map(len, tfs_a)), sum(map(len, tfs_b))
     if total_b < total_a:
-        side_a, side_b, tfs_a, tfs_b, total_a = side_b, side_a, tfs_b, tfs_a, total_b
-
-    survivors = None  # not built: the impact rounds find the documents meeting both sides
+        tfs_a, tfs_b, total_a = tfs_b, tfs_a, total_b
     if total_a <= POOL_POSTINGS_PER_HIT * top_n * len(terms):
-        pool = set().union(*tfs_a)
-        if side_a <= side_b:
-            survivors = pool  # a pool document holds a term of side_a, so of side_b
-        else:
-            # The cap above bounds the pool, so these lookups stay few.
-            survivors = {doc_id for doc_id in pool if any(doc_id in tfs for tfs in tfs_b)}
+        # The rarer side's documents holding a term of the other side.  The
+        # cut above bounds the pool, so these lookups stay few.
+        survivors = {doc_id for doc_id in set().union(*tfs_a)
+                     if any(doc_id in tfs for tfs in tfs_b)}
         if not survivors:
             return {}
-    tfs_of = terms_a if terms_b is terms_a else terms_a | terms_b
-    weighted = [(term, index.idf(term),
-                 tfs_of[term] if term in tfs_of else postings[term].mapping)
-                for term in terms if term in df]
-    if not weighted:
-        return {}  # no document holds a query term
+    else:
+        survivors = None  # the rounds below reach the documents meeting both sides
+        start = (reduce(or_, (index.bitset(term) for term in side_a if term in df))
+                 & reduce(or_, (index.bitset(term) for term in side_b if term in df)))
+        if not start:
+            return {}
+    weighted = [(term, index.idf(term), postings[term].mapping) for term in terms if term in df]
     doc_len, avg_len = index.doc_len, index.avg_len
     scores: dict[int, float] = {}
 
@@ -344,10 +326,7 @@ def _score_constrained(
                 total = scores.get(doc_id)
                 scores[doc_id] = contrib if total is None else total + contrib
 
-    # A pruning round makes at least one bitset intersection per query
-    # term and decodes what it reached: with at most top_n survivors per
-    # query term, scoring them all costs no more.
-    if survivors is not None and len(survivors) <= top_n * len(weighted):
+    if survivors is not None:
         score(survivors)
         return scores
     # Query terms by descending max impact, with their bitsets and the
@@ -358,12 +337,6 @@ def _score_constrained(
     tail = [0.0] * (len(ranked) + 1)
     for i in range(len(ranked) - 1, -1, -1):
         tail[i] = impacts[i] + tail[i + 1]
-    # The rounds reach only documents meeting both sides: the survivors,
-    # or the documents holding a term of each side.
-    if survivors is not None:
-        start = _bitset(survivors, index.n_docs)
-    else:
-        start = reduce(or_, map(index.bitset, terms_a)) & reduce(or_, map(index.bitset, terms_b))
     seen = 0
 
     floor = tail[0]

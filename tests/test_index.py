@@ -405,7 +405,7 @@ class TestSearch:
         # reach of these small corpora, whose up to 100 sentences make
         # bitsets of several 30-bit int digits.  The least top_n that
         # builds the survivor set is drawn often: it is the likeliest to
-        # walk from the survivors.
+        # score more than top_n survivors per query term.
         index = build_index(corpus)
         terms = set(query)
         rarer = min(sum(len(index.postings[t]) for t in side if t in index.postings)
@@ -425,9 +425,8 @@ class TestSearch:
         want = [(sid, score) for sid, score in naive_search(corpus, query, None, sides)
                 if not (negate and corpus[sid].endswith(" not."))]
         assert [(h.sentence_id, h.score) for h in got] == want[:top_n]
-        # A walk, from every document or from a survivor set too large to
-        # score whole, fills the bitsets and max impacts of its query and
-        # side terms only; a scored survivor set fills none.
+        # A walk fills the bitsets and max impacts of its query and side
+        # terms only; a survivor set, scored whole, fills none.
         holding = [set().union(*(index.postings[t].mapping for t in side if t in index.postings))
                    for side in sides]
         survivors = holding[0] & holding[1]
@@ -438,13 +437,11 @@ class TestSearch:
             source = "walk"
         elif not survivors:
             source = "none"
-        elif len(survivors) > top_n * weighted:
-            source = "pool-then-walk"
         else:
             source = "pool"
         event(source)
         assert set(index._impact_bits) <= terms | sides[0] | sides[1]
-        assert bool(index._impact_bits) == (source in ("walk", "pool-then-walk"))
+        assert bool(index._impact_bits) == (source == "walk")
 
     def test_walk_with_side_check_reaches_every_bitset_digit(self):
         # The only sentences meeting both sides are ids 29, 30, 63, 64 and
@@ -471,11 +468,34 @@ class TestSearch:
         assert {h.sentence_id for h in hits} == both
         assert set(index._impact_bits) == set(terms)
 
-    def test_pool_then_walk_equals_naive_scan(self):
+    def test_walk_with_an_empty_start_returns_at_once(self, monkeypatch):
+        # no sentence holds both "wind" and "heat", and each side holds
+        # more postings than the cut of 1 admits for a top-1 search over
+        # two terms: the search walks, finds its start empty and returns
+        # before it ranks the query terms, so it decodes nothing and fills
+        # the max impact and bitset of no query term that is on no side
+        corpus = Corpus.from_texts(["wind.", "wind not.", "heat.", "heat not.",
+                                    "rain wind.", "rain heat."])
+        index = build_index(corpus)
+        decoded = []
+        real = hopkit.index._doc_ids
+
+        def recording(bits):
+            decoded.append(bits)
+            return real(bits)
+
+        monkeypatch.setattr(hopkit.index, "_doc_ids", recording)
+        monkeypatch.setattr(hopkit.index, "POOL_POSTINGS_PER_HIT", 1)
+        sides = (frozenset({"wind"}), frozenset({"heat"}))
+        assert search(index, ["wind", "rain"], 1, must_contain_any=sides) == []
+        assert decoded == []
+        assert set(index._impact_bits) == {"heat", "wind"}
+
+    def test_survivor_set_larger_than_top_n_per_query_term_is_scored_whole(self):
         # "air" is in as many sentences as the cut-off admits for a top-1
         # search over two terms, each also holding "heat": the survivor set
-        # is built from that side, but it holds more than top_n survivors
-        # per query term, so the walk starts from their bitset
+        # is built from that side and holds more than top_n survivors per
+        # query term, and it is scored whole, with no walk
         terms, sides = ["air", "heat"], (frozenset({"air"}), frozenset({"heat"}))
         n_air = POOL_POSTINGS_PER_HIT * len(terms)
         corpus = Corpus.from_texts(
@@ -486,7 +506,7 @@ class TestSearch:
         hits = search(index, Counter(terms), 1, must_contain_any=sides)
         assert [(h.sentence_id, h.score) for h in hits] == naive_search(
             corpus, terms, 1, must_contain_any=sides)
-        assert set(index._impact_bits) == set(terms)
+        assert index._impact_bits == {}  # no max impact and no bitset
 
     def test_rare_side_search_scores_only_its_pool(self, monkeypatch):
         # "air" is in one sentence and "wind" in all 41: the survivor set
@@ -921,7 +941,7 @@ class TestSnapshot:
         path = tmp_path_factory.mktemp("snapshot") / "index.hopidx"
         write_snapshot(built, path)
         loaded = load_snapshot(path)
-        terms = sorted(built.postings)
+        terms = sorted(built.df)
         words = st.sampled_from([*terms, "absent"])
         for _ in range(data.draw(st.integers(0, 4))):
             query = data.draw(st.lists(words, min_size=1, max_size=6))
@@ -957,7 +977,7 @@ class TestSnapshot:
             assert len(queries) > 1
             assert queries[0] & set(index.df) <= read  # the first hop reads its query
             assert read <= set().union(*queries)
-            assert len(read) < len(index.postings)
+            assert len(read) < len(index.df)
 
     @example(seed=0, n_sentences=0, size=3)
     @example(seed=0, n_sentences=14, size=7)
@@ -1104,7 +1124,7 @@ class TestSnapshot:
         path = tmp_path / "index.hopidx"
         write_snapshot(build_index(toy_corpus()), path)
         parts = SnapshotParts(path.read_bytes())
-        terms = sorted(build_index(toy_corpus()).postings)
+        terms = sorted(build_index(toy_corpus()).df)
         wind = parts.offsets[terms.index("wind")]
         deflated = ends = None
         if kind == "doc id out of range":
