@@ -71,16 +71,18 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _resolve_snapshot(path: str) -> Path:
+def _load_snapshot(path: str, source: str) -> InvertedIndex:
+    """The snapshot path names, or the index.hopidx in a directory it names.
+    An empty path is refused: Path("") is the working directory."""
+    if not path:
+        raise HopkitError(f"{source} names no snapshot path")
     p = Path(path)
-    if p.is_dir():
-        return p / SNAPSHOT_NAME
-    return p
+    return load_snapshot(p / SNAPSHOT_NAME if p.is_dir() else p)
 
 
 def _load_index(args) -> InvertedIndex:
     if getattr(args, "index", None):
-        return load_snapshot(_resolve_snapshot(args.index))
+        return _load_snapshot(args.index, "--index")
     if getattr(args, "corpus", None):
         return build_index(load_corpus(args.corpus))
     raise HopkitError("need --index SNAPSHOT or --corpus FILE")
@@ -93,7 +95,7 @@ def _make_scorer(spec: str, args):
     if spec == "ir" and takes_index:
         return IRScorer(_load_index(args))
     if spec.startswith("ir:"):
-        return IRScorer(load_snapshot(_resolve_snapshot(spec[3:])), name=spec)
+        return IRScorer(_load_snapshot(spec[3:], f"scorer spec {spec!r}"), name=spec)
     if spec.startswith("file:"):
         return FileScorer(spec[5:])
     specs = "ir, ir:SNAPSHOT, or file:PATH" if takes_index else "ir:SNAPSHOT or file:PATH"
@@ -122,7 +124,7 @@ def cmd_index_build(args) -> int:
 
 
 def cmd_index_stats(args) -> int:
-    index = load_snapshot(_resolve_snapshot(args.index))
+    index = _load_snapshot(args.index, "--index")
     lengths = sorted(index.df.values())
     stats = {
         "format": MAGIC.rstrip(b"\0").decode("ascii"),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .corpus import stem_set
 from .errors import HopkitError, InsufficientCandidatesError
@@ -173,12 +173,4 @@ def assemble_8way(
     random.Random(str(shuffle_seed)).shuffle(texts)
     choices = [Choice(chr(ord("A") + i), text) for i, text in enumerate(texts)]
     answer_key = next(c.label for c in choices if c.text == answer_text)
-    return MCQuestion(
-        id=question.id,
-        stem=question.stem,
-        choices=choices,
-        answer_key=answer_key,
-        fact1=question.fact1,
-        fact2=question.fact2,
-        combined_fact=question.combined_fact,
-    )
+    return replace(question, choices=choices, answer_key=answer_key)

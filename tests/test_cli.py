@@ -602,6 +602,24 @@ class TestMalformedInputs:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "SnapshotError"
 
+    def test_an_empty_snapshot_path_is_refused(self, snapshot_dir, fig1_dataset, tmp_path,
+                                               monkeypatch, capsys):
+        # Path("") is the working directory, so an empty path would read
+        # the snapshot there
+        pools = tmp_path / "pools.jsonl"
+        pools.write_text(json.dumps({"id": "q001", "candidates": []}) + "\n", "utf-8")
+        monkeypatch.chdir(snapshot_dir)
+        for argv, named in (
+            (["index", "stats", "--index", ""], "--index"),
+            (["eval", "accuracy", "--dataset", fig1_dataset, "--scorer", "ir:"], "'ir:'"),
+            (["distract", "rank", "--dataset", fig1_dataset, "--pools", pools,
+              "--scorer", "ir:"], "'ir:'"),
+        ):
+            capsys.readouterr()
+            payload = assert_domain_error(main([str(arg) for arg in argv]),
+                                          capsys.readouterr().err)
+            assert named in payload["message"] and "no snapshot path" in payload["message"]
+
     @pytest.mark.parametrize(
         "row",
         [

@@ -1072,6 +1072,18 @@ class TestSnapshot:
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
 
+    def test_loaded_texts_take_negative_ids_and_refuse_out_of_range_ones(self, tmp_path):
+        # an id out of range is the caller's IndexError, not a bad snapshot
+        corpus, _ = random_corpus(random.Random(47), 20)
+        path = tmp_path / "index.hopidx"
+        write_snapshot(build_index(corpus), path)
+        loaded = load_snapshot(path).corpus
+        n_docs = len(corpus)
+        assert loaded[-1] == corpus[n_docs - 1]
+        for sid in (n_docs, -n_docs - 1):
+            with pytest.raises(IndexError):
+                loaded[sid]
+
     def test_a_text_maps_to_the_id_its_postings_hold(self, tmp_path):
         # a loaded corpus's text map and its index's term dicts share one
         # int per doc id; ids past 256 are not CPython's cached small ints

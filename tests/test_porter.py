@@ -4,12 +4,16 @@ and stability of normalized keys over the frozen lexicon."""
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopkit.corpus import tokenize_normalize
 from hopkit.porter import (
     _apply_rules,
+    _ends_cvc,
+    _ends_double_cons,
+    _has_vowel,
+    _measure,
     _STEP2_RULES,
     _STEP3_RULES,
     _STEP4_SUFFIXES,
@@ -164,12 +168,13 @@ def test_memoised_tokenize_matches_reference(stem_calls):
 
 
 # Words from the letters of the step 2-4 suffixes, often ending in one of
-# those suffixes, so each step's skip check meets both of its answers.
+# those suffixes, so each step's skip check meets both of its answers.  Runs
+# of y, a digit and a non-ASCII letter reach every branch of the c/v form.
 _SUFFIXES = sorted({suffix for suffix, _ in _STEP2_RULES + _STEP3_RULES} | set(_STEP4_SUFFIXES))
-_SUFFIX_LETTERS = "".join(sorted(set("".join(_SUFFIXES)) | set("ysw")))
+_SUFFIX_LETTERS = sorted(set("".join(_SUFFIXES)) | set("ysw0ß"))
 suffix_words = st.builds(
-    lambda stem_part, suffix: stem_part + suffix,
-    st.text(_SUFFIX_LETTERS, max_size=10),
+    lambda stem_part, suffix: "".join(stem_part) + suffix,
+    st.lists(st.sampled_from([*_SUFFIX_LETTERS, "yy", "yyy"]), max_size=10),
     st.sampled_from(["", *_SUFFIXES]),
 )
 
@@ -178,3 +183,20 @@ suffix_words = st.builds(
 @settings(max_examples=2000, deadline=None)
 def test_stem_equals_the_reference_that_runs_every_rule_loop(word):
     assert stem(word) == porter_reference.stem(word)
+
+
+# Short strings over the vowels, y, a few consonants, a digit and a
+# non-ASCII letter, so leading y and runs such as yy and ayy are common.
+@given(st.text("aeiouybcdlstwx0ß", max_size=8))
+@example("y")
+@example("yy")
+@example("ayy")
+@example("yyyl")
+@example("tyyt")
+@settings(max_examples=2000, deadline=None)
+def test_conditions_equal_the_reference(word):
+    for mine, reference in ((_measure, porter_reference._measure),
+                            (_has_vowel, porter_reference._has_vowel),
+                            (_ends_double_cons, porter_reference._ends_double_cons),
+                            (_ends_cvc, porter_reference._ends_cvc)):
+        assert mine(word) == reference(word)
