@@ -59,6 +59,10 @@ SNAPSHOT_NAME = "index.hopidx"
 # Path flags fall back to these when omitted (paths only, per the contract).
 ENV_PATHS = {"index": "HOPKIT_INDEX", "corpus": "HOPKIT_CORPUS", "dataset": "HOPKIT_DATASET"}
 
+# Every option that names a path refuses "", which Path reads as ".".
+PATH_OPTIONS = ("index", "corpus", "dataset", "out", "audit", "pools", "ranked", "facts",
+                "emit_requests", "dump_problem")
+
 
 def _round9(value: float) -> float:
     return round(value, 9)
@@ -71,18 +75,15 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_snapshot(path: str, source: str) -> InvertedIndex:
-    """The snapshot path names, or the index.hopidx in a directory it names.
-    An empty path is refused: Path("") is the working directory."""
-    if not path:
-        raise HopkitError(f"{source} names no snapshot path")
+def _load_snapshot(path: str) -> InvertedIndex:
+    """The snapshot path names, or the index.hopidx in a directory it names."""
     p = Path(path)
     return load_snapshot(p / SNAPSHOT_NAME if p.is_dir() else p)
 
 
 def _load_index(args) -> InvertedIndex:
     if getattr(args, "index", None):
-        return _load_snapshot(args.index, "--index")
+        return _load_snapshot(args.index)
     if getattr(args, "corpus", None):
         return build_index(load_corpus(args.corpus))
     raise HopkitError("need --index SNAPSHOT or --corpus FILE")
@@ -92,10 +93,12 @@ def _make_scorer(spec: str, args):
     """The scorer a --scorer spec names; a bare "ir" reads the command's own
     --index or --corpus, so it is a spec only where the command takes them."""
     takes_index = hasattr(args, "index")
+    if spec in ("ir:", "file:"):
+        raise HopkitError(f"scorer spec {spec!r} names no path")
     if spec == "ir" and takes_index:
         return IRScorer(_load_index(args))
     if spec.startswith("ir:"):
-        return IRScorer(_load_snapshot(spec[3:], f"scorer spec {spec!r}"), name=spec)
+        return IRScorer(_load_snapshot(spec[3:]), name=spec)
     if spec.startswith("file:"):
         return FileScorer(spec[5:])
     specs = "ir, ir:SNAPSHOT, or file:PATH" if takes_index else "ir:SNAPSHOT or file:PATH"
@@ -124,7 +127,7 @@ def cmd_index_build(args) -> int:
 
 
 def cmd_index_stats(args) -> int:
-    index = _load_snapshot(args.index, "--index")
+    index = _load_snapshot(args.index)
     lengths = sorted(index.df.values())
     stats = {
         "format": MAGIC.rstrip(b"\0").decode("ascii"),
@@ -501,6 +504,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for dest in PATH_OPTIONS:
+            if getattr(args, dest, None) == "":
+                raise HopkitError(f"--{dest.replace('_', '-')} names no path")
         return args.func(args)
     except (HopkitError, OSError, ValueError) as exc:
         sys.stderr.write(jsonl([{"error": type(exc).__name__, "message": str(exc)}]))

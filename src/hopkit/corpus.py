@@ -1,9 +1,10 @@
 """Sentence corpus loading, cleaning, and the canonical tokenization.
 
 Every other stage (indexing, retrieval, distractor selection, validation)
-goes through :func:`tokenize_normalize`, so this module owns the single
-definition of what a "token" is: lowercase, split on non-alphanumeric
-runs, stopword-filtered, Porter-stemmed.
+counts tokens with :func:`_count_tokens`, the one tokenizer (``build_index``
+directly, the rest through :func:`tokenize_normalize`), so this module owns
+the single definition of what a "token" is: lowercase, split on
+non-alphanumeric runs, stopword-filtered, Porter-stemmed.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 Two-step retrieval widens the single query-overlap search by following
 "bridge" tokens: new tokens a first-hop sentence introduces are used to
 reach second-hop sentences that connect back to tokens the first hop did
-not cover.  All functions are pure over an immutable index, so
-per-question work can run in parallel with no shared state.
+not cover.  All functions are pure over an immutable index.  The only
+state they share is the memos the index and the tokenizer fill on first
+use, and a Memo needs no lock, so per-question work can run in parallel.
 """
 
 from __future__ import annotations

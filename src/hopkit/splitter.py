@@ -173,13 +173,11 @@ def _violation(masses, bounds) -> float:
 def _report(masses, bounds) -> dict[str, dict]:
     report = {}
     for fold, mass, (lo, hi) in zip(FOLDS, masses, bounds):
-        over = max(0.0, mass - hi)
-        under = max(0.0, lo - mass)
         report[fold] = {
             "mass": mass,
             "lower": round(lo, 6),
             "upper": round(hi, 6),
-            "deviation": round(over + under, 6),
+            "deviation": round(_violation([mass], [(lo, hi)]), 6),
         }
     return report
 
@@ -190,6 +188,16 @@ def _assignment(problem: SplitProblem, labels: list[int], objective: float,
     feasible = violation == 0.0
     report = None if feasible else _report(_masses(problem, labels), bounds)
     return FoldAssignment(fold_of, objective, feasible, report)
+
+
+def _adjacency(problem: SplitProblem) -> list[list[tuple[int, float]]]:
+    """Each fact's (neighbour, similarity) edges, in the insertion order of
+    ``problem.sim``.  Its edges have i < k, so no fact is its own neighbour."""
+    adj: list[list[tuple[int, float]]] = [[] for _ in problem.facts]
+    for (i, k), value in problem.sim.items():
+        adj[i].append((k, value))
+        adj[k].append((i, value))
+    return adj
 
 
 def solve_exact(problem: SplitProblem) -> FoldAssignment:
@@ -204,15 +212,7 @@ def solve_exact(problem: SplitProblem) -> FoldAssignment:
         raise SplitSizeError(f"exact solver capped at {EXACT_SIZE_CAP} facts, got {n}")
     bounds = problem.mass_bounds()
     order = sorted(range(n), key=lambda i: (-problem.facts[i].question_count, i))
-    position = {fact_index: pos for pos, fact_index in enumerate(order)}
-    # adjacency restricted to edges whose later endpoint (in search order)
-    # is the current fact, so each edge is counted exactly once
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for (i, k), value in problem.sim.items():
-        if position[i] < position[k]:
-            adj[k].append((i, value))
-        else:
-            adj[i].append((k, value))
+    adj = _adjacency(problem)
     counts = [problem.facts[i].question_count for i in range(n)]
     suffix_mass = [0] * (n + 1)
     for pos in range(n - 1, -1, -1):
@@ -222,6 +222,9 @@ def solve_exact(problem: SplitProblem) -> FoldAssignment:
     best_labels: list[int] | None = None
     labels = [-1] * n
     masses = [0, 0, 0]
+    # the bound's sums round apart from _violation's; lowering it by far more
+    # than that keeps a completion that ties the best violation from being cut
+    margin = 1e-9 * max(1, problem.total_questions)
 
     def viol_lower_bound(remaining: int) -> float:
         over = sum(max(0.0, m - hi) for m, (_, hi) in zip(masses, bounds))
@@ -229,7 +232,7 @@ def solve_exact(problem: SplitProblem) -> FoldAssignment:
         forced_over = max(0.0, remaining - headroom)
         under_needed = sum(max(0.0, lo - m) for m, (lo, _) in zip(masses, bounds))
         uncoverable = max(0.0, under_needed - remaining)
-        return over + forced_over + uncoverable
+        return max(0.0, over + forced_over + uncoverable - margin)
 
     def dfs(pos: int, objective: float) -> None:
         nonlocal best_key, best_labels
@@ -244,9 +247,9 @@ def solve_exact(problem: SplitProblem) -> FoldAssignment:
             return
         fact_index = order[pos]
         for fold in range(3):
-            delta = sum(
-                value for other, value in adj[fact_index] if labels[other] != fold
-            )
+            # only the facts before this one in order are placed (label >= 0),
+            # so each edge is priced once, when its later end is placed
+            delta = sum(value for other, value in adj[fact_index] if labels[other] not in (-1, fold))
             labels[fact_index] = fold
             masses[fold] += counts[fact_index]
             dfs(pos + 1, objective + delta)
@@ -349,10 +352,7 @@ def solve_heuristic(
     if _violation(masses, bounds) == 0.0:
         return _assignment(problem, greedy, cross_fold_objective(problem, greedy), 0.0, bounds)
     penalty = sum(problem.sim.values()) + 1.0
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for (i, k), value in problem.sim.items():
-        adj[i].append((k, value))
-        adj[k].append((i, value))
+    adj = _adjacency(problem)
     counts = [f.question_count for f in problem.facts]
 
     best_key = (math.inf, math.inf)

@@ -1,9 +1,11 @@
+import argparse
 import hashlib
 import io
 import json
 import math
 import random
 import shutil
+import zlib
 from bisect import bisect_right
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -11,10 +13,10 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from hopkit.cli import build_parser, main
+from hopkit.cli import ENV_PATHS, build_parser, main
 from hopkit.distractor import AdversarialConfig
 from hopkit.errors import jsonl
 from hopkit.corpus import load_corpus
@@ -589,6 +591,44 @@ class TestValidate:
         ]
 
 
+# String options that name no path; every other string option names one.
+NON_PATH_OPTIONS = {"--mode", "--question", "--answer", "--seed", "--scorer", "--targets"}
+
+
+def _commands(parser, words=()):
+    """(command words, parser) of every subcommand that runs a handler."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield words, parser
+    for action in subparsers:
+        for name, sub in action.choices.items():
+            yield from _commands(sub, (*words, name))
+
+
+def _path_options(parser) -> list:
+    """The parser's path options: string-valued and not in NON_PATH_OPTIONS."""
+    return [a for a in parser._actions
+            if a.option_strings and a.nargs != 0 and a.type is None
+            and a.option_strings[-1] not in NON_PATH_OPTIONS]
+
+
+def _least_argv(words, parser, leave_out=None) -> list[str]:
+    """The command with a stand-in for each required option but leave_out.
+    The stand-in paths name no file: an empty path is refused before any
+    path is read."""
+    argv = list(words)
+    required = [a for a in parser._actions if a.required]
+    required += [g._group_actions[0] for g in parser._mutually_exclusive_groups if g.required]
+    for action in required:
+        if action is leave_out:
+            continue
+        argv.append(action.option_strings[-1])
+        if action.nargs != 0:
+            argv.append(action.choices[0] if action.choices else
+                        "1" if action.type in (int, float) else "missing")
+    return argv
+
+
 class TestMalformedInputs:
     def test_truncated_snapshot_is_domain_error(self, snapshot_dir, tmp_path, capsys):
         raw = (snapshot_dir / "index.hopidx").read_bytes()
@@ -602,23 +642,42 @@ class TestMalformedInputs:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "SnapshotError"
 
-    def test_an_empty_snapshot_path_is_refused(self, snapshot_dir, fig1_dataset, tmp_path,
-                                               monkeypatch, capsys):
-        # Path("") is the working directory, so an empty path would read
-        # the snapshot there
+    def test_an_empty_path_is_refused(self, snapshot_dir, fig1_dataset, tmp_path,
+                                      monkeypatch, capsys):
+        # Path("") is the working directory, so an empty path would read the
+        # snapshot there or write into it
         pools = tmp_path / "pools.jsonl"
         pools.write_text(json.dumps({"id": "q001", "candidates": []}) + "\n", "utf-8")
-        monkeypatch.chdir(snapshot_dir)
-        for argv, named in (
-            (["index", "stats", "--index", ""], "--index"),
-            (["eval", "accuracy", "--dataset", fig1_dataset, "--scorer", "ir:"], "'ir:'"),
-            (["distract", "rank", "--dataset", fig1_dataset, "--pools", pools,
-              "--scorer", "ir:"], "'ir:'"),
-        ):
+        work = tmp_path / "work"
+        shutil.copytree(snapshot_dir, work)
+        monkeypatch.chdir(work)
+        before = {path.name: path.read_bytes() for path in work.iterdir()}
+
+        def refused(argv, named) -> None:
             capsys.readouterr()
             payload = assert_domain_error(main([str(arg) for arg in argv]),
                                           capsys.readouterr().err)
-            assert named in payload["message"] and "no snapshot path" in payload["message"]
+            assert named in payload["message"], argv
+            assert {path.name: path.read_bytes() for path in work.iterdir()} == before, argv
+
+        typed = set()
+        for words, parser in _commands(build_parser()):
+            for action in _path_options(parser):
+                typed.add(action.option_strings[-1])
+                refused([*_least_argv(words, parser, action), action.option_strings[-1], ""],
+                        action.option_strings[-1])
+        assert typed >= {"--index", "--corpus", "--dataset", "--out", "--audit", "--pools",
+                         "--ranked", "--facts", "--emit-requests", "--dump-problem"}
+        for dest, variable in ENV_PATHS.items():
+            with monkeypatch.context() as env:
+                env.setenv(variable, "")
+                for words, parser in _commands(build_parser()):
+                    if any(a.dest == dest and a.default == "" for a in parser._actions):
+                        refused(_least_argv(words, parser), f"--{dest}")
+        for spec in ("ir:", "file:"):
+            refused(["eval", "accuracy", "--dataset", fig1_dataset, "--scorer", spec], repr(spec))
+            refused(["distract", "rank", "--dataset", fig1_dataset, "--pools", pools,
+                     "--scorer", spec], repr(spec))
 
     @pytest.mark.parametrize(
         "row",
@@ -1160,6 +1219,18 @@ SNAPSHOT_OUTPUTS = {"retrieve": ["--out"], "eval recall": ["--out", "--audit"],
                     "distract rank": ["--out"], "index stats": []}
 
 
+def _inflates_to(deflated: bytes, parts, at: int) -> bool:
+    """Whether deflated bytes inflate, as a snapshot reads block at, to
+    exactly that block's text."""
+    unpacker = (zlib.decompressobj(zdict=parts.blocks[0][-(1 << 15) :]) if at
+                else zlib.decompressobj())
+    try:
+        text = unpacker.decompress(deflated)
+    except zlib.error:
+        return False
+    return text == parts.blocks[at] and unpacker.eof and not unpacker.unused_data
+
+
 def bad_block(draw, parts) -> tuple[bytes, int | None]:
     """Snapshot bytes, sealed again, whose stream is intact but one of whose
     text blocks is not; and, for a duplicate sentence, the id of the
@@ -1173,6 +1244,9 @@ def bad_block(draw, parts) -> tuple[bytes, int | None]:
         deflated = parts.deflated()
         block = bytearray(deflated[at])
         block[draw(st.integers(0, len(block) - 1))] ^= draw(st.integers(1, 255))
+        # a flipped padding bit after the last deflate code leaves the text
+        # as it was, so that draw makes no bad block
+        assume(not _inflates_to(bytes(block), parts, at))
         deflated[at] = bytes(block)
         return parts.sealed(deflated), None
     replaced = None

@@ -424,6 +424,17 @@ class TestAssemble8Way:
         with pytest.raises(InsufficientCandidatesError):
             assemble_8way(question, self.ranked(3), 8, shuffle_seed="0:q")
 
+    def test_more_choices_than_the_target_are_refused(self):
+        question = make_question("q", "stem", "right", [f"w{i}" for i in range(8)])
+        with pytest.raises(HopkitError, match="q already has 9 choices, more than target 8"):
+            assemble_8way(question, self.ranked(), 8, shuffle_seed="0:q")
+
+    def test_a_ranked_text_taken_in_another_case_is_skipped(self):
+        question = make_question("q", "stem", "Right", ["Wrong"])
+        ranked = ["RIGHT", "wrong", "extra", "EXTRA", "more", "last"]
+        assembled = assemble_8way(question, ranked, 4, shuffle_seed="0:q")
+        assert sorted(c.text for c in assembled.choices) == ["Right", "Wrong", "extra", "more"]
+
     def test_plain_strings_accepted(self):
         question = make_question("q", "stem", "right")
         assembled = assemble_8way(question, [f"s{i}" for i in range(7)], 8, shuffle_seed="1:q")

@@ -1125,6 +1125,7 @@ class TestSnapshot:
         ("fewer terms than the table", "offsets disagree with the tokenizer table"),
         ("more postings than stored", "section lengths disagree"),
         ("more sentences than stored", "section lengths disagree"),
+        ("sentences past the end of the body", "section lengths disagree"),
         ("a string past the last", "section lengths disagree"),
         ("bad id width", "width"),
         ("text blocks of 0 sentences", "text blocks of 0 sentences"),
@@ -1161,6 +1162,10 @@ class TestSnapshot:
             parts.header[2] += 1
         elif kind == "more sentences than stored":
             parts.header[0] += 1
+        elif kind == "sentences past the end of the body":
+            # two more bytes, so the sentence lengths would end mid-item
+            parts.header[0] = 1 << 31
+            parts.strings.append(b"x")
         elif kind == "a string past the last":
             parts.strings.append(b"wind")
         elif kind == "bad id width":

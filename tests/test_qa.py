@@ -291,6 +291,17 @@ class TestJsonl:
         with pytest.raises(HopkitError, match=":1"):
             load_questions(path)
 
+    def test_a_27_way_question_names_its_path_and_line(self, tmp_path):
+        good = question_to_json(make_question("q0", "stem", "yes", ["no"]))
+        choices = [{"label": chr(ord("A") + i), "text": f"choice {i}"} for i in range(27)]
+        bad = {"id": "q1", "question": {"stem": "stem", "choices": choices}, "answerKey": "A"}
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", "utf-8")
+        with pytest.raises(HopkitError) as caught:
+            load_questions(path)
+        assert str(caught.value).startswith(f"{path}:2: ")
+        assert "27 choices, more than 26" in str(caught.value)
+
     def test_json_shape_matches_public_schema(self):
         row = {
             "id": "3NGI5ARFTT4HNGVWXAMLNBMFA0U1PG",

@@ -180,6 +180,19 @@ class TestBuildProblem:
             SeedFact("f", 0, Counter())
 
 
+@st.composite
+def shuffled_split_problems(draw):
+    """Split problems of up to 8 facts whose edges are inserted into ``sim``
+    in a drawn order, not in build_problem's ascending (i, k) order."""
+    n = draw(st.integers(1, 8))
+    facts = [SeedFact(f"f{i}", draw(st.integers(1, 6)), Counter()) for i in range(n)]
+    pairs = draw(st.permutations([(i, k) for i in range(n) for k in range(i + 1, n)]))
+    edges = pairs[: draw(st.integers(0, len(pairs)))]
+    values = st.one_of(st.sampled_from([0.0, 0.1, 1.0]), st.floats(0.01, 60.0))
+    sim = {edge: draw(values) for edge in edges}
+    return SplitProblem(facts, sim, slack=draw(st.sampled_from([0.0, 0.05, 0.2])))
+
+
 class TestSolveExact:
     def test_edgeless_feasible_zero_objective(self):
         rng = random.Random(5)
@@ -198,6 +211,20 @@ class TestSolveExact:
             assert assignment.feasible == feasible
             if feasible:
                 assert assignment.objective == pytest.approx(objective, abs=1e-9)
+
+    @given(problem=shuffled_split_problems())
+    @example(problem=SplitProblem(  # the least violation is reached at objective 0.0 and 0.1
+        [SeedFact(f"f{i}", count, Counter()) for i, count in enumerate([1, 4, 4, 4, 4, 4])],
+        {(0, 1): 0.0, (0, 2): 0.0, (2, 5): 0.1}, slack=0.0))
+    @settings(max_examples=200, deadline=None)
+    def test_any_edge_insertion_order_matches_enumeration(self, problem):
+        assignment = solve_exact(problem)
+        labels = [FOLDS.index(assignment.fold_of[f.id]) for f in problem.facts]
+        violation, objective, feasible = enumerate_split(problem)
+        assert assignment.feasible == feasible
+        assert _violation(_masses(problem, labels), problem.mass_bounds()) == pytest.approx(
+            violation, abs=1e-9)
+        assert assignment.objective == pytest.approx(objective, abs=1e-9)
 
     def test_dominant_fact_forced_into_train(self):
         counts = [50] + [5] * 9 + [1] * 5

@@ -59,6 +59,17 @@ class TestCheckComposition:
         assert result.passed
         assert result.evidence == {"pollut"}
 
+    def test_nothing_unique_to_the_seed_fact_kept(self):
+        # drops the bridge "pollut" and keeps "harm", but no seed-only stem
+        result = check_composition(PESTICIDE_FS, PESTICIDE_FL, "air can harm animals")
+        assert not result.passed
+        assert result.evidence == {"pesticid", "caus"}
+
+    def test_nothing_unique_to_the_linked_fact_kept(self):
+        result = check_composition(PESTICIDE_FS, PESTICIDE_FL, "pesticides cause trouble")
+        assert not result.passed
+        assert result.evidence == {"air", "harm", "anim"}
+
     def test_verbatim_seed_fact_fails(self):
         result = check_composition(PESTICIDE_FS, PESTICIDE_FL, PESTICIDE_FS)
         assert not result.passed
@@ -107,6 +118,17 @@ class TestPipeline:
         results = run_checks(record)
         assert [r.check for r in results] == ["link"]
         assert not results[0].passed
+
+    def test_short_circuits_on_composition_failure(self):
+        record = CompositionRecord(
+            seed_fact=PESTICIDE_FS,
+            linked_fact=PESTICIDE_FL,
+            composed_fact="pollutants can harm animals",
+            question_stem=PESTICIDE_STEM,
+            answer="pesticides",
+        )
+        results = run_checks(record)
+        assert [(r.check, r.passed) for r in results] == [("link", True), ("composition", False)]
 
     def test_full_pass_runs_all_three(self):
         record = CompositionRecord(
