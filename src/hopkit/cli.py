@@ -509,8 +509,26 @@ def main(argv=None) -> int:
                 raise HopkitError(f"--{dest.replace('_', '-')} names no path")
         return args.func(args)
     except (HopkitError, OSError, ValueError) as exc:
-        sys.stderr.write(jsonl([{"error": type(exc).__name__, "message": str(exc)}]))
+        message = str(exc)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            named = _options_naming(args, str(exc.filename))
+            if named:
+                message = f"{' and '.join(named)}: {message}"
+        sys.stderr.write(jsonl([{"error": type(exc).__name__, "message": message}]))
         return 1
+
+
+def _options_naming(args, path: str) -> list[str]:
+    """The path flags and scorer specs that name ``path``, or a directory
+    whose index.hopidx it is."""
+    def names(value) -> bool:
+        return bool(value) and path in (value, str(Path(value) / SNAPSHOT_NAME))
+
+    flags = [f"--{dest.replace('_', '-')}" for dest in PATH_OPTIONS
+             if names(getattr(args, dest, None))]
+    specs = getattr(args, "scorer", None) or []  # one spec, or a list of them
+    specs = [specs] if isinstance(specs, str) else specs
+    return flags + [f"--scorer {spec}" for spec in specs if names(spec.partition(":")[2])]
 
 
 if __name__ == "__main__":

@@ -8,8 +8,10 @@ stores.  What is filled on first use is filled through a corpus.Memo,
 whose rule makes concurrent searches safe without a lock: a term's
 postings dict, built from those arrays when the term is first read; a
 term's max impact and bitset, filled together from that dict when a
-pruned search first walks the term; and a loaded corpus's blocks of
-sentence texts, each inflated when one of its sentences is first read.
+pruned search first walks the term; a sentence length's BM25 length
+norm, computed when a document of that length is first scored, so each
+distinct length is normed once; and a loaded corpus's blocks of sentence
+texts, each inflated when one of its sentences is first read.
 """
 
 from __future__ import annotations
@@ -97,8 +99,12 @@ class InvertedIndex:
         # Derived state, not in the snapshot: one log per distinct term.
         self._idf = {term: math.log(1.0 + (self.n_docs - n + 0.5) / (n + 0.5))
                      for term, n in df.items()}
-        # Derived state filled on first use, by pruned searches: a term's
-        # largest contribution and its bitset, filled together.
+        # Derived state filled on first use: a sentence length's norm, read
+        # for every contribution scored, and, by pruned searches, a term's
+        # largest contribution and its bitset, filled together.  The norms
+        # are one float per distinct length, not one per document, and no
+        # build or load computes them.
+        self._norm = Memo(self._length_norm)
         self._impact_bits = Memo(self._impact_and_bitset)
 
     def idf(self, term: str) -> float:
@@ -114,10 +120,13 @@ class InvertedIndex:
         for each document d."""
         return self._impact_bits[term][1]
 
+    def _length_norm(self, dl: int) -> float:
+        return K1 * (1.0 - B + B * dl / self.avg_len)
+
     def _impact_and_bitset(self, term: str) -> tuple[float, int]:
-        idf, doc_len, avg_len = self.idf(term), self.doc_len, self.avg_len
+        idf, doc_len, norm = self.idf(term), self.doc_len, self._norm
         tfs = self.postings[term].mapping
-        impact = max(bm25_term_score(tf, idf, doc_len[doc_id], avg_len)
+        impact = max(bm25_term_score(tf, idf, norm[doc_len[doc_id]])
                      for doc_id, tf in tfs.items())
         octets = bytearray(self.n_docs // 8 + 1)
         for doc_id in tfs:
@@ -190,9 +199,9 @@ def build_index(corpus: Corpus) -> InvertedIndex:
     return InvertedIndex(corpus, terms, offsets, gaps, tfs, doc_len, tokens)
 
 
-def bm25_term_score(tf: int, idf: float, dl: int, avg_len: float) -> float:
-    """One term's contribution; pure in (tf, idf, dl, avg_len)."""
-    norm = K1 * (1.0 - B + B * dl / avg_len)
+def bm25_term_score(tf: int, idf: float, norm: float) -> float:
+    """One term's contribution, given its sentence's length norm
+    K1 * (1 - B + B * dl / avg_len) (see InvertedIndex._length_norm)."""
     return idf * tf * (K1 + 1.0) / (tf + norm)
 
 
@@ -313,18 +322,19 @@ def _score_constrained(
         if not start:
             return {}
     weighted = [(term, index.idf(term), postings[term].mapping) for term in terms if term in df]
-    doc_len, avg_len = index.doc_len, index.avg_len
+    doc_len, norm, k1_1 = index.doc_len, index._norm, K1 + 1.0
     scores: dict[int, float] = {}
+    get = scores.get
 
     def score(doc_ids) -> None:
-        # Documents not scored yet, term-at-a-time in sorted term order:
-        # each one's first contribution is assigned and the later ones
-        # added, the order a document-at-a-time sum would take.
+        # Documents not scored yet, term-at-a-time in sorted term order,
+        # the order a document-at-a-time sum would take.  Each contribution
+        # is bm25_term_score's, inlined; it is positive, and 0.0 + x == x,
+        # so a document's first one is stored exactly.
         for term, idf, tfs in weighted:
             for doc_id in tfs.keys() & doc_ids:
-                contrib = bm25_term_score(tfs[doc_id], idf, doc_len[doc_id], avg_len)
-                total = scores.get(doc_id)
-                scores[doc_id] = contrib if total is None else total + contrib
+                tf = tfs[doc_id]
+                scores[doc_id] = get(doc_id, 0.0) + idf * tf * k1_1 / (tf + norm[doc_len[doc_id]])
 
     if survivors is not None:
         score(survivors)

@@ -679,6 +679,23 @@ class TestMalformedInputs:
             refused(["distract", "rank", "--dataset", fig1_dataset, "--pools", pools,
                      "--scorer", spec], repr(spec))
 
+    def test_an_unopenable_path_names_its_flag_or_spec(self, fig1_dataset, tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        snapshot = str(tmp_path / "index.hopidx")  # in a directory that holds none
+        for argv, named, path in (
+            (["--dataset", missing, "--scorer", f"file:{tmp_path}"], "--dataset", missing),
+            (["--dataset", fig1_dataset, "--scorer", f"file:{missing}"],
+             f"--scorer file:{missing}", missing),
+            (["--dataset", fig1_dataset, "--scorer", f"ir:{tmp_path}"],
+             f"--scorer ir:{tmp_path}", snapshot),
+            (["--dataset", fig1_dataset, "--index", tmp_path, "--scorer", "ir"], "--index", snapshot),
+        ):
+            capsys.readouterr()
+            payload = assert_domain_error(main(["eval", "accuracy", *map(str, argv)]),
+                                          capsys.readouterr().err)
+            assert payload["error"] == "FileNotFoundError"
+            assert payload["message"] == f"{named}: [Errno 2] No such file or directory: {path!r}"
+
     @pytest.mark.parametrize(
         "row",
         [

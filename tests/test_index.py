@@ -10,6 +10,7 @@ import unicodedata
 import zlib
 from array import array
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, event, example, given, settings
@@ -21,9 +22,11 @@ import hopkit.retrieval
 from hopkit.corpus import STEM_CACHE_SIZE, STOPWORDS, Corpus
 from hopkit.errors import SnapshotError
 from hopkit.index import (
+    K1,
     MAGIC,
     NEGATION_TOKENS,
     POOL_POSTINGS_PER_HIT,
+    InvertedIndex,
     _score_constrained,
     bm25_term_score,
     build_index,
@@ -43,7 +46,7 @@ from conftest import (
     small_corpora,
     whole_postings,
 )
-from oracles import naive_search
+from oracles import OracleSearcher, naive_search
 
 
 @st.composite
@@ -86,6 +89,22 @@ def one_full_match_corpus():
     others = [" ".join(p) + "." for p in
               itertools.islice(itertools.permutations(["wind", *STEM_WORDS[4:]]), 40)]
     return Corpus.from_texts(["wind heat air.", *others])
+
+
+def counting_contributions(monkeypatch) -> list[int]:
+    """Each later _score_constrained call appends the BM25 contributions it
+    summed: over the documents it scored, the query terms each holds."""
+    counts = []
+    real = hopkit.index._score_constrained
+
+    def counting(index, terms, *args):
+        scores = real(index, terms, *args)
+        held = [index.postings[term].mapping for term in terms if term in index.df]
+        counts.append(sum(doc_id in tfs for doc_id in scores for tfs in held))
+        return scores
+
+    monkeypatch.setattr(hopkit.index, "_score_constrained", counting)
+    return counts
 
 
 class TestBuild:
@@ -323,17 +342,9 @@ class TestSearch:
         assert len(holders) == 41
         for term in terms:
             index.max_impact(term)
-        calls = 0
-        real = hopkit.index.bm25_term_score
-
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return real(*args)
-
-        monkeypatch.setattr(hopkit.index, "bm25_term_score", counting)
+        counts = counting_contributions(monkeypatch)
         hits = search(index, Counter(terms), 1)
-        assert calls < len(holders)
+        assert sum(counts) < len(holders)
         assert [(h.sentence_id, h.score) for h in hits] == naive_search(corpus, terms, 1)
 
     def test_negation_filtered_search_is_pruned(self, monkeypatch):
@@ -345,17 +356,9 @@ class TestSearch:
         holders = set().union(*(index.postings[term].mapping for term in terms))
         for term in terms:
             index.max_impact(term)
-        calls = 0
-        real = hopkit.index.bm25_term_score
-
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return real(*args)
-
-        monkeypatch.setattr(hopkit.index, "bm25_term_score", counting)
+        counts = counting_contributions(monkeypatch)
         hits = search(index, Counter(terms), 1, negation_filter=NEGATION_TOKENS)
-        assert calls < len(holders)
+        assert sum(counts) < len(holders)
         assert [(h.sentence_id, h.score) for h in hits] == naive_search(corpus, terms, 1)
 
     def test_negation_filter_widens_until_a_hit_survives(self, monkeypatch):
@@ -516,24 +519,16 @@ class TestSearch:
         # side has more terms than the pool has sentences, so the pooled
         # sentence is tested for each of them; in the second corpus it
         # holds neither, and nothing may be hit.
-        calls = 0
-        real = hopkit.index.bm25_term_score
-
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return real(*args)
-
-        monkeypatch.setattr(hopkit.index, "bm25_term_score", counting)
+        counts = counting_contributions(monkeypatch)
         terms, sides = ["air", "heat", "wind"], (frozenset({"air"}), frozenset({"heat", "wind"}))
         for texts, n_hits in ((["wind heat air."], 1), (["air rain.", "heat rain."], 0)):
             corpus = Corpus.from_texts([*texts, *one_full_match_corpus().texts[1:]])
             index = build_index(corpus)
             assert [len(index.postings[term]) for term in terms] == [1, 1, 40 + n_hits]
-            calls = 0
+            counts.clear()
             hits = search(index, terms, 1, must_contain_any=sides)
             assert index._impact_bits == {}  # no max impact and no bitset
-            assert calls <= len(terms)
+            assert sum(counts) <= len(terms)
             want = naive_search(corpus, terms, 1, must_contain_any=sides)
             assert len(want) == n_hits
             assert [(h.sentence_id, h.score) for h in hits] == want
@@ -576,9 +571,29 @@ class TestSearch:
         for hit in hits:
             tf = dict(index.postings["wind"])[hit.sentence_id]
             recomputed = bm25_term_score(
-                tf, index.idf("wind"), index.doc_len[hit.sentence_id], index.avg_len
+                tf, index.idf("wind"), index._norm[index.doc_len[hit.sentence_id]]
             )
             assert recomputed == hit.score
+
+    @given(tf=st.integers(1, 300), dl=st.integers(1, 300),
+           avg_len=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+           n_docs=st.integers(1, 300), data=st.data())
+    def test_inlined_contribution_is_the_term_score_and_the_oracles(
+            self, tf, dl, avg_len, n_docs, data):
+        # _score_constrained's score() inlines bm25_term_score; both must
+        # equal the oracle's four-argument formula bit for bit
+        df = data.draw(st.integers(1, n_docs))
+        index = build_index(Corpus.from_texts(
+            f"{'wind' if i < df else 'rock'} s{i}." for i in range(n_docs)))
+        assert (index.n_docs, index.df["wind"]) == (n_docs, df)
+        idf = index.idf("wind")
+        norm = InvertedIndex._length_norm(SimpleNamespace(avg_len=avg_len), dl)
+        k1_1 = K1 + 1.0
+        inlined = idf * tf * k1_1 / (tf + norm)  # score()'s expression
+        oracle = OracleSearcher(Corpus.from_texts([]))
+        oracle.bags, oracle.n_docs, oracle.df = [{"wind": tf}], n_docs, Counter({"wind": df})
+        oracle.doc_len, oracle.avg_len = [dl], avg_len
+        assert inlined.hex() == bm25_term_score(tf, idf, norm).hex() == oracle.scores(["wind"])[0].hex()
 
     def test_rebuild_with_disjoint_sentence_keeps_per_doc_statistics(self):
         # scores depend on the corpus only through (tf, df, dl, N, avg_len):
@@ -598,8 +613,7 @@ class TestSearch:
                 bm25_term_score(
                     dict(grown.postings[t])[hit.sentence_id],
                     small.idf(t),
-                    grown.doc_len[hit.sentence_id],
-                    small.avg_len,
+                    small._norm[grown.doc_len[hit.sentence_id]],  # small's avg_len
                 )
                 for t in ("power", "wind")
                 if hit.sentence_id in dict(grown.postings[t])
@@ -642,6 +656,18 @@ def corpus_with_stopwords(rng: random.Random, n_sentences: int) -> tuple[Corpus,
 
 
 class TestSnapshot:
+    def test_length_norms_wait_for_a_scored_search(self, tmp_path):
+        # neither a load nor a search that scores nothing computes a norm
+        path = tmp_path / "index.hopidx"
+        write_snapshot(build_index(toy_corpus()), path)
+        index = load_snapshot(path)
+        assert index._norm == {}
+        sides = (frozenset({"quartz"}), frozenset({"wind"}))  # no sentence holds "quartz"
+        assert search(index, ["quartz", "wind"], 5, must_contain_any=sides) == []
+        assert index._norm == {}
+        assert search(index, Counter({"wind": 1}), 5)
+        assert index._norm and set(index._norm) <= set(index.doc_len)
+
     def test_roundtrip(self, tmp_path):
         rng = random.Random(23)
         corpus, vocab = random_corpus(rng, 90)
