@@ -4,7 +4,9 @@ Every other stage (indexing, retrieval, distractor selection, validation)
 counts tokens with :func:`_count_tokens`, the one tokenizer (``build_index``
 directly, the rest through :func:`tokenize_normalize`), so this module owns
 the single definition of what a "token" is: lowercase, split on
-non-alphanumeric runs, stopword-filtered, Porter-stemmed.
+non-alphanumeric runs, stopword-filtered, Porter-stemmed.  Its two memos,
+token -> stem and text -> :func:`stem_set`, fill on first use and are kept
+for the life of the process.
 """
 
 from __future__ import annotations
@@ -35,11 +37,6 @@ STOPWORDS: frozenset[str] = _load_stopwords()
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _WS_RE = re.compile(r"\s+")
 
-# Entries in stem_set's text memo, which is cleared when it fills: the
-# stages ask stem_set about the same question, choice and fact texts again
-# and again, but the texts a process meets have no ceiling.
-STEM_CACHE_SIZE = 1 << 16
-
 
 class Memo(dict):
     """key -> fill(key), filled on the key's first read and kept: the one
@@ -60,16 +57,20 @@ class Memo(dict):
 class _NormalForms(Memo):
     """Raw lowercase token -> its normalized stem, or "" for a token that
     normalizes to nothing, under one stopword set and one stemmer, so each
-    token is stemmed once.  It is never cleared: it grows to the vocabulary
-    of the text the process has read, which any index over that text holds
-    too.  ``sets`` maps a text to its stem_set under the same two, cleared
-    when it reaches STEM_CACHE_SIZE entries."""
+    token is stemmed once.  ``sets`` is the Memo of text -> stem_set under
+    the same two.  Both fill on first use and are kept for the life of the
+    process: the tokens grow to the vocabulary of the text the process has
+    read, which any index over that text holds too, and the texts to the
+    question, choice and fact texts the stages ask about, which corpus
+    sentences never join (two-step retrieval tokenizes those outside it)."""
 
     def __init__(self, stopwords: frozenset[str], stemmer) -> None:
         super().__init__(self._normalize)
         self.stopwords = stopwords
         self.stemmer = stemmer
-        self.sets: dict[str, frozenset[str]] = {}
+        # tokenize_normalize is looked up at fill time, so a rebound one
+        # (a traced run's) counts each miss
+        self.sets = Memo(lambda text: frozenset(tokenize_normalize(text)))
 
     def _normalize(self, token: str) -> str:
         form = "" if token in self.stopwords else self.stemmer(token)
@@ -110,21 +111,9 @@ def tokenize_normalize(text: str) -> TokenBag:
 
 def stem_set(text: str) -> frozenset[str]:
     """Distinct normalized stems of a string, memoised per text beside the
-    token memo (rebuilt with it, bounded by STEM_CACHE_SIZE), so each stage
-    can ask again rather than keep its own copy.  A concurrent caller at
-    worst tokenizes a text again."""
-    sets = _current_forms().sets
-    stems = sets.get(text)
-    if stems is None:
-        stems = frozenset(tokenize_normalize(text))
-        if len(sets) >= STEM_CACHE_SIZE:
-            sets.clear()
-        sets[text] = stems
-    return stems
-
-
-def normalize_whitespace(text: str) -> str:
-    return _WS_RE.sub(" ", text).strip()
+    token memo and rebuilt with it, so each stage can ask again rather than
+    keep its own copy.  An entry is kept for the life of the process."""
+    return _current_forms().sets[text]
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +238,9 @@ class Corpus:
 _CONTROL_RE = re.compile(r"[\x00-\x08\x0b-\x1f\x7f]")
 
 
-def _strip_controls(text: str) -> str:
-    return _CONTROL_RE.sub(" ", text)
-
-
 def _normal_form(text: str) -> str:
-    """normalize_whitespace(_strip_controls(text)).
+    """text with each control character replaced by a space, every
+    whitespace run collapsed to one space, and the ends stripped.
 
     Printable text holds no control character and no whitespace but " ",
     so without a double, leading or trailing space it is its own normal
@@ -262,7 +248,7 @@ def _normal_form(text: str) -> str:
     """
     if text.isprintable() and "  " not in text and text[:1] != " " and text[-1:] != " ":
         return text
-    return normalize_whitespace(_strip_controls(text))
+    return _WS_RE.sub(" ", _CONTROL_RE.sub(" ", text)).strip()
 
 
 def load_corpus(path: str | Path) -> Corpus:

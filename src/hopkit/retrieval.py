@@ -131,7 +131,6 @@ def two_step(
 
 @dataclass
 class RecallReport:
-    mode: str
     m: int
     n_questions: int = 0
     n_resolvable: int = 0
@@ -180,7 +179,7 @@ def recall_report(
     """
     if mode not in ("single", "two"):
         raise ValueError(f"mode must be 'single' or 'two', got {mode!r}")
-    report = RecallReport(mode=mode, m=params.m)
+    report = RecallReport(m=params.m)
     for question in sorted(dataset, key=lambda qq: qq.id):
         report.n_questions += 1
         gold1 = index.corpus.id_of_text(question.fact1) if question.fact1 else None

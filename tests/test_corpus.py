@@ -12,12 +12,13 @@ from hopkit.corpus import (
     Corpus,
     clean_filter,
     load_corpus,
-    normalize_whitespace,
     stem_set,
     tokenize_normalize,
 )
 from hopkit.index import build_index
+from hopkit.porter import stem
 
+import oracles
 from conftest import whole_postings
 from oracles import reference_clean_filter, reference_normal_form, reference_tokenize
 
@@ -250,7 +251,7 @@ class TestIngestMatchesOracles:
         assert [corpus[sid] for sid in range(len(corpus))] == expected
         # the text -> id map the corpus was handed is the one it would build
         assert corpus._by_text == {
-            normalize_whitespace(text): sid for sid, text in enumerate(corpus.texts)
+            reference_normal_form(text): sid for sid, text in enumerate(corpus.texts)
         }
 
     @given(st.lists(ingest_texts, max_size=8))
@@ -297,7 +298,7 @@ class TestIngestMatchesOracles:
         assert corpus.texts == texts
         assert corpus.rejections == rejections
         assert corpus._by_text == {
-            normalize_whitespace(text): sid for sid, text in enumerate(corpus.texts)
+            reference_normal_form(text): sid for sid, text in enumerate(corpus.texts)
         }
 
     @given(st.lists(ingest_texts, max_size=8))
@@ -328,8 +329,23 @@ class TestIngestMatchesOracles:
         assert tokenize_normalize("wind heat") == Counter({"wind": 1, "heat": 1})
         assert stem_set("wind heat") == {"wind", "heat"}
 
+    @given(ingest_texts)
+    @settings(max_examples=200, deadline=None)
+    def test_rebinding_the_stemmer_rebuilds_the_set_memo(self, text):
+        # the set memo is rebuilt with the token memo, so a text asked
+        # under the old stemmer is asked again under the new one
+        assert stem_set(text) == frozenset(reference_tokenize(text))
+
+        def reversed_stem(word):
+            return stem(word)[::-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hopkit.corpus, "stem", reversed_stem)
+            patch.setattr(oracles, "stem", reversed_stem)
+            assert stem_set(text) == frozenset(reference_tokenize(text))
+        assert stem_set(text) == frozenset(reference_tokenize(text))
+
     def test_memo_stays_bounded(self, monkeypatch, stem_calls):
-        monkeypatch.setattr(hopkit.corpus, "STEM_CACHE_SIZE", 8)
         text = " ".join(f"zork{chr(97 + i)}{chr(97 + j)}" for i in range(5) for j in range(10))
         text += " doing the running"
         assert list(tokenize_normalize(text).items()) == list(reference_tokenize(text).items())
@@ -340,9 +356,25 @@ class TestIngestMatchesOracles:
         stem_calls.clear()
         assert tokenize_normalize(text) == reference_tokenize(text)
         assert stem_calls == []
-        for word in text.split():
+        # the set memo is never cleared either: every text asked stays, and
+        # asking again neither stems nor tokenizes
+        tokenized = []
+        tokenize = hopkit.corpus.tokenize_normalize
+
+        def counted_tokenize(asked):
+            tokenized.append(asked)
+            return tokenize(asked)
+
+        monkeypatch.setattr(hopkit.corpus, "tokenize_normalize", counted_tokenize)
+        words = text.split()
+        for word in words:
             assert stem_set(word) == frozenset(reference_tokenize(word))
-            assert len(hopkit.corpus._normal_forms.sets) <= 8
+        assert hopkit.corpus._normal_forms.sets.keys() == set(words)
+        assert sorted(tokenized) == sorted(words)
+        tokenized.clear()
+        for word in words:
+            assert stem_set(word) == frozenset(reference_tokenize(word))
+        assert tokenized == stem_calls == []
 
 
 def test_corpus_owns_every_memo():

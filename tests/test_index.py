@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import hopkit.corpus
 import hopkit.index
 import hopkit.retrieval
-from hopkit.corpus import STEM_CACHE_SIZE, STOPWORDS, Corpus
+from hopkit.corpus import STOPWORDS, Corpus
 from hopkit.errors import SnapshotError
 from hopkit.index import (
     K1,
@@ -913,10 +913,10 @@ class TestSnapshot:
 
     def test_wide_doc_ids_and_a_table_past_the_memo_bound(self, tmp_path):
         # more sentences than a 2-byte doc id holds, and a tokenizer table of
-        # more than STEM_CACHE_SIZE tokens, which the token memo keeps whole
+        # more than 65,536 tokens, which the token memo keeps whole
         corpus = Corpus.from_texts([f"wind w{i}." for i in range(1 << 16 | 1)])
         built = build_index(corpus)
-        assert len(built.tokens) > STEM_CACHE_SIZE
+        assert len(built.tokens) > 1 << 16
         path = tmp_path / "index.hopidx"
         write_snapshot(built, path)
         assert SnapshotParts(path.read_bytes()).header[4:6] == [4, 1]
@@ -941,11 +941,11 @@ class TestSnapshot:
 
     def test_reloads_past_the_memo_bound_stem_nothing(self, tmp_path, stem_calls):
         # a build, then two loads in one process, through one token memo of
-        # more than STEM_CACHE_SIZE tokens: every token is stemmed once
+        # more than 65,536 tokens: every token is stemmed once
         n = 1 << 14
         corpus = Corpus.from_texts([f"w{i} x{i} y{i} z{i} v{i}." for i in range(n)])
         built = build_index(corpus)
-        assert len(built.tokens) == 5 * n > STEM_CACHE_SIZE
+        assert len(built.tokens) == 5 * n > 1 << 16
         assert len(stem_calls) == 5 * n
         path = tmp_path / "index.hopidx"
         write_snapshot(built, path)

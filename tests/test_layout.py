@@ -2,7 +2,8 @@
 every output file and JSON-lines text goes through the one writer and
 formatter, every index comes from the one build or load, only the build,
 the write and the text map read a corpus's texts whole, and every state
-filled on first use fills through the one memo."""
+filled on first use, stem_set's included, fills through the one memo,
+which never evicts."""
 
 import ast
 from pathlib import Path
@@ -68,10 +69,13 @@ def _is_dataclass(cls: ast.ClassDef) -> bool:
 def test_every_dataclass_field_is_read_outside_tests():
     """Every field of a src/hopkit dataclass is read through an attribute
     somewhere in the callers, its own class's methods included (the check
-    above keeps those reached), so no field is filled only for the tests."""
+    above keeps those reached), so no field is filled only for the tests.
+    An option read from the argparse namespace, ``args.<name>``, reads no
+    dataclass field, so it keeps none."""
     trees, callers = _src_and_callers()
     attributes = {node.attr for tree in callers.values() for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute)}
+                  if isinstance(node, ast.Attribute)
+                  and getattr(node.value, "id", None) != "args"}
     unread = [f"{path.stem}.{cls.name}.{statement.target.id}"
               for path, tree in trees.items()
               for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
@@ -187,11 +191,23 @@ def test_only_the_build_the_write_and_the_map_read_every_text():
 
 def test_every_fill_on_first_use_goes_through_the_one_memo():
     """In src/, only corpus.Memo defines __missing__: every state filled on
-    first use is a Memo, whose docstring holds the rule that makes a
-    concurrent fill safe, so no class keeps its own get / compute / store."""
+    first use, stem_set's text memo too, is a Memo, whose docstring holds
+    the rule that makes a concurrent fill safe, so no class or function
+    keeps its own get / compute / store."""
     missing = [f"{path.stem}.{cls.name}"
                for path in sorted(SRC.glob("*.py"))
                for cls in ast.walk(_parse(path)) if isinstance(cls, ast.ClassDef)
                for method in cls.body
                if isinstance(method, ast.FunctionDef) and method.name == "__missing__"]
     assert missing == ["corpus.Memo"], f"__missing__ defined outside corpus.Memo: {missing}"
+
+
+def test_no_memo_evicts():
+    """No code in src/hopkit calls .clear(): a memo keeps what it filled for
+    the life of the process, so no memo has an eviction policy of its own."""
+    clears = [f"{path.name}:{call.lineno}"
+              for path in sorted(SRC.glob("*.py"))
+              for call in ast.walk(_parse(path))
+              if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+              and call.func.attr == "clear"]
+    assert not clears, f".clear() called in src/hopkit: {clears}"
