@@ -11,6 +11,7 @@ for the life of the process.
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import re
 from collections import Counter, _count_elements
@@ -27,12 +28,9 @@ from .porter import stem
 TokenBag = Counter
 
 
-def _load_stopwords() -> frozenset[str]:
-    text = resources.files("hopkit.data").joinpath("stopwords.txt").read_text("utf-8")
-    return frozenset(w for w in text.split() if w)
-
-
-STOPWORDS: frozenset[str] = _load_stopwords()
+STOPWORDS: frozenset[str] = frozenset(
+    resources.files("hopkit.data").joinpath("stopwords.txt").read_text("utf-8").split()
+)
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _WS_RE = re.compile(r"\s+")
@@ -224,7 +222,7 @@ class Corpus:
         return self._by_text.get(_normal_form(text))
 
     @classmethod
-    def from_texts(cls, texts, source_digest: str = "") -> "Corpus":
+    def from_texts(cls, texts) -> "Corpus":
         """Build a corpus from already-clean sentence strings (dedups,
         assigns ids in order).  Lines are not run through clean_filter."""
         seen: dict[str, int] = {}
@@ -232,7 +230,7 @@ class Corpus:
             text = _normal_form(raw)
             if text and text not in seen:
                 seen[text] = len(seen)
-        return cls(list(seen), source_digest, _by_text=seen)
+        return cls(list(seen), _by_text=seen)
 
 
 _CONTROL_RE = re.compile(r"[\x00-\x08\x0b-\x1f\x7f]")
@@ -256,15 +254,16 @@ def load_corpus(path: str | Path) -> Corpus:
 
     Applies clean_filter per line (rejection counts are kept on the
     corpus), dedups exact normalized text, and assigns ids in input order.
-    Raises on unreadable files; malformed UTF-8 fails fast with the line
-    number.
+    One leading UTF-8 byte order mark is dropped; the digest is still that
+    of the file's bytes.  Raises on unreadable files; malformed UTF-8 fails
+    fast with the line number.
     """
     path = Path(path)
     raw = path.read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
     rejections: Counter = Counter()
     seen: dict[str, int] = {}
-    for lineno, line in enumerate(raw.split(b"\n"), start=1):
+    for lineno, line in enumerate(raw.removeprefix(codecs.BOM_UTF8).split(b"\n"), start=1):
         try:
             decoded = line.decode("utf-8")
         except UnicodeDecodeError as exc:

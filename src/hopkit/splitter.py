@@ -431,7 +431,9 @@ def solve_heuristic(
 def load_facts_jsonl(path: str | Path) -> list[SeedFact]:
     """Rows: {"id", "text", "questions"} (or "question_count").  Ids are
     strings or integers, read as strings, and must be distinct, so 7 and
-    "7" are one id."""
+    "7" are one id.  An id is one field of split.tsv, so it must be
+    printable (``str.isprintable``): tabs, line breaks and lone surrogates
+    are refused, and so are no-break spaces and format characters."""
     return read_jsonl(path, _fact_from_json, key=attrgetter("id"))
 
 
@@ -440,7 +442,10 @@ def _fact_from_json(row: dict) -> SeedFact:
     text = require_type(row["text"], str, "text")
     if type(row["id"]) not in (str, int):
         raise TypeError(f"id must be str or int, got {type(row['id']).__name__}")
-    return SeedFact(str(row["id"]), count, tokenize_normalize(text))
+    fact_id = str(row["id"])
+    if not fact_id.isprintable():
+        raise ValueError(f"id {fact_id!r} is not printable, so split.tsv cannot hold it")
+    return SeedFact(fact_id, count, tokenize_normalize(text))
 
 
 def problem_to_json(problem: SplitProblem) -> dict:

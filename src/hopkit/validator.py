@@ -30,25 +30,6 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
-class CompositionRecord:
-    seed_fact: str
-    linked_fact: str
-    composed_fact: str
-    question_stem: str
-    answer: str
-
-    @classmethod
-    def from_question(cls, question: MCQuestion) -> "CompositionRecord":
-        return cls(
-            seed_fact=question.fact1 or "",
-            linked_fact=question.fact2 or "",
-            composed_fact=question.combined_fact or "",
-            question_stem=question.stem,
-            answer=question.answer_text,
-        )
-
-
 def check_link(seed_fact: str, linked_fact: str) -> CheckResult:
     """The two facts must share at least one significant stem (the bridge
     candidates).  On failure the evidence shows what was available."""
@@ -81,38 +62,37 @@ def check_composition(seed_fact: str, linked_fact: str, composed_fact: str) -> C
     return CheckResult("composition", True, dropped)
 
 
-def check_question(record: CompositionRecord) -> CheckResult:
+def check_question(seed_fact: str, linked_fact: str, composed_fact: str,
+                   stem: str, answer: str) -> CheckResult:
     """No dropped bridge stem may reappear in the question or answer.
     Meaningful only after check_composition passes."""
-    dropped = _dropped_bridges(
-        stem_set(record.seed_fact),
-        stem_set(record.linked_fact),
-        stem_set(record.composed_fact),
-    )
-    reintroduced = dropped & stem_set(record.question_stem + " " + record.answer)
+    dropped = _dropped_bridges(stem_set(seed_fact), stem_set(linked_fact),
+                               stem_set(composed_fact))
+    reintroduced = dropped & stem_set(stem + " " + answer)
     if reintroduced:
         return CheckResult("question", False, reintroduced)
     return CheckResult("question", True, dropped)
 
 
-def run_checks(record: CompositionRecord) -> list[CheckResult]:
-    """Run link -> composition -> question, stopping at the first failure."""
-    results = [check_link(record.seed_fact, record.linked_fact)]
+def run_checks(question: MCQuestion) -> list[CheckResult]:
+    """Run link -> composition -> question on the question's annotated
+    facts, a missing one read as "", stopping at the first failure."""
+    seed, linked = question.fact1 or "", question.fact2 or ""
+    composed = question.combined_fact or ""
+    results = [check_link(seed, linked)]
     if not results[-1].passed:
         return results
-    results.append(
-        check_composition(record.seed_fact, record.linked_fact, record.composed_fact)
-    )
+    results.append(check_composition(seed, linked, composed))
     if not results[-1].passed:
         return results
-    results.append(check_question(record))
+    results.append(check_question(seed, linked, composed, question.stem, question.answer_text))
     return results
 
 
 def validate_dataset(questions) -> list[dict]:
-    """One JSON-ready result object per record per executed check.
+    """One JSON-ready result object per question per executed check.
 
-    Records lacking fact annotations get a single failed "annotations" row
+    Questions lacking fact annotations get a single failed "annotations" row
     naming the missing fields instead of vacuous check failures.
     """
     rows = []
@@ -132,8 +112,7 @@ def validate_dataset(questions) -> list[dict]:
                  "evidence": missing}
             )
             continue
-        record = CompositionRecord.from_question(question)
-        for result in run_checks(record):
+        for result in run_checks(question):
             row = {"id": question.id}
             row.update(result.to_json())
             rows.append(row)

@@ -271,7 +271,8 @@ def reference_tokenize(text: str) -> Counter:
 
 
 def reference_normal_form(text: str) -> str:
-    """normalize_whitespace(_strip_controls(text)), always through both regexes."""
+    """corpus._normal_form(text) without its printable-text fast path:
+    always through both regexes."""
     return _WS_RE.sub(" ", _CONTROL_RE.sub(" ", text)).strip()
 
 

@@ -18,7 +18,7 @@ from hopkit.index import build_index, search
 from hopkit.qa import load_questions, overlap_stats
 from hopkit.retrieval import RetrievalParams, recall_report, two_step
 from hopkit.splitter import FOLDS, solve_exact, solve_heuristic
-from hopkit.validator import check_composition, check_link, check_question, CompositionRecord
+from hopkit.validator import check_composition, check_link, check_question
 
 from conftest import (
     make_question,
@@ -296,12 +296,8 @@ def test_criterion_6_validator_pesticide_walkthrough():
     stem_text = "What can harm animals?"
     tigers_rejected = not check_link(fs, "Tigers are fierce and harmful animals").passed
     pollutants_rejected = not check_composition(fs, fl, "pollutants can harm animals").passed
-    pollution_rejected = not check_question(
-        CompositionRecord(fs, fl, fc, stem_text, "pollution")
-    ).passed
-    pesticides_accepted = check_question(
-        CompositionRecord(fs, fl, fc, stem_text, "pesticides")
-    ).passed
+    pollution_rejected = not check_question(fs, fl, fc, stem_text, "pollution").passed
+    pesticides_accepted = check_question(fs, fl, fc, stem_text, "pesticides").passed
     report(
         6,
         "tigers fL rejected; pollutants fc rejected; answer 'pollution' "

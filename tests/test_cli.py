@@ -734,6 +734,20 @@ class TestMalformedInputs:
         assert "'q003' repeats line 4" in payload["message"]
         assert not pools.exists()
 
+    @pytest.mark.parametrize("fact_id", ["a\tb", "c\nd", "e\u2028f", "\ud800", "g\u00a0h"])
+    def test_a_fact_id_split_tsv_cannot_hold_is_refused(self, tmp_path, fact_id, capsys):
+        # a tab or line break would split the id's row, and a lone surrogate
+        # cannot be written as UTF-8
+        facts = tmp_path / "facts.jsonl"
+        facts.write_text(json.dumps({"id": "f0", "text": "wind blows"}) + "\n"
+                         + json.dumps({"id": fact_id, "text": "rain falls"}) + "\n", "utf-8")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = main(["split", "solve", "--facts", str(facts), "--heuristic", "--out", str(out)])
+        payload = assert_domain_error(code, capsys.readouterr().err)
+        assert payload["message"].startswith(f"{facts}:2: bad row: ValueError: ")
+        assert list(tmp_path.iterdir()) == [facts]
+
     @pytest.mark.parametrize("command, target", [
         ("validate", "dataset"), ("eval accuracy", "scores"), ("distract rank", "pools"),
         ("distract assemble", "ranked"), ("split solve", "facts"),

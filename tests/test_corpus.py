@@ -1,4 +1,6 @@
 import ast
+import codecs
+import hashlib
 from collections import Counter
 from pathlib import Path
 
@@ -141,6 +143,22 @@ class TestLoadCorpus(object):
     def test_malformed_utf8_names_line(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_bytes(b"Wind turns the turbine blades.\n\xff\xfe broken\n")
+        with pytest.raises(ValueError, match="line 2"):
+            load_corpus(path)
+
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        # the mark is not part of sentence 0, so a fact equal to it resolves;
+        # the digest and line numbers are still the file's
+        path = tmp_path / "c.txt"
+        raw = (codecs.BOM_UTF8 + b"Differential heating of air produces wind.\n"
+               b"Rivers carve deep canyons.\n")
+        path.write_bytes(raw)
+        corpus = load_corpus(path)
+        assert corpus.texts == ["Differential heating of air produces wind.",
+                                "Rivers carve deep canyons."]
+        assert corpus.id_of_text("Differential heating of air produces wind.") == 0
+        assert corpus.source_digest == hashlib.sha256(raw).hexdigest()
+        path.write_bytes(codecs.BOM_UTF8 + b"Wind turns the turbine blades.\n\xff broken\n")
         with pytest.raises(ValueError, match="line 2"):
             load_corpus(path)
 

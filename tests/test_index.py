@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import hashlib
 import itertools
@@ -652,7 +653,13 @@ def corpus_with_stopwords(rng: random.Random, n_sentences: int) -> tuple[Corpus,
     extra = ["the", "is", "of", "doing", "running", "winds", "heating", "wind"]
     texts = [" ".join(text.rstrip(".").split() + rng.choices(extra, k=rng.randint(0, 3))) + "."
              for text in corpus.texts]
-    return Corpus.from_texts(texts, "digest"), vocab + extra
+    return digested(texts), vocab + extra
+
+
+def digested(texts) -> Corpus:
+    """Corpus.from_texts(texts) with a non-empty source digest, so a
+    snapshot's digest round-trip compares a value."""
+    return dataclasses.replace(Corpus.from_texts(texts), source_digest="digest")
 
 
 class TestSnapshot:
@@ -888,7 +895,7 @@ class TestSnapshot:
             else:
                 cut = rng.randint(1, 6)
                 patch.setattr(hopkit.corpus, "stem", lambda word: word[:cut])
-            rebuilt = build_index(Corpus.from_texts(corpus.texts, "digest"))
+            rebuilt = build_index(digested(corpus.texts))
             # the snapshot is refused exactly when a token's form moved
             kept = rebuilt.tokens == built.tokens
             event("kept" if kept else "refused")
@@ -1013,7 +1020,7 @@ class TestSnapshot:
     def test_text_blocks_read_in_any_order_equal_build(self, tmp_path_factory, seed,
                                                        n_sentences, size):
         corpus, vocab = random_corpus(random.Random(seed), n_sentences)
-        corpus = Corpus.from_texts(corpus.texts, "digest")
+        corpus = digested(corpus.texts)
         path = tmp_path_factory.mktemp("blocks") / "index.hopidx"
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(hopkit.index, "TEXT_BLOCK", size)
@@ -1031,7 +1038,7 @@ class TestSnapshot:
             for text in [*corpus.texts, "absent words here.", *vocab[:3]]:
                 assert loaded.id_of_text(text) == corpus.id_of_text(text)
             again = path.with_name("again.hopidx")
-            write_snapshot(build_index(Corpus.from_texts(list(loaded.texts), "digest")), again)
+            write_snapshot(build_index(digested(list(loaded.texts))), again)
             assert again.read_bytes() == path.read_bytes()
 
     def test_a_retrieve_inflates_only_the_blocks_it_reads(self, tmp_path, monkeypatch):

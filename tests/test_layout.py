@@ -61,6 +61,60 @@ def test_every_src_function_has_a_caller_outside_tests():
     assert not unreached, f"no caller outside tests: {unreached}"
 
 
+def _defaulted_parameters(function, method: bool) -> list[tuple[str, int | None]]:
+    """(name, position) of each parameter of ``function`` that has a
+    default; position counts the arguments a call writes, so a method's
+    self or cls is not one of them, and a keyword-only parameter has none."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    skip = 1 if method and not any(getattr(d, "id", None) == "staticmethod"
+                                   for d in function.decorator_list) else 0
+    defaulted = [(arg.arg, i - skip)
+                 for i, arg in enumerate(positional)
+                 if i >= len(positional) - len(args.defaults)]
+    defaulted += [(arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                  if default is not None]
+    return defaulted
+
+
+def test_every_defaulted_parameter_is_passed_outside_tests():
+    """Every parameter with a default, on a def in src/hopkit, is passed by
+    position or by keyword in some call in the callers, so no parameter is
+    there only for the tests to set.  Calls are matched by name, a method's
+    through an attribute and __init__ through its class's name; a call
+    with *args or **kwargs passes everything."""
+    trees, callers = _src_and_callers()
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in callers.values():
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                func = call.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                calls.setdefault(name, []).append(call)
+
+    def passed(call: ast.Call, name: str, position: int | None) -> bool:
+        if any(isinstance(arg, ast.Starred) for arg in call.args):
+            return True
+        if any(kw.arg in (None, name) for kw in call.keywords):
+            return True
+        return position is not None and position < len(call.args)
+
+    unpassed = []
+    for path, tree in trees.items():
+        owners = {id(method): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  for method in cls.body}
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            owner = owners.get(id(function))
+            called_as = owner.name if owner and function.name == "__init__" else function.name
+            for name, position in _defaulted_parameters(function, owner is not None):
+                if not any(passed(call, name, position) for call in calls.get(called_as, ())):
+                    qualified = f"{owner.name}.{function.name}" if owner else function.name
+                    unpassed.append(f"{path.stem}.{qualified}({name})")
+    assert not unpassed, f"defaulted parameters only tests pass: {unpassed}"
+
+
 def _is_dataclass(cls: ast.ClassDef) -> bool:
     return any(getattr(decorator.func if isinstance(decorator, ast.Call) else decorator,
                        "id", None) == "dataclass" for decorator in cls.decorator_list)

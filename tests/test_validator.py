@@ -1,7 +1,7 @@
 import json
 
+from hopkit.corpus import stem_set
 from hopkit.validator import (
-    CompositionRecord,
     check_composition,
     check_link,
     check_question,
@@ -76,81 +76,70 @@ class TestCheckComposition:
 
 
 class TestCheckQuestion:
-    def record(self, answer):
-        return CompositionRecord(
-            seed_fact=PESTICIDE_FS,
-            linked_fact=PESTICIDE_FL,
-            composed_fact=PESTICIDE_FC,
-            question_stem=PESTICIDE_STEM,
-            answer=answer,
-        )
+    def check(self, answer):
+        return check_question(PESTICIDE_FS, PESTICIDE_FL, PESTICIDE_FC, PESTICIDE_STEM, answer)
 
     def test_bridge_answer_rejected(self):
-        result = check_question(self.record("pollution"))
+        result = self.check("pollution")
         assert not result.passed
         assert result.evidence == {"pollut"}
 
     def test_pesticides_answer_accepted(self):
-        result = check_question(self.record("pesticides"))
+        result = self.check("pesticides")
         assert result.passed
         assert result.evidence == {"pollut"}
 
     def test_question_restating_composition_passes(self):
-        record = CompositionRecord(
-            seed_fact=FIG1_FS,
-            linked_fact=FIG1_FL,
-            composed_fact=FIG1_FC,
-            question_stem="Differential heating of air can be harnessed for what?",
-            answer="electricity production",
-        )
-        assert check_question(record).passed
+        assert check_question(
+            FIG1_FS, FIG1_FL, FIG1_FC,
+            "Differential heating of air can be harnessed for what?",
+            "electricity production",
+        ).passed
 
 
 class TestPipeline:
     def test_short_circuits_on_link_failure(self):
-        record = CompositionRecord(
-            seed_fact=PESTICIDE_FS,
-            linked_fact="Tigers are fierce and harmful animals",
-            composed_fact=PESTICIDE_FC,
-            question_stem=PESTICIDE_STEM,
-            answer="pesticides",
+        question = make_question(
+            "q1", PESTICIDE_STEM, "pesticides", ["manure"], fact1=PESTICIDE_FS,
+            fact2="Tigers are fierce and harmful animals", combined=PESTICIDE_FC,
         )
-        results = run_checks(record)
+        results = run_checks(question)
         assert [r.check for r in results] == ["link"]
         assert not results[0].passed
 
     def test_short_circuits_on_composition_failure(self):
-        record = CompositionRecord(
-            seed_fact=PESTICIDE_FS,
-            linked_fact=PESTICIDE_FL,
-            composed_fact="pollutants can harm animals",
-            question_stem=PESTICIDE_STEM,
-            answer="pesticides",
+        question = make_question(
+            "q1", PESTICIDE_STEM, "pesticides", ["manure"], fact1=PESTICIDE_FS,
+            fact2=PESTICIDE_FL, combined="pollutants can harm animals",
         )
-        results = run_checks(record)
+        results = run_checks(question)
         assert [(r.check, r.passed) for r in results] == [("link", True), ("composition", False)]
 
     def test_full_pass_runs_all_three(self):
-        record = CompositionRecord(
-            seed_fact=PESTICIDE_FS,
-            linked_fact=PESTICIDE_FL,
-            composed_fact=PESTICIDE_FC,
-            question_stem=PESTICIDE_STEM,
-            answer="pesticides",
+        question = make_question(
+            "q1", PESTICIDE_STEM, "pesticides", ["manure"],
+            fact1=PESTICIDE_FS, fact2=PESTICIDE_FL, combined=PESTICIDE_FC,
         )
-        results = run_checks(record)
+        results = run_checks(question)
         assert [r.check for r in results] == ["link", "composition", "question"]
         assert all(r.passed for r in results)
 
+    def test_missing_facts_read_as_empty_text(self):
+        # validate_dataset reports such a question as unannotated before
+        # run_checks sees it; on its own, run_checks links against ""
+        question = make_question("q1", PESTICIDE_STEM, "pesticides", ["manure"],
+                                 fact1=PESTICIDE_FS)
+        results = run_checks(question)
+        assert [(r.check, r.passed) for r in results] == [("link", False)]
+        assert results[0].evidence == stem_set(PESTICIDE_FS)
+
     def test_idempotent(self):
-        record = CompositionRecord(
-            seed_fact=FIG1_FS,
-            linked_fact=FIG1_FL,
-            composed_fact=FIG1_FC,
-            question_stem="Differential heating of air can be harnessed for what?",
-            answer="electricity production",
+        question = make_question(
+            "q1", "Differential heating of air can be harnessed for what?",
+            "electricity production", ["manure"],
+            fact1=FIG1_FS, fact2=FIG1_FL, combined=FIG1_FC,
         )
-        assert run_checks(record) == run_checks(record)
+        assert run_checks(question) == run_checks(question)
 
     def test_validate_dataset_rows(self):
         good = make_question(
