@@ -27,7 +27,6 @@ from .distractor import (
 from .errors import HopkitError, jsonl, read_jsonl, require_type, write_output
 from .index import (
     MAGIC,
-    NEGATION_TOKENS,
     InvertedIndex,
     build_index,
     load_snapshot,
@@ -146,10 +145,9 @@ def cmd_index_stats(args) -> int:
 def cmd_retrieve(args) -> int:
     index = _load_index(args)
     params = RetrievalParams(k=args.k, l=args.l, m=args.m)
-    negations = NEGATION_TOKENS if args.drop_negations else None
     lines = []
     if args.mode == "single":
-        hits = single_step(index, args.question, args.answer, params.m, negations)
+        hits = single_step(index, args.question, args.answer, params.m)
         for rank, hit in enumerate(hits, start=1):
             lines.append(
                 {
@@ -161,7 +159,7 @@ def cmd_retrieve(args) -> int:
                 }
             )
     else:
-        facts, pairs = two_step(index, args.question, args.answer, params, negations)
+        facts, pairs = two_step(index, args.question, args.answer, params)
         for rank, fid in enumerate(facts, start=1):
             lines.append(
                 {"type": "fact", "rank": rank, "id": fid, "text": index.corpus[fid]}
@@ -416,8 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_retrieve.add_argument("--question", required=True)
     p_retrieve.add_argument("--answer", required=True)
     _add_retrieval_params(p_retrieve)
-    p_retrieve.add_argument("--drop-negations", action="store_true",
-                            help="drop hits containing negation words (noise hook)")
     p_retrieve.add_argument("--out")
     p_retrieve.set_defaults(func=cmd_retrieve)
 

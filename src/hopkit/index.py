@@ -40,10 +40,6 @@ from .errors import SnapshotError
 K1 = 1.2
 B = 0.75
 
-# Post-retrieval noise hook: hits whose surface text contains one of these
-# words can optionally be dropped (off by default).
-NEGATION_TOKENS = frozenset({"not", "except", "cannot"})
-
 # A search builds the survivor set from its rarer side, and scores it
 # whole, when that side holds at most this many postings per wanted hit
 # per query term.  Building it costs a C-level set insertion per posting.
@@ -210,7 +206,6 @@ def search(
     query: Iterable[str],
     top_n: int,
     must_contain_any: tuple[frozenset[str], frozenset[str]] | None = None,
-    negation_filter: frozenset[str] | None = None,
 ) -> list[SearchHit]:
     """The top_n BM25-ranked sentences holding at least one query term.
 
@@ -247,44 +242,17 @@ def search(
     neither enter the top_n nor tie with a hit at theta; a candidate that
     does tie at theta has a bound above the floor and is scored, so ties
     still break by id.
-
-    A negation_filter drops hits whose surface words include one of its
-    words.  The rounds then take theta over the hits the filter keeps, so
-    the floor falls until top_n kept hits are found and one search scores
-    each candidate at most once.  Only the best-scored documents are
-    checked against the filter, a few per round, best first.
     """
     if top_n <= 0:
         return []
     terms = sorted(set(query))
     if must_contain_any is None:
         must_contain_any = (frozenset(terms),) * 2
-    keep = None
-    if negation_filter:
-        def keep(doc_id: int) -> bool:
-            return negation_filter.isdisjoint(_TOKEN_RE.findall(index.corpus[doc_id].lower()))
-    scores = _score_constrained(index, terms, *must_contain_any, top_n, keep)
+    scores = _score_constrained(index, terms, *must_contain_any, top_n)
     if not scores:
         return []
-    return [SearchHit(doc_id, -neg_score) for neg_score, doc_id in _best(scores, top_n, keep)]
-
-
-def _best(scores: dict[int, float], n: int, keep) -> list[tuple[float, int]]:
-    """The n best (-score, doc id) pairs of scores, best first, of the
-    documents keep admits (every document when keep is None).  A document
-    keep rejects is deleted from scores, so no later call asks about it."""
-    ranked = [(-score, doc_id) for doc_id, score in scores.items()]
-    if keep is None:
-        return heapq.nsmallest(n, ranked)
-    heapq.heapify(ranked)
-    best = []
-    while ranked and len(best) < n:
-        hit = heapq.heappop(ranked)
-        if keep(hit[1]):
-            best.append(hit)
-        else:
-            del scores[hit[1]]
-    return best
+    best = heapq.nsmallest(top_n, [(-score, doc_id) for doc_id, score in scores.items()])
+    return [SearchHit(doc_id, -neg_score) for neg_score, doc_id in best]
 
 
 def _score_constrained(
@@ -293,10 +261,9 @@ def _score_constrained(
     side_a: frozenset[str],
     side_b: frozenset[str],
     top_n: int,
-    keep=None,
 ) -> dict[int, float]:
     """Scores of at least the documents meeting both sides that can rank
-    in the top_n of those keep admits (see search)."""
+    in the top_n (see search)."""
     postings, df = index.postings, index.df
     if any(map(df.keys().isdisjoint, (terms, side_a, side_b))):
         return {}  # no document holds a query term, or a term of one side
@@ -375,10 +342,7 @@ def _score_constrained(
         score(_doc_ids(reached))
         if floor <= impacts[-1]:
             return scores  # every document holding a query term is reached
-        if keep is None:
-            best = heapq.nlargest(top_n, scores.values())
-        else:
-            best = [-neg_score for neg_score, _ in _best(scores, top_n, keep)]
+        best = heapq.nlargest(top_n, scores.values())
         if len(best) < top_n:
             floor /= 2.0
             continue

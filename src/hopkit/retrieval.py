@@ -51,7 +51,6 @@ def single_step(
     q: str,
     a: str,
     m: int,
-    negation_filter: frozenset[str] | None = None,
 ) -> list[SearchHit]:
     """Top-m hits for the combined query that overlap both q and a.
 
@@ -60,8 +59,7 @@ def single_step(
     q and a with, so this is set(query_tokens(q, a)).
     """
     q_stems, a_stems = stem_set(q), stem_set(a)
-    return search(index, q_stems | a_stems, m, must_contain_any=(q_stems, a_stems),
-                  negation_filter=negation_filter)
+    return search(index, q_stems | a_stems, m, must_contain_any=(q_stems, a_stems))
 
 
 def intermediate_diff(
@@ -78,7 +76,6 @@ def two_step(
     q: str,
     a: str,
     params: RetrievalParams = RetrievalParams(),
-    negation_filter: frozenset[str] | None = None,
 ) -> tuple[list[int], list[RetrievedPair]]:
     """Two-step retrieval; returns (unique fact ids, all pairs in order).
 
@@ -95,19 +92,14 @@ def two_step(
     """
     # Tokenized here, not through stem_set's memo: each question asks once.
     query_stems = frozenset(query_tokens(q, a))
-    first_hops = search(index, query_stems, params.k, negation_filter=negation_filter)
+    first_hops = search(index, query_stems, params.k)
     pairs: list[RetrievedPair] = []
     for hop in first_hops:
         q_minus, f_minus = intermediate_diff(query_stems, index.corpus[hop.sentence_id])
         if not q_minus or not f_minus:
             continue
-        second_hops = search(
-            index,
-            q_minus | f_minus,
-            params.l,
-            must_contain_any=(q_minus, f_minus),
-            negation_filter=negation_filter,
-        )
+        second_hops = search(index, q_minus | f_minus, params.l,
+                             must_contain_any=(q_minus, f_minus))
         pairs.extend(
             RetrievedPair(hop.sentence_id, h2.sentence_id, hop.score, h2.score)
             for h2 in second_hops

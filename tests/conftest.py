@@ -245,8 +245,9 @@ query_words = st.sampled_from(STEM_WORDS + ("absent",))
 
 @st.composite
 def small_corpora(draw, max_sentences: int = 30, min_sentences: int = 0) -> Corpus:
-    """Corpus over STEM_WORDS with heavy term overlap (so many score ties);
-    sentences drawn with the flag set end in the negation word "not"."""
+    """Corpus over STEM_WORDS with heavy term overlap (so many score ties).
+    Sentences drawn with the flag set end in " not.": "not" is a stopword,
+    so the suffix changes a sentence's raw text and never the index."""
     rows = draw(
         st.lists(
             st.tuples(st.lists(st.sampled_from(STEM_WORDS), min_size=1, max_size=8), st.booleans()),

@@ -166,7 +166,6 @@ def test_each_two_step_issues_one_first_hop_search(tmp_path):
     commands = [
         ["index", "build", "--corpus", str(mini), "--out", str(idx)],
         [*retrieve, "--out", str(tmp_path / "plain.jsonl")],
-        [*retrieve, "--drop-negations", "--out", str(tmp_path / "negated.jsonl")],
         ["retrieve", "--index", str(idx), "--mode", "two", "--question",
          "What can trigger an immune response?", "--answer", "transplanted organs",
          "--out", str(tmp_path / "antigen.jsonl")],
@@ -175,7 +174,7 @@ def test_each_two_step_issues_one_first_hop_search(tmp_path):
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout.splitlines()[-1])
     assert report["codes"] == [0] * len(commands), result.stderr
-    assert len(report["children"]) == 3
+    assert len(report["children"]) == 2
     for constrained in report["children"]:
         assert constrained.count(False) == 1
         assert constrained[0] is False and len(constrained) > 1

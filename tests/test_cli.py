@@ -175,24 +175,6 @@ class TestRetrieve:
         assert code == 1
         assert "index" in capsys.readouterr().err
 
-    def test_drop_negations_filters_hits(self, tmp_path, capsys):
-        corpus = tmp_path / "neg.txt"
-        corpus.write_text(
-            "the zorak makes a wibble appear.\n"
-            "a wibble cannot create the flumen.\n"
-            "a wibble powers the flumen nicely.\n",
-            "utf-8",
-        )
-        args = ["retrieve", "--corpus", str(corpus), "--mode", "two",
-                "--question", "what does the zorak make", "--answer", "flumen power"]
-        assert main(args) == 0
-        plain = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
-        assert any(r["type"] == "fact" and r["id"] == 1 for r in plain)
-        assert main(args + ["--drop-negations"]) == 0
-        filtered = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
-        assert not any(r["type"] == "fact" and r["id"] == 1 for r in filtered)
-        assert any(r["type"] == "fact" and r["id"] == 2 for r in filtered)
-
 
 class TestEval:
     def test_recall_tsv_and_audit(self, snapshot_dir, fig1_dataset, tmp_path, capsys):

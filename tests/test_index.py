@@ -25,7 +25,6 @@ from hopkit.errors import SnapshotError
 from hopkit.index import (
     K1,
     MAGIC,
-    NEGATION_TOKENS,
     POOL_POSTINGS_PER_HIT,
     InvertedIndex,
     _score_constrained,
@@ -265,39 +264,29 @@ class TestSearch:
         sides=st.none() | st.tuples(st.frozensets(query_words, max_size=4),
                                     st.frozensets(query_words, max_size=4)),
         top_n=st.integers(1, 40),
-        negate=st.booleans(),
     )
     @settings(max_examples=400, deadline=None)
-    def test_property_equals_naive_scan_exactly(self, corpus, query, sides, top_n, negate):
+    def test_property_equals_naive_scan_exactly(self, corpus, query, sides, top_n):
         # sides range over none, empty, disjoint-from-query and overlapping
         # sets; top_n over 1 and more than the (at most 30) candidates
         index = build_index(corpus)
-        got = search(index, Counter(query), top_n, must_contain_any=sides,
-                     negation_filter=NEGATION_TOKENS if negate else None)
+        got = search(index, Counter(query), top_n, must_contain_any=sides)
         want = naive_search(corpus, query, None, must_contain_any=sides)
-        if negate:
-            want = [(sid, score) for sid, score in want
-                    if not corpus[sid].endswith(" not.")]
         assert [(h.sentence_id, h.score) for h in got] == want[:top_n]
 
     @given(
         corpus=small_corpora(),
         query=st.lists(query_words, min_size=1, max_size=6),
         top_n=st.integers(1, 40),
-        negate=st.booleans(),
     )
     @settings(max_examples=300, deadline=None)
-    def test_unconstrained_search_is_the_query_against_itself(self, corpus, query, top_n,
-                                                              negate):
+    def test_unconstrained_search_is_the_query_against_itself(self, corpus, query, top_n):
         # a sentence holding any query term holds one from each side of
         # (Q, Q), so leaving must_contain_any out is that constraint
         index = build_index(corpus)
-        negation = NEGATION_TOKENS if negate else None
-        got = search(index, query, top_n, negation_filter=negation)
-        constrained = search(index, query, top_n, must_contain_any=(frozenset(query),) * 2,
-                             negation_filter=negation)
-        want = [(sid, score) for sid, score in naive_search(corpus, query, None)
-                if not (negate and corpus[sid].endswith(" not."))]
+        got = search(index, query, top_n)
+        constrained = search(index, query, top_n, must_contain_any=(frozenset(query),) * 2)
+        want = naive_search(corpus, query, None)
         assert got == constrained
         assert [(h.sentence_id, h.score) for h in got] == want[:top_n]
 
@@ -348,45 +337,6 @@ class TestSearch:
         assert sum(counts) < len(holders)
         assert [(h.sentence_id, h.score) for h in hits] == naive_search(corpus, terms, 1)
 
-    def test_negation_filtered_search_is_pruned(self, monkeypatch):
-        # no sentence is negated, so the filter keeps the top-1 of the
-        # first pruned search and scores no more than it does
-        corpus = one_full_match_corpus()
-        index = build_index(corpus)
-        terms = ["air", "heat", "wind"]
-        holders = set().union(*(index.postings[term].mapping for term in terms))
-        for term in terms:
-            index.max_impact(term)
-        counts = counting_contributions(monkeypatch)
-        hits = search(index, Counter(terms), 1, negation_filter=NEGATION_TOKENS)
-        assert sum(counts) < len(holders)
-        assert [(h.sentence_id, h.score) for h in hits] == naive_search(corpus, terms, 1)
-
-    def test_negation_filter_widens_until_a_hit_survives(self, monkeypatch):
-        # the three best sentences are negated, so the floor falls past
-        # them until a hit survives the filter, within one scoring pass
-        negated = ["wind heat air not.", "air wind heat not.", "heat air wind not."]
-        corpus = Corpus.from_texts(
-            [*negated, "wind heat air rock.", *one_full_match_corpus().texts[1:]])
-        index = build_index(corpus)
-        terms = ["air", "heat", "wind"]
-        calls = 0
-        real = hopkit.index._score_constrained
-
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return real(*args)
-
-        monkeypatch.setattr(hopkit.index, "_score_constrained", counting)
-        top_n = 1
-        hits = search(index, Counter(terms), top_n, negation_filter=NEGATION_TOKENS)
-        ranked = naive_search(corpus, terms, None)
-        assert [sid for sid, _ in ranked[:3]] == [0, 1, 2]
-        want = [(sid, score) for sid, score in ranked if not corpus[sid].endswith(" not.")]
-        assert [(h.sentence_id, h.score) for h in hits] == want[:top_n]
-        assert calls == 1
-
     @given(
         corpus=small_corpora(max_sentences=100, min_sentences=10),
         query=st.lists(query_words, min_size=1, max_size=6),
@@ -394,12 +344,11 @@ class TestSearch:
                         st.frozensets(query_words, min_size=1, max_size=4)),
         cut=st.sampled_from([1, POOL_POSTINGS_PER_HIT]),
         walk=st.booleans(),
-        negate=st.booleans(),
         data=st.data(),
     )
     @settings(max_examples=400, deadline=None)
     def test_both_candidate_sources_equal_naive_scan(self, corpus, query, sides, cut, walk,
-                                                     negate, data):
+                                                     data):
         # top_n is drawn on the side of the pool cut-off that walk names:
         # up to cut * top_n * len(terms) postings on the rarer side builds
         # the survivor set, and more walks the impact rounds from the
@@ -424,10 +373,8 @@ class TestSearch:
             top_n = data.draw(st.just(least) | st.integers(least, 40))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(hopkit.index, "POOL_POSTINGS_PER_HIT", cut)
-            got = search(index, query, top_n, must_contain_any=sides,
-                         negation_filter=NEGATION_TOKENS if negate else None)
-        want = [(sid, score) for sid, score in naive_search(corpus, query, None, sides)
-                if not (negate and corpus[sid].endswith(" not."))]
+            got = search(index, query, top_n, must_contain_any=sides)
+        want = naive_search(corpus, query, None, sides)
         assert [(h.sentence_id, h.score) for h in got] == want[:top_n]
         # A walk fills the bitsets and max impacts of its query and side
         # terms only; a survivor set, scored whole, fills none.
@@ -548,21 +495,6 @@ class TestSearch:
         hits = search(build_index(corpus), Counter(terms), 1, must_contain_any=sides)
         assert [(h.sentence_id, h.score) for h in hits] == want
 
-    def test_negation_filter_with_top_n_takes_the_next_hit(self):
-        corpus = Corpus.from_texts(
-            ["wind heat not.", "wind heat rain.", "wind rock.", "heat sand."]
-        )
-        index = build_index(corpus)
-        sides = (frozenset({"wind"}), frozenset({"heat"}))
-        query = Counter({"wind": 1, "heat": 1})
-        plain = search(index, query, 1, must_contain_any=sides)
-        filtered = search(index, query, 1, must_contain_any=sides,
-                          negation_filter=NEGATION_TOKENS)
-        assert [h.sentence_id for h in plain] == [0]
-        assert [(h.sentence_id, h.score) for h in filtered] == naive_search(
-            corpus, query, None, must_contain_any=sides)[1:2]
-        assert [h.sentence_id for h in filtered] == [1]
-
     def test_scores_are_pure_in_declared_statistics(self):
         # rebuilding over a superset corpus changes only (N, avg_len, df);
         # with those pinned, per-term contributions are identical
@@ -620,16 +552,6 @@ class TestSearch:
                 if hit.sentence_id in dict(grown.postings[t])
             )
             assert repinned == pytest.approx(hit.score, abs=1e-12)
-
-    def test_negation_hook_drops_surface_matches(self):
-        corpus = Corpus.from_texts(
-            ["wind does not turn here.", "wind turns the turbine."]
-        )
-        index = build_index(corpus)
-        plain = search(index, Counter({"wind": 1}), 10)
-        assert len(plain) == 2
-        filtered = search(index, Counter({"wind": 1}), 10, negation_filter=NEGATION_TOKENS)
-        assert [h.sentence_id for h in filtered] == [1]
 
 
 def assert_same_index(loaded, built) -> None:

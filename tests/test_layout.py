@@ -3,10 +3,13 @@ every output file and JSON-lines text goes through the one writer and
 formatter, every index comes from the one build or load, only the build,
 the write and the text map read a corpus's texts whole, and every state
 filled on first use, stem_set's included, fills through the one memo,
-which never evicts."""
+which never evicts, and every command-line option is read."""
 
+import argparse
 import ast
 from pathlib import Path
+
+from hopkit.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "hopkit"
@@ -265,3 +268,39 @@ def test_no_memo_evicts():
               if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
               and call.func.attr == "clear"]
     assert not clears, f".clear() called in src/hopkit: {clears}"
+
+
+def _parsers(parser: argparse.ArgumentParser):
+    """The parser and every subcommand parser below it."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for child in action.choices.values():
+                yield from _parsers(child)
+
+
+def test_every_cli_option_is_read():
+    """Every option of every hopkit command is read in cli.py, as
+    ``args.<dest>`` or ``getattr(args, "<dest>", ...)``, so no flag is
+    accepted and then ignored.  An option of a required mutually exclusive
+    group is read when another of the group is: the one read decides."""
+    read = set()
+    for node in ast.walk(_parse(SRC / "cli.py")):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args":
+            read.add(node.attr)
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr"
+              and getattr(node.args[0], "id", None) == "args"
+              and isinstance(node.args[1], ast.Constant)):
+            read.add(node.args[1].value)
+    unread = []
+    for parser in _parsers(build_parser()):
+        decided = set(read)
+        for group in parser._mutually_exclusive_groups:
+            dests = {action.dest for action in group._group_actions}
+            if group.required and dests & read:
+                decided |= dests
+        unread += [f"{parser.prog} {action.option_strings[0]}"
+                   for action in parser._actions
+                   if action.option_strings and action.dest not in decided
+                   and not isinstance(action, (argparse._HelpAction, argparse._VersionAction))]
+    assert not unread, f"options no command reads: {unread}"

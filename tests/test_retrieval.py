@@ -193,24 +193,6 @@ class TestTwoStep:
         with pytest.raises(ValueError):
             RetrievalParams(m=-1)
 
-    def test_negation_filter_reaches_both_hops(self):
-        corpus = Corpus.from_texts(
-            [
-                "the zorak makes a wibble appear.",
-                "a wibble cannot create the flumen.",
-                "a wibble powers the flumen nicely.",
-            ]
-        )
-        index = build_index(corpus)
-        plain_facts, _ = two_step(index, "what does the zorak make", "flumen power")
-        assert 1 in plain_facts
-        filtered_facts, _ = two_step(
-            index, "what does the zorak make", "flumen power",
-            negation_filter=frozenset({"cannot"}),
-        )
-        assert 1 not in filtered_facts
-        assert 2 in filtered_facts
-
 
 class TestRecallReport:
     def test_planted_chains_match_oracle(self):

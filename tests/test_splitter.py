@@ -521,8 +521,15 @@ def _pipeline_commands(corpus: Path, questions: Path, fold: Path, out: Path) -> 
         [["index", "stats", "--index", idx], str(out / "stats.jsonl")],
         [["retrieve", "--index", idx, "--mode", "two", "--question", FIG1_QUESTION,
           "--answer", FIG1_ANSWER, "--out", str(out / "retrieve.jsonl")], None],
+        [["retrieve", "--index", idx, "--mode", "single", "--question", FIG1_QUESTION,
+          "--answer", FIG1_ANSWER, "--out", str(out / "retrieve_single.jsonl")], None],
         [["eval", "recall", "--index", idx, "--dataset", str(questions), "--mode", "two",
           "--out", str(out / "recall.tsv"), "--audit", str(out / "audit.jsonl")], None],
+        [["eval", "recall", "--index", idx, "--dataset", str(questions), "--mode", "single",
+          "--out", str(out / "recall_single.tsv"),
+          "--audit", str(out / "audit_single.jsonl")], None],
+        [["stats", "overlap", "--dataset", str(questions),
+          "--out", str(out / "overlap.tsv")], None],
         [["distract", "gen", "--dataset", str(fold), "--ways", "4",
           "--out", str(out / "pools.jsonl")], None],
         [["distract", "rank", "--dataset", str(fold), "--pools", str(out / "pools.jsonl"),
@@ -530,6 +537,8 @@ def _pipeline_commands(corpus: Path, questions: Path, fold: Path, out: Path) -> 
         [["distract", "assemble", "--dataset", str(fold), "--ranked",
           str(out / "ranked.jsonl"), "--seed", "1", "--ways", "4",
           "--out", str(out / "assembled.jsonl")], None],
+        [["eval", "accuracy", "--dataset", str(out / "assembled.jsonl"), "--scorer", f"ir:{idx}",
+          "--out", str(out / "accuracy.tsv")], None],
         [["validate", "--dataset", str(out / "assembled.jsonl"),
           "--out", str(out / "validate.jsonl")], None],
     ]
@@ -598,7 +607,8 @@ class TestHashSeedIndependence:
                 for path in out.rglob("*") if path.is_file())))
         assert len(written) == 1
         assert [name for name, _ in next(iter(written))] == [
-            "assembled.jsonl", "audit.jsonl", "idx/index.hopidx", "idx/rejections.tsv",
-            "pools.jsonl", "ranked.jsonl", "recall.tsv", "retrieve.jsonl", "stats.jsonl",
-            "validate.jsonl"]
+            "accuracy.tsv", "assembled.jsonl", "audit.jsonl", "audit_single.jsonl",
+            "idx/index.hopidx", "idx/rejections.tsv", "overlap.tsv", "pools.jsonl",
+            "ranked.jsonl", "recall.tsv", "recall_single.tsv", "retrieve.jsonl",
+            "retrieve_single.jsonl", "stats.jsonl", "validate.jsonl"]
 
