@@ -80,28 +80,20 @@ def _load_snapshot(path: str) -> InvertedIndex:
     return load_snapshot(p / SNAPSHOT_NAME if p.is_dir() else p)
 
 
-def _load_index(args) -> InvertedIndex:
-    if getattr(args, "index", None):
-        return _load_snapshot(args.index)
-    if getattr(args, "corpus", None):
-        return build_index(load_corpus(args.corpus))
-    raise HopkitError("need --index SNAPSHOT or --corpus FILE")
-
-
-def _make_scorer(spec: str, args):
-    """The scorer a --scorer spec names; a bare "ir" reads the command's own
-    --index or --corpus, so it is a spec only where the command takes them."""
-    takes_index = hasattr(args, "index")
+def _make_scorer(spec: str):
+    """The scorer a --scorer spec names."""
     if spec in ("ir:", "file:"):
         raise HopkitError(f"scorer spec {spec!r} names no path")
-    if spec == "ir" and takes_index:
-        return IRScorer(_load_index(args))
     if spec.startswith("ir:"):
-        return IRScorer(_load_snapshot(spec[3:]), name=spec)
+        return IRScorer(_load_snapshot(spec[3:]), spec)
     if spec.startswith("file:"):
         return FileScorer(spec[5:])
-    specs = "ir, ir:SNAPSHOT, or file:PATH" if takes_index else "ir:SNAPSHOT or file:PATH"
-    raise HopkitError(f"unknown scorer spec {spec!r} for this command; use {specs}")
+    raise HopkitError(f"unknown scorer spec {spec!r}; use ir:SNAPSHOT or file:PATH")
+
+
+def _split_files(prefix: str | Path) -> tuple[str, str]:
+    """The assignment JSON and TSV that split solve writes under --out."""
+    return f"{Path(prefix)}.json", f"{Path(prefix)}.tsv"
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +135,7 @@ def cmd_index_stats(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    index = _load_index(args)
+    index = _load_snapshot(args.index)
     params = RetrievalParams(k=args.k, l=args.l, m=args.m)
     lines = []
     if args.mode == "single":
@@ -180,7 +172,7 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_eval_recall(args) -> int:
-    index = _load_index(args)
+    index = _load_snapshot(args.index)
     params = RetrievalParams(k=args.k, l=args.l, m=args.m)
     dataset = load_questions(args.dataset)
     report = recall_report(index, dataset, params, args.mode)
@@ -194,7 +186,7 @@ def cmd_eval_accuracy(args) -> int:
     dataset = load_questions(args.dataset)
     if args.emit_requests:
         emit_score_requests(dataset, args.emit_requests)
-    scorer = _make_scorer(args.scorer, args)
+    scorer = _make_scorer(args.scorer)
     accuracy = eval_accuracy(scorer, dataset)
     _emit(f"accuracy\t{accuracy:.9f}\t{len(dataset)}\n", args.out)
     return 0
@@ -280,7 +272,7 @@ def cmd_distract_rank(args) -> int:
         raise HopkitError(f"--prune-top must be >= 0 (0 disables pruning), got {args.prune_top}")
     dataset = {q.id: q for q in load_questions(args.dataset)}
     pools = _rows_by_id(args.pools, _pool_from_json, dataset)
-    scorers = [_make_scorer(spec, args) for spec in args.scorer]
+    scorers = list(map(_make_scorer, args.scorer))
     lines = []
     for qid in sorted(pools):
         question = dataset[qid]
@@ -350,13 +342,13 @@ def cmd_split_solve(args) -> int:
         assignment = solve_heuristic(
             problem, seed=args.seed, iterations=args.iterations, restarts=args.restarts
         )
-    prefix = Path(args.out)
-    write_output(f"{prefix}.json", json.dumps(assignment.to_json(), indent=2) + "\n")
-    write_output(f"{prefix}.tsv", assignment.to_tsv())
+    json_path, tsv_path = _split_files(args.out)
+    write_output(json_path, json.dumps(assignment.to_json(), indent=2) + "\n")
+    write_output(tsv_path, assignment.to_tsv())
     summary = {
         "feasible": assignment.feasible,
         "objective": _round9(assignment.objective),
-        "out": f"{prefix}.json",
+        "out": json_path,
     }
     sys.stdout.write(jsonl([summary]))
     return 0
@@ -372,22 +364,20 @@ def cmd_validate(args) -> int:
 # Parser
 
 
-def _add_index_source(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--index", default=os.environ.get(ENV_PATHS["index"]),
-                        help="index snapshot file or directory (env: HOPKIT_INDEX)")
-    parser.add_argument("--corpus", default=os.environ.get(ENV_PATHS["corpus"]),
-                        help="corpus file, one sentence per line (env: HOPKIT_CORPUS)")
+def _add_env_path(parser: argparse.ArgumentParser, dest: str) -> None:
+    """--index, --corpus or --dataset, falling back to its HOPKIT_* variable
+    and required when that is unset."""
+    what = {"index": "index snapshot file or directory",
+            "corpus": "corpus file, one sentence per line",
+            "dataset": "question JSON-lines file"}[dest]
+    env_value = os.environ.get(ENV_PATHS[dest])
+    parser.add_argument(f"--{dest}", default=env_value, required=env_value is None,
+                        help=f"{what} (env: {ENV_PATHS[dest]})")
 
 
 def _add_retrieval_params(parser: argparse.ArgumentParser) -> None:
     for name in ("k", "l", "m"):
         parser.add_argument(f"--{name}", type=int, default=getattr(RetrievalParams, name))
-
-
-def _add_dataset(parser: argparse.ArgumentParser) -> None:
-    env_value = os.environ.get(ENV_PATHS["dataset"])
-    parser.add_argument("--dataset", default=env_value, required=env_value is None,
-                        help="question JSON-lines file (env: HOPKIT_DATASET)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,15 +391,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_index = sub.add_parser("index", help="index management")
     index_sub = p_index.add_subparsers(dest="index_command", required=True)
     p_build = index_sub.add_parser("build", help="build an index snapshot from a corpus")
-    p_build.add_argument("--corpus", required=True)
+    _add_env_path(p_build, "corpus")
     p_build.add_argument("--out", required=True, help="output directory")
     p_build.set_defaults(func=cmd_index_build)
     p_stats = index_sub.add_parser("stats", help="describe an index snapshot")
-    p_stats.add_argument("--index", required=True, help="index snapshot file or directory")
+    _add_env_path(p_stats, "index")
     p_stats.set_defaults(func=cmd_index_stats)
 
     p_retrieve = sub.add_parser("retrieve", help="retrieve facts for one question")
-    _add_index_source(p_retrieve)
+    _add_env_path(p_retrieve, "index")
     p_retrieve.add_argument("--mode", choices=("single", "two"), required=True)
     p_retrieve.add_argument("--question", required=True)
     p_retrieve.add_argument("--answer", required=True)
@@ -420,17 +410,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluation harnesses")
     eval_sub = p_eval.add_subparsers(dest="eval_command", required=True)
     p_recall = eval_sub.add_parser("recall", help="fact-pair recall report")
-    _add_index_source(p_recall)
-    _add_dataset(p_recall)
+    _add_env_path(p_recall, "index")
+    _add_env_path(p_recall, "dataset")
     p_recall.add_argument("--mode", choices=("single", "two"), required=True)
     _add_retrieval_params(p_recall)
     p_recall.add_argument("--audit", help="write per-question JSON lines here")
     p_recall.add_argument("--out")
     p_recall.set_defaults(func=cmd_eval_recall)
     p_accuracy = eval_sub.add_parser("accuracy", help="answer accuracy of a scorer")
-    _add_index_source(p_accuracy)
-    _add_dataset(p_accuracy)
-    p_accuracy.add_argument("--scorer", required=True, help="ir, ir:SNAPSHOT, or file:PATH")
+    _add_env_path(p_accuracy, "dataset")
+    p_accuracy.add_argument("--scorer", required=True, help="ir:SNAPSHOT or file:PATH")
     p_accuracy.add_argument("--emit-requests", help="write score requests for external scorers")
     p_accuracy.add_argument("--out")
     p_accuracy.set_defaults(func=cmd_eval_accuracy)
@@ -438,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats = sub.add_parser("stats", help="dataset statistics")
     stats_sub = p_stats.add_subparsers(dest="stats_command", required=True)
     p_overlap = stats_sub.add_parser("overlap", help="fact/question token overlap table")
-    _add_dataset(p_overlap)
+    _add_env_path(p_overlap, "dataset")
     p_overlap.add_argument("--occurrences", action="store_true",
                            help="count token occurrences instead of distinct stems")
     p_overlap.add_argument("--out")
@@ -447,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_distract = sub.add_parser("distract", help="adversarial distractor pipeline")
     distract_sub = p_distract.add_subparsers(dest="distract_command", required=True)
     p_gen = distract_sub.add_parser("gen", help="generate candidate pools")
-    _add_dataset(p_gen)
+    _add_env_path(p_gen, "dataset")
     p_gen.add_argument("--pool-n", type=int, default=AdversarialConfig.pool_dissimilar_n)
     p_gen.add_argument("--token-slack", type=int, default=AdversarialConfig.token_slack)
     p_gen.add_argument("--char-slack", type=float, default=AdversarialConfig.char_ratio_slack)
@@ -455,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out")
     p_gen.set_defaults(func=cmd_distract_gen)
     p_rank = distract_sub.add_parser("rank", help="rank pooled candidates by scorers")
-    _add_dataset(p_rank)
+    _add_env_path(p_rank, "dataset")
     p_rank.add_argument("--pools", required=True)
     p_rank.add_argument("--scorer", action="append", required=True,
                         help="ir:SNAPSHOT or file:PATH; repeat for K models")
@@ -464,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument("--out")
     p_rank.set_defaults(func=cmd_distract_rank)
     p_assemble = distract_sub.add_parser("assemble", help="assemble 8-way questions")
-    _add_dataset(p_assemble)
+    _add_env_path(p_assemble, "dataset")
     p_assemble.add_argument("--ranked", required=True)
     p_assemble.add_argument("--seed", required=True)
     p_assemble.add_argument("--ways", type=int, default=AdversarialConfig.target_ways)
@@ -489,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=cmd_split_solve)
 
     p_validate = sub.add_parser("validate", help="composition-quality checks")
-    _add_dataset(p_validate)
+    _add_env_path(p_validate, "dataset")
     p_validate.add_argument("--out")
     p_validate.set_defaults(func=cmd_validate)
 
@@ -515,10 +504,18 @@ def main(argv=None) -> int:
 
 
 def _options_naming(args, path: str) -> list[str]:
-    """The path flags and scorer specs that name ``path``, or a directory
-    whose index.hopidx it is."""
+    """The path flags and scorer specs that name ``path``: as their value,
+    as the directory of the index.hopidx it is, as the prefix of a file
+    split solve writes, or as a path below it, so that an output's parent
+    directory that could not be made names its flag too."""
+    failed = Path(path)
+
     def names(value) -> bool:
-        return bool(value) and path in (value, str(Path(value) / SNAPSHOT_NAME))
+        if not value:
+            return False
+        value = Path(value)
+        return failed in (value, value / SNAPSHOT_NAME, *map(Path, _split_files(value)),
+                          *value.parents)
 
     flags = [f"--{dest.replace('_', '-')}" for dest in PATH_OPTIONS
              if names(getattr(args, dest, None))]

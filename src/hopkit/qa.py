@@ -92,7 +92,7 @@ class IRScorer:
     memo is what keeps a question's candidates from tokenizing its stem again.
     """
 
-    def __init__(self, index: InvertedIndex, name: str = "ir"):
+    def __init__(self, index: InvertedIndex, name: str):
         self.index = index
         self.name = name
 

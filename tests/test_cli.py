@@ -4,6 +4,8 @@ import io
 import json
 import math
 import random
+import re
+import shlex
 import shutil
 import zlib
 from bisect import bisect_right
@@ -160,9 +162,9 @@ class TestRetrieve:
         for pair in pairs:
             assert pair["pair_score"] == pytest.approx(pair["score1"] + pair["score2"], abs=1e-8)
 
-    def test_single_mode_with_corpus_flag(self, corpus_file, capsys):
+    def test_single_mode_emits_scored_facts(self, snapshot_dir, capsys):
         code = main([
-            "retrieve", "--corpus", str(corpus_file), "--mode", "single",
+            "retrieve", "--index", str(snapshot_dir), "--mode", "single",
             "--question", FIG1_QUESTION, "--answer", FIG1_ANSWER, "--m", "5",
         ])
         assert code == 0
@@ -170,10 +172,24 @@ class TestRetrieve:
         assert all(row["type"] == "fact" for row in rows)
         assert all(row["score"] > 0 for row in rows)
 
-    def test_needs_an_index_source(self, capsys):
-        code = main(["retrieve", "--mode", "two", "--question", "q", "--answer", "a"])
-        assert code == 1
-        assert "index" in capsys.readouterr().err
+    def test_needs_an_index_source(self, corpus_file, fig1_dataset, capsys, monkeypatch):
+        # a snapshot is the one index source: without --index or HOPKIT_INDEX
+        # the command is a usage error, and a corpus is no index source
+        monkeypatch.delenv(ENV_PATHS["index"], raising=False)
+        retrieve = ["retrieve", "--mode", "two", "--question", "q", "--answer", "a"]
+        for argv, named in (
+            (retrieve, "--index"),
+            ([*retrieve, "--corpus", corpus_file], "--index"),
+            (["eval", "recall", "--corpus", corpus_file, "--dataset", fig1_dataset,
+              "--mode", "two"], "--index"),
+            (["eval", "accuracy", "--index", corpus_file, "--dataset", fig1_dataset,
+              "--scorer", "file:scores.jsonl"], "--index"),
+        ):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                main([str(arg) for arg in argv])
+            assert exc.value.code == 2, argv
+            assert named in capsys.readouterr().err, argv
 
 
 class TestEval:
@@ -203,21 +219,24 @@ class TestEval:
 
     def test_accuracy_ir_scorer(self, snapshot_dir, fig1_dataset, capsys):
         code = main([
-            "eval", "accuracy", "--index", str(snapshot_dir),
-            "--dataset", str(fig1_dataset), "--scorer", "ir",
+            "eval", "accuracy", "--dataset", str(fig1_dataset), "--scorer", f"ir:{snapshot_dir}",
         ])
         assert code == 0
         line = capsys.readouterr().out.strip()
         assert line == "accuracy\t1.000000000\t1"
+        # the IR scorer is named as distract rank names it, and a bare "ir"
+        # is refused with distract rank's message
+        code = main(["eval", "accuracy", "--dataset", str(fig1_dataset), "--scorer", "ir"])
+        message = assert_domain_error(code, capsys.readouterr().err)["message"]
+        assert "'ir'" in message and message.endswith("use ir:SNAPSHOT or file:PATH")
 
-    def test_accuracy_file_scorer_with_requests(self, fig1_dataset, tmp_path, capsys):
+    def test_accuracy_file_scorer_with_requests(self, snapshot_dir, fig1_dataset, tmp_path,
+                                                capsys):
         requests = tmp_path / "requests.jsonl"
         scores = tmp_path / "scores.jsonl"
         code = main([
             "eval", "accuracy", "--dataset", str(fig1_dataset),
-            "--scorer", "ir", "--corpus",
-            str(resources.files("hopkit.data").joinpath("mini_corpus.txt")),
-            "--emit-requests", str(requests),
+            "--scorer", f"ir:{snapshot_dir}", "--emit-requests", str(requests),
         ])
         assert code == 0
         capsys.readouterr()
@@ -661,22 +680,40 @@ class TestMalformedInputs:
             refused(["distract", "rank", "--dataset", fig1_dataset, "--pools", pools,
                      "--scorer", spec], repr(spec))
 
-    def test_an_unopenable_path_names_its_flag_or_spec(self, fig1_dataset, tmp_path, capsys):
+    def test_an_unopenable_path_names_its_flag_or_spec(self, snapshot_dir, fig1_dataset,
+                                                        tmp_path, capsys):
         missing = str(tmp_path / "missing")
         snapshot = str(tmp_path / "index.hopidx")  # in a directory that holds none
-        for argv, named, path in (
-            (["--dataset", missing, "--scorer", f"file:{tmp_path}"], "--dataset", missing),
-            (["--dataset", fig1_dataset, "--scorer", f"file:{missing}"],
-             f"--scorer file:{missing}", missing),
-            (["--dataset", fig1_dataset, "--scorer", f"ir:{tmp_path}"],
-             f"--scorer ir:{tmp_path}", snapshot),
-            (["--dataset", fig1_dataset, "--index", tmp_path, "--scorer", "ir"], "--index", snapshot),
+        regular = tmp_path / "regular"  # a file, so no directory can be made below it
+        regular.write_text("", "utf-8")
+        facts = tmp_path / "facts.jsonl"
+        facts.write_text(json.dumps({"id": "f0", "text": "wind blows"}) + "\n", "utf-8")
+        (tmp_path / "split.json").mkdir()  # split solve's --out split writes split.json
+        accuracy = ["eval", "accuracy", "--dataset", fig1_dataset]
+        recall = ["eval", "recall", "--index", snapshot_dir, "--dataset", fig1_dataset,
+                  "--mode", "two"]
+        solve = ["split", "solve", "--facts", facts, "--exact", "--out"]
+        not_found = ("FileNotFoundError", "[Errno 2] No such file or directory")
+        exists = ("FileExistsError", "[Errno 17] File exists")
+        for argv, named, (error, reason), path in (
+            (["eval", "accuracy", "--dataset", missing, "--scorer", f"file:{tmp_path}"],
+             "--dataset", not_found, missing),
+            ([*accuracy, "--scorer", f"file:{missing}"], f"--scorer file:{missing}", not_found,
+             missing),
+            ([*accuracy, "--scorer", f"ir:{tmp_path}"], f"--scorer ir:{tmp_path}", not_found,
+             snapshot),
+            (["validate", "--dataset", fig1_dataset, "--out", regular / "v.jsonl"], "--out",
+             exists, str(regular)),
+            ([*recall, "--audit", regular / "a.jsonl"], "--audit", exists, str(regular)),
+            ([*solve, regular / "x"], "--out", exists, str(regular)),
+            ([*solve, tmp_path / "split"], "--out",
+             ("IsADirectoryError", "[Errno 21] Is a directory"), str(tmp_path / "split.json")),
         ):
             capsys.readouterr()
-            payload = assert_domain_error(main(["eval", "accuracy", *map(str, argv)]),
+            payload = assert_domain_error(main([str(arg) for arg in argv]),
                                           capsys.readouterr().err)
-            assert payload["error"] == "FileNotFoundError"
-            assert payload["message"] == f"{named}: [Errno 2] No such file or directory: {path!r}"
+            assert payload["error"] == error, argv
+            assert payload["message"] == f"{named}: {reason}: {path!r}", argv
 
     @pytest.mark.parametrize(
         "row",
@@ -794,8 +831,9 @@ class TestUsageErrors:
 
 def test_option_defaults_are_the_library_defaults():
     parse = build_parser().parse_args
-    retrieve = parse(["retrieve", "--mode", "two", "--question", "q", "--answer", "a"])
-    recall = parse(["eval", "recall", "--dataset", "d", "--mode", "two"])
+    retrieve = parse(["retrieve", "--index", "i", "--mode", "two", "--question", "q",
+                      "--answer", "a"])
+    recall = parse(["eval", "recall", "--index", "i", "--dataset", "d", "--mode", "two"])
     for args in (retrieve, recall):
         assert RetrievalParams(k=args.k, l=args.l, m=args.m) == RetrievalParams()
     gen = parse(["distract", "gen", "--dataset", "d"])
@@ -811,22 +849,20 @@ def test_option_defaults_are_the_library_defaults():
     assert (solve.slack, solve.prune_threshold) == (defaults.slack, defaults.prune_threshold)
 
 
-class TestEnvPathOverrides:
-    def test_corpus_and_dataset_from_environment(
-        self, corpus_file, fig1_dataset, capsys, monkeypatch
-    ):
-        monkeypatch.setenv("HOPKIT_CORPUS", str(corpus_file))
-        monkeypatch.setenv("HOPKIT_DATASET", str(fig1_dataset))
-        code = main(["eval", "recall", "--mode", "two"])
-        assert code == 0
-        assert "both_found\t10\t1.000000000\t1\t1" in capsys.readouterr().out
-
-    def test_flag_beats_environment(self, corpus_file, fig1_dataset, capsys, monkeypatch):
-        monkeypatch.setenv("HOPKIT_CORPUS", "/nonexistent/corpus.txt")
-        code = main(["eval", "recall", "--corpus", str(corpus_file),
-                     "--dataset", str(fig1_dataset), "--mode", "two"])
-        assert code == 0
-        capsys.readouterr()
+def test_every_readme_command_parses(capsys):
+    # each `hopkit ...` line of README's bash blocks, with its backslash
+    # continuations joined, is a command the parser takes
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    commands = [words[1:]
+                for block in re.findall(r"```bash\n(.*?)```", readme, re.S)
+                for line in block.replace("\\\n", " ").splitlines()
+                if (words := shlex.split(line, comments=True))[:1] == ["hopkit"]]
+    assert commands
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"hopkit {shlex.join(argv)}: {capsys.readouterr().err}")
 
 
 # ---------------------------------------------------------------------------
@@ -928,6 +964,7 @@ COMMANDS = {
                                       "--out", f["split"]],
     "validate": lambda f: ["validate", "--dataset", f["dataset"]],
     "index stats": lambda f: ["index", "stats", "--index", f["snapshot"]],
+    "index build": lambda f: ["index", "build", "--corpus", f["corpus"], "--out", f["built"]],
 }
 READS = [
     ("retrieve", "snapshot"), ("eval recall", "snapshot"), ("index stats", "snapshot"),
@@ -963,11 +1000,17 @@ HUGE_INTEGER_INPUTS = {
 }
 
 
-def run_quietly(argv) -> tuple[int, str]:
+def run_capturing(argv) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one command."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main([str(arg) for arg in argv])
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_quietly(argv) -> tuple[int, str]:
+    code, _, err = run_capturing(argv)
+    return code, err
 
 
 @pytest.fixture(scope="module")
@@ -980,7 +1023,7 @@ def contract_files(tmp_path_factory):
     files = {"dataset": fold_dataset(root, n=8), "snapshot": root / "idx" / "index.hopidx",
              "pools": root / "pools.jsonl", "ranked": root / "ranked.jsonl",
              "scores": root / "scores.jsonl", "facts": root / "facts.jsonl",
-             "split": root / "split" / "out"}
+             "split": root / "split" / "out", "corpus": corpus, "built": root / "built"}
     assert run_quietly(["index", "build", "--corpus", corpus, "--out", root / "idx"])[0] == 0
     files["scores"].write_text("".join(
         json.dumps({"id": q.id, "label": c.label, "score": float(i)}) + "\n"
@@ -993,6 +1036,43 @@ def contract_files(tmp_path_factory):
     for command, out in (("distract gen", "pools"), ("distract rank", "ranked")):
         assert run_quietly(COMMANDS[command](files) + ["--out", files[out]])[0] == 0
     return files
+
+
+class TestEnvPathOverrides:
+    def test_index_and_dataset_from_environment(
+        self, snapshot_dir, fig1_dataset, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("HOPKIT_INDEX", str(snapshot_dir))
+        monkeypatch.setenv("HOPKIT_DATASET", str(fig1_dataset))
+        code = main(["eval", "recall", "--mode", "two"])
+        assert code == 0
+        assert "both_found\t10\t1.000000000\t1\t1" in capsys.readouterr().out
+
+    def test_flag_beats_environment(self, snapshot_dir, fig1_dataset, capsys, monkeypatch):
+        monkeypatch.setenv("HOPKIT_INDEX", "/nonexistent/idx")
+        code = main(["eval", "recall", "--index", str(snapshot_dir),
+                     "--dataset", str(fig1_dataset), "--mode", "two"])
+        assert code == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command, dest", [
+        (" ".join(words), action.dest)
+        for words, parser in _commands(build_parser()) for action in parser._actions
+        if action.dest in ENV_PATHS
+    ])
+    def test_every_env_path_option_falls_back_to_its_variable(
+        self, contract_files, monkeypatch, command, dest
+    ):
+        # the command writes the same with the option as with its variable
+        argv = [str(arg) for arg in COMMANDS[command](contract_files)]
+        at = argv.index(f"--{dest}")
+        value = argv.pop(at + 1)
+        argv.pop(at)
+        monkeypatch.delenv(ENV_PATHS[dest], raising=False)
+        flagged = run_capturing([*argv, f"--{dest}", value])
+        monkeypatch.setenv(ENV_PATHS[dest], value)
+        assert run_capturing(argv) == flagged
+        assert flagged[0] == 0 and flagged[1]
 
 
 def _at(row, path):

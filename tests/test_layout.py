@@ -1,6 +1,7 @@
 """Source-layout checks: no code or state in src/ exists only for the tests,
 every output file and JSON-lines text goes through the one writer and
-formatter, every index comes from the one build or load, only the build,
+formatter, every index comes from the one build or load, only `index
+build` builds one and every other command loads a snapshot, only the build,
 the write and the text map read a corpus's texts whole, and every state
 filled on first use, stem_set's included, fills through the one memo,
 which never evicts, and every command-line option is read."""
@@ -143,20 +144,19 @@ def test_every_dataclass_field_is_read_outside_tests():
 
 
 def _nodes_outside(path: Path, functions: set[str]):
-    """Every node of a module, except those inside the named top-level
-    functions of src/hopkit/index.py."""
+    """Every node of a module, except those inside its named top-level
+    functions."""
     tree = _parse(path)
     skipped = set()
-    if path == SRC / "index.py":
-        for top in tree.body:
-            if isinstance(top, ast.FunctionDef) and top.name in functions:
-                skipped |= {id(node) for node in ast.walk(top)}
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and top.name in functions:
+            skipped |= {id(node) for node in ast.walk(top)}
     return [node for node in ast.walk(tree) if id(node) not in skipped]
 
 
 def _calls_outside(path: Path, functions: set[str]):
-    """Every call in a module, except those inside the named top-level
-    functions of src/hopkit/index.py."""
+    """Every call in a module, except those inside its named top-level
+    functions."""
     return [node for node in _nodes_outside(path, functions) if isinstance(node, ast.Call)]
 
 
@@ -231,6 +231,17 @@ def test_every_index_is_built_or_loaded():
              if "InvertedIndex" in (getattr(call.func, "id", None),
                                     getattr(call.func, "attr", None))]
     assert not calls, f"InvertedIndex constructed outside build_index and load_snapshot: {calls}"
+
+
+def test_only_index_build_builds_an_index():
+    """In cli.py, only cmd_index_build calls build_index or load_corpus: every
+    other command loads its index from a snapshot, so no command keeps a
+    second index source."""
+    calls = [f"cli.py:{call.lineno}"
+             for call in _calls_outside(SRC / "cli.py", {"cmd_index_build"})
+             if (getattr(call.func, "id", None) or getattr(call.func, "attr", None))
+             in ("build_index", "load_corpus")]
+    assert not calls, f"an index built outside cmd_index_build: {calls}"
 
 
 def test_only_the_build_the_write_and_the_map_read_every_text():

@@ -121,7 +121,7 @@ class TestIRScoreQuery:
     @given(ir_indexes, st.lists(st.tuples(stem_texts, ir_texts), max_size=12))
     @settings(max_examples=200, deadline=None)
     def test_scorer_across_changing_stems_matches_reference(self, index, calls):
-        scorer = IRScorer(index)
+        scorer = IRScorer(index, "ir:test")
         for stem_text, choice in calls:
             question = make_question("q", stem_text, "answer")
             got = scorer.score(question, choice)
@@ -143,7 +143,7 @@ class TestAnswer:
             ["erosion prevention", "transfer of electrons", "reduce acidity of food"],
             answer_pos=0,
         )
-        chosen = answer(IRScorer(mini_index), question)
+        chosen = answer(IRScorer(mini_index, "ir:mini"), question)
         assert {c.label: c.text for c in question.choices}[chosen] == FIG1_ANSWER
 
     def test_scale_invariance_of_argmax(self):
